@@ -69,6 +69,17 @@ EXIT_REFUSED = 2
 EXIT_IO = 3
 
 
+def _thread_count(text: str) -> int:
+    """argparse type for --threads: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser that exits with code 1 on usage errors."""
 
@@ -272,7 +283,8 @@ def _cmd_matrices(args, parser) -> int:
 
 def _cmd_points(args, parser) -> int:
     gset = _inline_gset(args, parser)
-    pset = generate_points(gset, args.count, args.precision)
+    count = args.count if args.count is not None else 1 << gset.cols
+    pset = generate_points(gset, count, args.precision)
     if args.out is None or args.out == "-":
         write_points_csv(pset, sys.stdout)
     else:
@@ -462,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="dual enumeration budget for the walsh method")
     pe.add_argument("--cross-check", action="store_true",
                     help="run kernel and fourier, report the gap")
-    pe.add_argument("--threads", type=int, default=1)
+    pe.add_argument("--threads", type=_thread_count, default=1,
+                    help="worker threads for the d >= 3 kernel and the fourier method")
     pe.add_argument("--out")
     pe.set_defaults(func=_cmd_measure)
 
@@ -492,7 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="recompute proportionality and shift spot checks")
     ps.add_argument("--seed", type=int, default=0,
                     help="seed for the random-N sampling only")
-    ps.add_argument("--threads", type=int, default=1)
+    ps.add_argument("--threads", type=_thread_count, default=1,
+                    help="kept for compatibility: the study's d <= 2 kernel "
+                         "is exact and single-threaded")
     ps.add_argument("--format", choices=["csv", "json"], default="csv")
     ps.add_argument("--out")
     ps.set_defaults(func=_cmd_study)

@@ -11,10 +11,19 @@ where B2(t) = t^2 - t + 1/6.  The closed form is a derivation this package
 owns; the test suite gates it against the truncated exponential-sum
 evaluator (``fourier_truncated``), which is kept free of kernel shortcuts.
 
-Pair sums run over n < p once (the kernel is symmetric), the diagonal is
-added in closed form, and accumulation uses error-free transforms
-(math.fsum over per-row partial sums collected in a fixed order), so
-results do not depend on the worker count.
+Two engines evaluate the pair sum.  For d <= 2 it is exact and takes
+O(N log N): with u = x - y, B2({u}) = u^2 - |u| + 1/6, so the pair sums
+reduce to integer moments, sorted running sums and one Fenwick tree over
+the numerators (Heinrich, Math. Comp. 65, 1996).  The squared measure
+over its prefactor is then a polynomial in c, c*A for d = 1 and
+c*A + c^2*B for d = 2, whose coefficients are exact non-negative
+rationals rounded once, so the cancellation in T/N^2 - 1 never happens in
+floats.  For d >= 3 a blocked float engine sums the O(N^2 d) pairs
+over n < p once (the kernel is symmetric), adds the diagonal in closed
+form, and accumulates with math.fsum over per-row partial sums collected
+in a fixed order, so results do not depend on the worker count.  The
+``block`` and ``threads`` arguments only affect that engine and the
+Fourier oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,10 +117,15 @@ class MeasureReport:
         }
 
 
-def _uint64_columns(pset: PointSet) -> tuple[list[np.ndarray], int]:
+def _checked_precision(pset: PointSet) -> int:
     w = pset.precision
     if w > 64:
         raise PrecisionError(f"precision {w} exceeds the 64-digit limit")
+    return w
+
+
+def _uint64_columns(pset: PointSet) -> tuple[list[np.ndarray], int]:
+    w = _checked_precision(pset)
     cols = [
         np.array(col, dtype=np.uint64) for col in pset.numerator_columns()
     ]
@@ -169,12 +184,13 @@ def _pair_rowsums(
     return combined
 
 
-def _kernel_squared(
+def _float_kernel_squared(
     pset: PointSet,
     schemes: Sequence[WeightScheme],
     block: int,
     threads: int,
 ) -> list[float]:
+    """Squared kernel measures from the blocked float O(N^2 d) pair engine."""
     columns, w = _uint64_columns(pset)
     n = pset.size
     d = pset.dimension
@@ -196,6 +212,157 @@ def _kernel_squared(
         total = diag + 2.0 * math.fsum(rowsums.tolist())
         out.append(scheme.prefactor(d) * (total / (n * n) - 1.0))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Exact pair sums for d <= 2.  With integer numerators x, y at precision w
+# and U = x - y, B2({U / 2^w}) = 1/6 + g(U) / 4^w where
+# g(U) = U^2 - 2^w * |U|.  Every sum below runs over all N^2 ordered pairs
+# and is an exact Python integer.
+# ---------------------------------------------------------------------------
+
+
+def _square_pair_sum(xs: Sequence[int]) -> int:
+    """Sum of (x_i - x_k)^2 from the first two moments."""
+    return 2 * len(xs) * sum(x * x for x in xs) - 2 * sum(xs) ** 2
+
+
+def _abs_pair_sum(xs: Sequence[int]) -> int:
+    """Sum of |x_i - x_k|: each sorted value weighted by its rank."""
+    n = len(xs)
+    return 2 * sum(x * (2 * r - n + 1) for r, x in enumerate(sorted(xs)))
+
+
+def _square_square_pair_sum(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Sum of (x_i - x_k)^2 (y_i - y_k)^2 from centred moments.
+
+    With X = N*x - sum(x) and Y likewise, the odd cross terms vanish and the
+    sum is (2N m22 + 2 m20 m02 + 4 m11^2) / N^4, an exact division.
+    """
+    n = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    cx = [n * x - sx for x in xs]
+    cy = [n * y - sy for y in ys]
+    m11 = sum(a * b for a, b in zip(cx, cy))
+    m22 = sum((a * b) ** 2 for a, b in zip(cx, cy))
+    m20 = sum(a * a for a in cx)
+    m02 = sum(b * b for b in cy)
+    return (2 * n * m22 + 2 * m20 * m02 + 4 * m11 * m11) // n**4
+
+
+def _square_abs_pair_sum(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Sum of (x_i - x_k)^2 |y_i - y_k|: one sort on y and six running sums."""
+    c0 = sy = sx = sxy = sx2 = sx2y = 0
+    total = 0
+    for y, x in sorted(zip(ys, xs)):
+        x2 = x * x
+        total += x2 * (y * c0 - sy) - 2 * x * (y * sx - sxy) + y * sx2 - sx2y
+        c0 += 1
+        sy += y
+        sx += x
+        sxy += x * y
+        sx2 += x2
+        sx2y += x2 * y
+    return 2 * total
+
+
+def _abs_abs_pair_sum(xs: Sequence[int], ys: Sequence[int], precision: int) -> int:
+    """Sum of |x_i - x_k| |y_i - y_k| as the signed sum minus twice the
+    discordant pairs' share.
+
+    The discordant sum is a 2-D dominance sum: points enter in x order and a
+    Fenwick tree over the y ranks (largest y first) holds four non-negative
+    accumulators (count, sum x, sum y, sum xy), packed into one integer: the
+    lower three fields hold at most N * (2^w - 1) < 2^width, so they never
+    carry into each other, and sum xy sits on top.  Ties in x or y give
+    zero products, so their order does not matter.
+    """
+    n = len(xs)
+    signed = 2 * (n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys))
+    levels = sorted(set(ys), reverse=True)
+    rank = {y: r for r, y in enumerate(levels)}
+    size = len(levels)
+    width = precision + n.bit_length()
+    field = (1 << width) - 1
+    tree = [0] * (size + 1)
+    discordant = 0
+    for x, y in sorted(zip(xs, ys)):
+        r = rank[y]
+        # Earlier points (x_k <= x) with y_k > y hold the ranks below r.
+        acc = 0
+        j = r
+        while j:
+            acc += tree[j]
+            j &= j - 1
+        if acc:
+            cnt = acc & field
+            sx = (acc >> width) & field
+            sy = (acc >> 2 * width) & field
+            sxy = acc >> 3 * width
+            discordant += x * y * cnt - x * sy - y * sx + sxy
+        packed = 1 | x << width | y << 2 * width | x * y << 3 * width
+        j = r + 1
+        while j <= size:
+            tree[j] += packed
+            j += j & -j
+    return signed - 4 * discordant
+
+
+def _kernel_coefficients(pset: PointSet) -> list[Fraction]:
+    """Exact coefficients of c^k, k = 1..d, in T/N^2 - 1 for d <= 2.
+
+    T is the kernel pair sum over all ordered pairs, so the coefficient of
+    c^k is the mean over pairs of the sum, over k-subsets of coordinates, of
+    the product of B2({x_j - y_j}).  Each is non-negative, being a sum of
+    squared exponential sums with positive weights.
+    """
+    w = _checked_precision(pset)
+    n = pset.size
+    period = 1 << w
+    columns = pset.numerator_columns()
+    pairs = n * n
+    g = [_square_pair_sum(xs) - period * _abs_pair_sum(xs) for xs in columns]
+    first = Fraction(len(columns), 6) + Fraction(sum(g), period**2 * pairs)
+    if len(columns) < 2:
+        return [first]
+    xs, ys = columns
+    # Sum of g(U1) g(U2) over pairs.
+    gg = (
+        _square_square_pair_sum(xs, ys)
+        - period * (_square_abs_pair_sum(xs, ys) + _square_abs_pair_sum(ys, xs))
+        + period**2 * _abs_abs_pair_sum(xs, ys, w)
+    )
+    second = Fraction(
+        period**4 * pairs + 6 * period**2 * sum(g) + 36 * gg,
+        36 * period**4 * pairs,
+    )
+    return [first, second]
+
+
+def _exact_kernel_squared(
+    pset: PointSet, schemes: Sequence[WeightScheme]
+) -> list[float]:
+    """Squared kernel measures from the exact pair sums (d <= 2)."""
+    coeffs = [float(a) for a in _kernel_coefficients(pset)]
+    d = pset.dimension
+    out = []
+    for scheme in schemes:
+        c = scheme.kernel_coeff
+        poly = sum(a * c ** (k + 1) for k, a in enumerate(coeffs))
+        out.append(scheme.prefactor(d) * poly)
+    return out
+
+
+def _kernel_squared(
+    pset: PointSet,
+    schemes: Sequence[WeightScheme],
+    block: int,
+    threads: int,
+) -> list[float]:
+    """Squared kernel measures: exact pair sums for d <= 2, floats above."""
+    if pset.dimension <= 2:
+        return _exact_kernel_squared(pset, schemes)
+    return _float_kernel_squared(pset, schemes, block, threads)
 
 
 def _report(

@@ -64,6 +64,34 @@ def test_points_stdout_and_determinism(tmp_path, capsys):
     assert first.splitlines()[1:] == second.splitlines()[1:]
 
 
+def test_points_count_defaults_to_full_net(capsys):
+    base = ["points", "-d", "2", "-a", "2", "-m", "10"]
+    assert main(base) == 0
+    default = capsys.readouterr().out.splitlines()
+    assert main(base + ["-N", "1024"]) == 0
+    explicit = capsys.readouterr().out.splitlines()
+    # Line 0 is the timestamped header comment; the rows must match.
+    assert len(default) == 1024 + 2
+    assert default[1:] == explicit[1:]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_measure_rejects_threads_below_one(threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "-d", "1", "-m", "3", "--threads", threads])
+    assert exc.value.code == EXIT_USAGE
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_study_rejects_threads_below_one(threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "-d", "1", "--m-min", "2", "--m-max", "3",
+              "--threads", threads])
+    assert exc.value.code == EXIT_USAGE
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+
+
 def test_measure_single_point(tmp_path):
     data = _run_json(["measure", "-d", "1", "-m", "1", "-N", "1"], tmp_path)
     assert data["measure"] == "periodic-l2"

@@ -4,8 +4,11 @@ import cmath
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dignet.errors import PrecisionError
 from dignet.interlace import interlace_matrices
@@ -14,6 +17,8 @@ from dignet.measures import (
     PERIODIC_L2,
     MeasureReport,
     WeightScheme,
+    _float_kernel_squared,
+    _kernel_coefficients,
     bernoulli2,
     both_kernel_measures,
     diaphony,
@@ -54,6 +59,33 @@ def _direct_box_squared(pset: PointSet, scheme: WeightScheme, bound: int) -> flo
             wsq *= _inv_weight_sq(scheme, h)
         total += wsq * abs(expsum / n) ** 2
     return scheme.prefactor(d) * total
+
+
+def _fraction_coefficients(pset: PointSet) -> list[Fraction]:
+    """Coefficients of c^k, k = 1..d, in T/N^2 - 1 by an exact pair loop.
+
+    T sums prod_j (1 + c*B2({x_j - y_j})) over all ordered pairs, with
+    every difference taken mod 1 as a Fraction; expanding the product makes
+    the coefficient of c^k the k-th elementary symmetric sum of the B2
+    values, averaged over pairs.
+    """
+    period = 1 << pset.precision
+    d = pset.dimension
+    totals = [Fraction(0)] * (d + 1)
+    for p in pset.points:
+        for q in pset.points:
+            elem = [Fraction(1)] + [Fraction(0)] * d
+            for a, b in zip(p.numerators, q.numerators):
+                t = Fraction((a - b) % period, period)
+                b2 = t * t - t + Fraction(1, 6)
+                for k in range(d, 0, -1):
+                    elem[k] += elem[k - 1] * b2
+            totals = [s + e for s, e in zip(totals, elem)]
+    return [s / pset.size**2 for s in totals[1:]]
+
+
+def _pset_from_tuples(rows, w: int) -> PointSet:
+    return PointSet([DyadicPoint(tuple(r), w) for r in rows])
 
 
 def _random_pset(rng: random.Random, n: int, d: int, w: int) -> PointSet:
@@ -124,6 +156,74 @@ def test_diaphony_single_point():
 def test_diaphony_two_point_example():
     pset = PointSet([DyadicPoint((0,), 1), DyadicPoint((1,), 1)])
     assert diaphony(pset).value == pytest.approx(math.pi / math.sqrt(12.0), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Exact pair sums (d <= 2) against the Fraction pair-loop oracle.
+# ---------------------------------------------------------------------------
+
+_TOP = (1 << 64) - 1
+
+_EXACT_CASES = {
+    "one-point-d1": ([(5,)], 4),
+    "one-point-d2": ([(5, 9)], 4),
+    "two-point-d1": ([(0,), (1,)], 1),
+    "two-point-d2": ([(0, 3), (2, 1)], 2),
+    "duplicates-d1": ([(3,), (3,), (7,), (3,)], 3),
+    "duplicates-d2": ([(3, 5), (3, 5), (6, 1), (3, 5), (6, 1)], 3),
+    "ties-in-x-only": ([(4, 1), (4, 6), (4, 3), (0, 7), (4, 0)], 3),
+    "ties-in-y-only": ([(1, 4), (6, 4), (3, 4), (7, 0), (0, 4)], 3),
+    "precision-64-d1": ([(_TOP,), (_TOP - 1,), (0,), (1 << 63,)], 64),
+    "precision-64-d2": (
+        [(_TOP, _TOP - 1), (_TOP - 1, _TOP), (0, _TOP), (_TOP, 1), (_TOP, _TOP)],
+        64,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_CASES))
+def test_exact_coefficients_equal_fraction_oracle(case):
+    rows, w = _EXACT_CASES[case]
+    pset = _pset_from_tuples(rows, w)
+    got = _kernel_coefficients(pset)
+    assert all(isinstance(a, Fraction) for a in got)
+    want = _fraction_coefficients(pset)
+    assert got == want
+    assert all(a >= 0 for a in got)
+    # Periodic L2: c = 3 and prefactor 3^-d are rational, so the squared
+    # value is exact; the reported float may only differ by rounding.
+    exact = sum(a * 3 ** (k + 1) for k, a in enumerate(want))
+    exact /= Fraction(3) ** pset.dimension
+    assert periodic_l2(pset).squared == pytest.approx(float(exact), rel=4e-16, abs=0)
+
+
+@st.composite
+def _dyadic_sets(draw):
+    d = draw(st.integers(1, 2))
+    w = draw(st.integers(1, 64))
+    coord = st.integers(0, (1 << w) - 1)
+    rows = draw(
+        st.lists(st.tuples(*[coord] * d), min_size=1, max_size=9)
+    )
+    return _pset_from_tuples(rows, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dyadic_sets())
+def test_exact_coefficients_property(pset):
+    assert _kernel_coefficients(pset) == _fraction_coefficients(pset)
+
+
+def test_float_engine_agrees_with_exact_path_d2():
+    gset = interlace_matrices(build_matrices(4, 11, 11), 2)
+    pset = generate_points(gset, 2048)
+    assert pset.dimension == 2
+    schemes = [PERIODIC_L2, DIAPHONY]
+    exact = both_kernel_measures(pset)
+    floats = _float_kernel_squared(pset, schemes, 1024, 1)
+    for scheme, rep, got in zip(schemes, exact, floats):
+        scale = scheme.prefactor(2) * (1.0 + scheme.kernel_coeff / 6.0) ** 2
+        assert abs(got - rep.squared) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +329,13 @@ def test_reproducible_across_threads_and_blocks():
         for block in (7, 32, 1024):
             got = periodic_l2(pset, block=block, threads=threads).squared
             assert got == baseline
+    # d = 3 runs the threaded block engine, which d <= 2 no longer reaches.
+    pset3 = _random_pset(rng, 100, 3, 16)
+    baseline3 = periodic_l2(pset3).squared
+    for threads in (1, 2, 4):
+        for block in (7, 32, 1024):
+            got = periodic_l2(pset3, block=block, threads=threads).squared
+            assert got == baseline3
     base_f = fourier_truncated(pset, DIAPHONY, 16).squared
     assert fourier_truncated(pset, DIAPHONY, 16, block=9, threads=3).squared == base_f
 
@@ -254,9 +361,10 @@ def test_measure_report_json():
 
 
 def test_precision_limit():
-    pset = PointSet([DyadicPoint((0,), 65)])
-    with pytest.raises(PrecisionError):
-        periodic_l2(pset)
+    for numerators in ((0,), (0, 1), (0, 1, 2)):
+        pset = PointSet([DyadicPoint(numerators, 65)])
+        with pytest.raises(PrecisionError):
+            periodic_l2(pset)
 
 
 def test_weight_scheme_values():
