@@ -94,7 +94,8 @@ class StudyRow:
 
     ``ratio`` is N * per_l2 / ((log N)^((d-1)/2) * sqrt(S)), where S is the
     binary digit sum of N; a bounded ratio across N is the scaling the
-    interlaced construction is built to achieve.  ``wall_seconds`` is
+    interlaced construction is built to achieve.  ``wall_seconds`` is the
+    time of the row's measures, not of generating its points; it is
     informational and exempt from byte-identical reproducibility.
     """
 
@@ -132,18 +133,13 @@ def construct_matrices(dimension: int, alpha: int, m: int) -> GeneratingMatrixSe
     return interlace_matrices(base, alpha)
 
 
-def study_rows(
-    dimension: int,
-    alpha: int,
-    counts: Sequence[int],
-    *,
-    threads: int = 1,
-) -> list[StudyRow]:
+def study_rows(dimension: int, alpha: int, counts: Sequence[int]) -> list[StudyRow]:
     """Both kernel measures and the normalized ratio for each point count.
 
     All counts are served by one interlaced sequence whose column extent
-    covers the largest requested N; each row takes the first N points.
-    Rows come back sorted by N with duplicates dropped.
+    covers the largest requested N: its points are generated once and each
+    row takes the first N.  Rows come back sorted by N with duplicates
+    dropped.
     """
     wanted = sorted(set(int(n) for n in counts))
     if not wanted:
@@ -156,12 +152,12 @@ def study_rows(
             f"alpha={alpha} with {cols} digit columns needs precision "
             f"{alpha * cols}, beyond the {MAX_PRECISION}-digit limit"
         )
-    gset = construct_matrices(dimension, alpha, cols)
+    full = generate_points(construct_matrices(dimension, alpha, cols), wanted[-1])
     rows = []
     for n in wanted:
         start = time.perf_counter()
-        pset = generate_points(gset, n)
-        rep_l2, rep_dia = both_kernel_measures(pset, threads=threads)
+        pset = PointSet(full.points[:n], provenance=full.provenance)
+        rep_l2, rep_dia = both_kernel_measures(pset)
         wall = time.perf_counter() - start
         s = sum_of_digits(n)
         ratio = (
@@ -197,7 +193,7 @@ def write_study_csv(
         )
 
 
-def _self_test(rows_by_dim: dict[int, list[StudyRow]], threads: int) -> str | None:
+def _self_test(rows_by_dim: dict[int, list[StudyRow]]) -> str | None:
     """Recompute spot checks on the emitted rows; return an error or None.
 
     For d=1 every row must satisfy the exact diaphony = pi*sqrt(2) * per_l2
@@ -237,7 +233,7 @@ def _self_test(rows_by_dim: dict[int, list[StudyRow]], threads: int) -> str | No
                 for p in pset.points
             ]
         )
-        rep = periodic_l2(shifted, threads=threads)
+        rep = periodic_l2(shifted)
         if abs(rep.value - row.per_l2) > 1e-12 * abs(row.per_l2):
             return (
                 f"self-test failed: d={dim} N={row.n} per_l2 moved under a "
@@ -299,7 +295,17 @@ def _cmd_measure(args, parser) -> int:
             parser.error("the walsh method and --cross-check need generating "
                          "matrices, not a points file")
     if args.points:
+        if args.precision is not None:
+            parser.error("-W/--precision applies to generated points, not a "
+                         "points file")
         pset = read_points_csv(args.points)
+        if args.count is not None:
+            if not 1 <= args.count <= pset.size:
+                raise ValueError(
+                    f"-N must lie in [1, {pset.size}] for this points file, "
+                    f"got {args.count}"
+                )
+            pset = PointSet(pset.points[: args.count], provenance=pset.provenance)
         gset = None
     else:
         gset = _inline_gset(args, parser)
@@ -307,12 +313,9 @@ def _cmd_measure(args, parser) -> int:
         if args.method != "walsh":
             pset = generate_points(gset, count, args.precision)
 
+    kernel = periodic_l2 if scheme is PERIODIC_L2 else diaphony
     if args.cross_check:
-        rep_kernel = (
-            periodic_l2(pset, threads=args.threads)
-            if scheme is PERIODIC_L2
-            else diaphony(pset, threads=args.threads)
-        )
+        rep_kernel = kernel(pset, threads=args.threads)
         rep_fourier = fourier_truncated(
             pset, scheme, args.trunc, threads=args.threads
         )
@@ -327,11 +330,7 @@ def _cmd_measure(args, parser) -> int:
         return EXIT_OK
 
     if args.method == "kernel":
-        report = (
-            periodic_l2(pset, threads=args.threads)
-            if scheme is PERIODIC_L2
-            else diaphony(pset, threads=args.threads)
-        )
+        report = kernel(pset, threads=args.threads)
     elif args.method == "fourier":
         report = fourier_truncated(pset, scheme, args.trunc, threads=args.threads)
     else:
@@ -403,11 +402,9 @@ def _cmd_study(args, parser) -> int:
                 counts.append((1 << m) - 1)
             if m >= 3:
                 counts.append(rng.randint((1 << (m - 1)) + 1, (1 << m) - 2))
-    rows_by_dim = {
-        dim: study_rows(dim, alpha, counts, threads=args.threads) for dim in dims
-    }
+    rows_by_dim = {dim: study_rows(dim, alpha, counts) for dim in dims}
     if args.self_test:
-        failure = _self_test(rows_by_dim, args.threads)
+        failure = _self_test(rows_by_dim)
         if failure:
             print(failure, file=sys.stderr)
             return EXIT_REFUSED
@@ -505,9 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="recompute proportionality and shift spot checks")
     ps.add_argument("--seed", type=int, default=0,
                     help="seed for the random-N sampling only")
-    ps.add_argument("--threads", type=_thread_count, default=1,
-                    help="kept for compatibility: the study's d <= 2 kernel "
-                         "is exact and single-threaded")
     ps.add_argument("--format", choices=["csv", "json"], default="csv")
     ps.add_argument("--out")
     ps.set_defaults(func=_cmd_study)

@@ -11,19 +11,21 @@ where B2(t) = t^2 - t + 1/6.  The closed form is a derivation this package
 owns; the test suite gates it against the truncated exponential-sum
 evaluator (``fourier_truncated``), which is kept free of kernel shortcuts.
 
-Two engines evaluate the pair sum.  For d <= 2 it is exact and takes
-O(N log N): with u = x - y, B2({u}) = u^2 - |u| + 1/6, so the pair sums
-reduce to integer moments, sorted running sums and one Fenwick tree over
-the numerators (Heinrich, Math. Comp. 65, 1996).  The squared measure
-over its prefactor is then a polynomial in c, c*A for d = 1 and
-c*A + c^2*B for d = 2, whose coefficients are exact non-negative
-rationals rounded once, so the cancellation in T/N^2 - 1 never happens in
-floats.  For d >= 3 a blocked float engine sums the O(N^2 d) pairs
-over n < p once (the kernel is symmetric), adds the diagonal in closed
-form, and accumulates with math.fsum over per-row partial sums collected
-in a fixed order, so results do not depend on the worker count.  The
-``block`` and ``threads`` arguments only affect that engine and the
-Fourier oracle.
+The kernel pair sum is exact for d <= 2 and takes O(N log N): with
+u = x - y, B2({u}) = u^2 - |u| + 1/6, so the pair sums reduce to integer
+moments, sorted running sums and one Fenwick tree over the numerators
+(Heinrich, Math. Comp. 65, 1996).  The squared measure over its prefactor
+is then a polynomial in c, c*A for d = 1 and c*A + c^2*B for d = 2, whose
+coefficients are exact non-negative rationals rounded once, so the
+cancellation in T/N^2 - 1 never happens in floats.
+
+Every other pairwise sum, the d >= 3 kernel and the Fourier oracle alike,
+runs through one blocked float engine, ``_pair_sum``.  It takes one
+per-coordinate factor function per measure, sums the O(N^2 d) products
+over pairs n < p once (both callers' summands are symmetric in the pair
+and their diagonal is added in closed form), and accumulates with math.fsum over per-row
+partial sums, so results do not depend on ``block`` or ``threads``, which
+only affect this engine.
 """
 
 from __future__ import annotations
@@ -124,64 +126,61 @@ def _checked_precision(pset: PointSet) -> int:
     return w
 
 
-def _uint64_columns(pset: PointSet) -> tuple[list[np.ndarray], int]:
-    w = _checked_precision(pset)
-    cols = [
-        np.array(col, dtype=np.uint64) for col in pset.numerator_columns()
-    ]
-    return cols, w
+# A factor may reduce through BLAS (the Fourier factor's matmul), whose
+# kernels take output columns in groups, so a column's float result can
+# depend on its offset within the block.  Starting every block's columns at
+# a multiple of this keeps each column's offset class that of a full row.
+_COLUMN_ALIGN = 64
 
 
-def _pair_rowsums(
-    columns: Sequence[np.ndarray],
-    precision: int,
+def _pair_sum(
+    pset: PointSet,
     factor_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
     block: int,
     threads: int,
-) -> list[np.ndarray]:
-    """Per-row sums of prod_j f(delta_j) over strictly upper pairs (p > n).
+) -> list[float]:
+    """Sum over pairs n < p of prod_j fn(t_j), one sum per factor function.
 
-    ``delta_j`` is the exact fractional difference of coordinate j, computed
-    as a numerator difference mod 2^precision before float conversion.  One
-    rowsum array per factor function is returned; entries keep row order, so
-    callers can combine partitions deterministically.
+    ``t_j`` is the exact fractional difference {x_j - y_j} of coordinate j,
+    taken as a numerator difference mod 2^precision before float conversion.
+    Each block of rows pairs only with the columns from its first row on
+    (rounded down to a multiple of ``_COLUMN_ALIGN``), and each row sums its
+    own strictly upper part in column order, so the fsum-ed totals do not
+    depend on ``block`` or ``threads``.
     """
-    n = columns[0].shape[0]
-    mask = np.uint64((1 << precision) - 1 if precision < 64 else 0xFFFFFFFFFFFFFFFF)
-    scale = 2.0**-precision
-    starts = list(range(0, n, block))
+    w = _checked_precision(pset)
+    n = pset.size
+    columns = [np.array(col, dtype=np.uint64) for col in pset.numerator_columns()]
+    mask = np.uint64((1 << w) - 1)
+    scale = 2.0**-w
 
-    def run_block(i0: int) -> list[np.ndarray]:
+    def run_block(i0: int) -> list[list[float]]:
         i1 = min(i0 + block, n)
-        prods: list[np.ndarray] | None = None
+        c0 = i0 - i0 % _COLUMN_ALIGN
+        prods: list[np.ndarray] = []
         for col in columns:
-            diff = (col[i0:i1, None] - col[None, :]) & mask
+            diff = (col[i0:i1, None] - col[None, c0:]) & mask
             t = diff.astype(np.float64) * scale
-            tm = t * (t - 1.0)
-            if prods is None:
-                prods = [fn(tm) for fn in factor_fns]
+            if not prods:
+                prods = [fn(t) for fn in factor_fns]
             else:
-                for k, fn in enumerate(factor_fns):
-                    prods[k] *= fn(tm)
-        assert prods is not None
-        out = []
-        for prod in prods:
-            rows = np.empty(i1 - i0)
-            for bi in range(i1 - i0):
-                rows[bi] = prod[bi, i0 + bi + 1 :].sum()
-            out.append(rows)
-        return out
+                for prod, fn in zip(prods, factor_fns):
+                    prod *= fn(t)
+        first = i0 - c0 + 1
+        return [
+            [prod[bi, first + bi :].sum() for bi in range(i1 - i0)] for prod in prods
+        ]
 
+    starts = range(0, n, block)
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            block_results = list(pool.map(run_block, starts))
+            block_rows = list(pool.map(run_block, starts))
     else:
-        block_results = [run_block(i0) for i0 in starts]
-
-    combined = []
-    for k in range(len(factor_fns)):
-        combined.append(np.concatenate([res[k] for res in block_results]))
-    return combined
+        block_rows = [run_block(i0) for i0 in starts]
+    return [
+        math.fsum(row for rows in block_rows for row in rows[k])
+        for k in range(len(factor_fns))
+    ]
 
 
 def _float_kernel_squared(
@@ -190,26 +189,25 @@ def _float_kernel_squared(
     block: int,
     threads: int,
 ) -> list[float]:
-    """Squared kernel measures from the blocked float O(N^2 d) pair engine."""
-    columns, w = _uint64_columns(pset)
+    """Squared kernel measures from the float O(N^2 d) pair engine."""
     n = pset.size
     d = pset.dimension
 
     def make_factor(coeff: float) -> Callable[[np.ndarray], np.ndarray]:
         base = 1.0 + coeff / 6.0
 
-        def factor(tm: np.ndarray) -> np.ndarray:
-            return base + coeff * tm
+        def factor(t: np.ndarray) -> np.ndarray:
+            return base + coeff * (t * (t - 1.0))
 
         return factor
 
-    rowsum_sets = _pair_rowsums(
-        columns, w, [make_factor(s.kernel_coeff) for s in schemes], block, threads
+    upper_sums = _pair_sum(
+        pset, [make_factor(s.kernel_coeff) for s in schemes], block, threads
     )
     out = []
-    for scheme, rowsums in zip(schemes, rowsum_sets):
+    for scheme, upper in zip(schemes, upper_sums):
         diag = n * (1.0 + scheme.kernel_coeff / 6.0) ** d
-        total = diag + 2.0 * math.fsum(rowsums.tolist())
+        total = diag + 2.0 * upper
         out.append(scheme.prefactor(d) * (total / (n * n) - 1.0))
     return out
 
@@ -425,40 +423,21 @@ def fourier_truncated(
     """
     if trunc < 1:
         raise ValueError(f"truncation bound must be >= 1, got {trunc}")
-    columns, w = _uint64_columns(pset)
     n = pset.size
     d = pset.dimension
     hs = np.arange(1, trunc + 1, dtype=np.float64)
     weights = scheme.inverse_weight_sq(hs)
     k_zero = 1.0 + 2.0 * float(weights.sum())
-    mask = np.uint64((1 << w) - 1 if w < 64 else 0xFFFFFFFFFFFFFFFF)
-    scale = 2.0**-w
-    starts = list(range(0, n, block))
 
-    def run_block(i0: int) -> np.ndarray:
-        i1 = min(i0 + block, n)
-        prod = np.ones((i1 - i0, n))
-        for col in columns:
-            diff = (col[i0:i1, None] - col[None, :]) & mask
-            angles = (2.0 * math.pi) * (diff.astype(np.float64) * scale)
-            k_h = np.ones_like(angles)
-            for h0 in range(0, trunc, 64):
-                h_chunk = hs[h0 : h0 + 64]
-                w_chunk = weights[h0 : h0 + 64]
-                cosines = np.cos(angles[..., None] * h_chunk)
-                k_h += 2.0 * (cosines @ w_chunk)
-            prod *= k_h
-        rows = np.empty(i1 - i0)
-        for bi in range(i1 - i0):
-            rows[bi] = prod[bi, i0 + bi + 1 :].sum()
-        return rows
+    def cosine_factor(t: np.ndarray) -> np.ndarray:
+        angles = (2.0 * math.pi) * t
+        k_h = np.ones_like(angles)
+        for h0 in range(0, trunc, 64):
+            cosines = np.cos(angles[..., None] * hs[h0 : h0 + 64])
+            k_h += 2.0 * (cosines @ weights[h0 : h0 + 64])
+        return k_h
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rowsum_blocks = list(pool.map(run_block, starts))
-    else:
-        rowsum_blocks = [run_block(i0) for i0 in starts]
-    rowsums = np.concatenate(rowsum_blocks)
-    total = n * k_zero**d + 2.0 * math.fsum(rowsums.tolist())
+    upper = _pair_sum(pset, [cosine_factor], block, threads)[0]
+    total = n * k_zero**d + 2.0 * upper
     squared = scheme.prefactor(d) * (total / (n * n) - 1.0)
     return _report(pset, scheme, "fourier", squared, truncation={"H": trunc})

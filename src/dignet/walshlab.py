@@ -74,15 +74,19 @@ def walsh_eval_vector(indices: tuple[int, ...], point: DyadicPoint) -> int:
     return sign
 
 
+def _pairing_signs(values: np.ndarray, mask: int) -> np.ndarray:
+    """1 - 2 * parity(popcount(values & mask)) as floats: +1 or -1 each."""
+    parity = np.bitwise_count(values & np.uint64(mask)) & np.uint64(1)
+    return 1.0 - 2.0 * parity.astype(np.float64)
+
+
 def walsh_signs(k: int, numerators: np.ndarray, precision: int) -> np.ndarray:
     """Vectorized walsh_eval for one index against many numerators."""
     width = max(precision, k.bit_length())
     if width > 64:
         raise ValueError("combined digit width exceeds 64")
     nums = np.asarray(numerators, dtype=np.uint64) << np.uint64(width - precision)
-    rev = np.uint64(reverse_bits(k, width))
-    parity = np.bitwise_count(nums & rev) & np.uint64(1)
-    return 1.0 - 2.0 * parity.astype(np.float64)
+    return _pairing_signs(nums, reverse_bits(k, width))
 
 
 def rho_coefficient(k: int, l: int) -> float:
@@ -359,11 +363,12 @@ def walsh_series_l2(
 
 
 def _member_shift_signs(ks: np.ndarray, numerator: int, precision: int) -> np.ndarray:
-    """Walsh signs wal_k(sigma_j) for an array of indices at one coordinate."""
-    width = max(precision, int(ks.max(initial=0)).bit_length())
-    if width > 64:
-        raise ValueError("combined digit width exceeds 64")
-    scaled = numerator << (width - precision)
-    rev = np.uint64(reverse_bits(scaled, width))
-    parity = np.bitwise_count(ks.astype(np.uint64) & rev) & np.uint64(1)
-    return 1.0 - 2.0 * parity.astype(np.float64)
+    """Walsh signs wal_k(sigma_j) for an array of indices at one coordinate.
+
+    Digit i of k pairs with digit i + 1 of sigma_j, which is bit i of the
+    numerator reversed over its precision; digits of k beyond the precision
+    pair with zeros.
+    """
+    if precision > 64:
+        raise ValueError(f"shift precision {precision} exceeds 64")
+    return _pairing_signs(ks.astype(np.uint64), reverse_bits(numerator, precision))

@@ -9,6 +9,7 @@ import pytest
 
 from dignet.cli import EXIT_IO, EXIT_REFUSED, EXIT_USAGE, main, study_rows
 from dignet.errors import PrecisionError
+from dignet.measures import periodic_l2
 from dignet.gf2 import BitMatrix
 from dignet.niederreiter import GeneratingMatrixSet, load_matrix_set, save_matrix_set
 from dignet.sequence import generate_points, read_points_csv
@@ -83,15 +84,6 @@ def test_measure_rejects_threads_below_one(threads, capsys):
     assert "--threads: must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_study_rejects_threads_below_one(threads, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["study", "-d", "1", "--m-min", "2", "--m-max", "3",
-              "--threads", threads])
-    assert exc.value.code == EXIT_USAGE
-    assert "--threads: must be at least 1" in capsys.readouterr().err
-
-
 def test_measure_single_point(tmp_path):
     data = _run_json(["measure", "-d", "1", "-m", "1", "-N", "1"], tmp_path)
     assert data["measure"] == "periodic-l2"
@@ -112,6 +104,32 @@ def test_measure_points_file(tmp_path):
     assert main(["points", "-d", "1", "-m", "1", "-N", "1", "--out", str(pts)]) == 0
     data = _run_json(["measure", "--points", str(pts)], tmp_path)
     assert data["value"] == pytest.approx(1.0 / math.sqrt(6.0), rel=1e-12)
+
+
+def test_measure_points_file_count_takes_prefix(tmp_path):
+    pts = tmp_path / "pts.csv"
+    assert main(["points", "-d", "2", "-m", "4", "--out", str(pts)]) == 0
+    data = _run_json(["measure", "--points", str(pts), "-N", "2"], tmp_path)
+    assert data["N"] == 2
+    prefix = generate_points(construct_matrices(2, 1, 4), 2)
+    assert data["squared"] == periodic_l2(prefix).squared
+
+
+@pytest.mark.parametrize("count", ["0", "17"])
+def test_measure_points_file_count_out_of_range(count, tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    assert main(["points", "-d", "2", "-m", "4", "--out", str(pts)]) == 0
+    assert main(["measure", "--points", str(pts), "-N", count]) == EXIT_USAGE
+    assert "-N must lie in [1, 16]" in capsys.readouterr().err
+
+
+def test_measure_points_file_rejects_precision(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    assert main(["points", "-d", "2", "-m", "4", "--out", str(pts)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--points", str(pts), "-W", "3"])
+    assert exc.value.code == EXIT_USAGE
+    assert "-W/--precision" in capsys.readouterr().err
 
 
 def test_measure_cross_check(tmp_path):
@@ -288,10 +306,12 @@ def test_usage_errors_exit_one():
 def test_study_rows_library():
     rows = study_rows(1, 1, [64, 63, 64])
     assert [r.n for r in rows] == [63, 64]
+    gset = construct_matrices(1, 1, 6)
     for r in rows:
         assert r.ratio == pytest.approx(
             r.n * r.per_l2 / math.sqrt(r.digit_sum), rel=1e-15
         )
+        assert r.per_l2 == periodic_l2(generate_points(gset, r.n)).value
     with pytest.raises(ValueError):
         study_rows(1, 1, [1])
     with pytest.raises(PrecisionError):

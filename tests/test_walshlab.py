@@ -355,6 +355,12 @@ def test_series_shift_dimension_mismatch():
         walsh_series_l2(gset, shift=DyadicPoint((0,), 3))
 
 
+def test_series_shift_precision_limit():
+    gset = build_matrices(2, 3, 3)
+    with pytest.raises(ValueError, match="exceeds 64"):
+        walsh_series_l2(gset, shift=DyadicPoint((1, 1 << 64), 65))
+
+
 # ---------------------------------------------------------------------------
 # Truncated double Walsh series for arbitrary point sets.
 # ---------------------------------------------------------------------------
