@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
+import numpy as np
+
 from .errors import BudgetError, PrecisionError
 from .interlace import interlace_matrices
 from .measures import (
@@ -41,7 +43,6 @@ from .niederreiter import (
 from .quality import minimal_t
 from .sequence import (
     MAX_PRECISION,
-    DyadicPoint,
     PointSet,
     generate_points,
     read_points_csv,
@@ -147,16 +148,11 @@ def study_rows(dimension: int, alpha: int, counts: Sequence[int]) -> list[StudyR
     if wanted[0] < 2:
         raise ValueError(f"counts must be at least 2, got {wanted[0]}")
     cols = max(2, (wanted[-1] - 1).bit_length())
-    if alpha * cols > MAX_PRECISION:
-        raise PrecisionError(
-            f"alpha={alpha} with {cols} digit columns needs precision "
-            f"{alpha * cols}, beyond the {MAX_PRECISION}-digit limit"
-        )
     full = generate_points(construct_matrices(dimension, alpha, cols), wanted[-1])
     rows = []
     for n in wanted:
         start = time.perf_counter()
-        pset = PointSet(full.points[:n], provenance=full.provenance)
+        pset = PointSet(full.numerators[:n], full.precision, full.provenance)
         rep_l2, rep_dia = both_kernel_measures(pset)
         wall = time.perf_counter() - start
         s = sum_of_digits(n)
@@ -223,17 +219,10 @@ def _self_test(rows_by_dim: dict[int, list[StudyRow]]) -> str | None:
         gset = construct_matrices(dim, row.alpha, cols)
         pset = generate_points(gset, row.n)
         w = pset.precision
-        offsets = [rng.getrandbits(w) for _ in range(dim)]
-        shifted = PointSet(
-            [
-                DyadicPoint(
-                    tuple((v + o) % (1 << w) for v, o in zip(p.numerators, offsets)),
-                    w,
-                )
-                for p in pset.points
-            ]
-        )
-        rep = periodic_l2(shifted)
+        offsets = np.array([rng.getrandbits(w) for _ in range(dim)], dtype=np.uint64)
+        # uint64 addition wraps mod 2^64, so the mask reduces it mod 2^w.
+        shifted = (pset.numerators + offsets) & np.uint64((1 << w) - 1)
+        rep = periodic_l2(PointSet(shifted, w))
         if abs(rep.value - row.per_l2) > 1e-12 * abs(row.per_l2):
             return (
                 f"self-test failed: d={dim} N={row.n} per_l2 moved under a "
@@ -305,7 +294,9 @@ def _cmd_measure(args, parser) -> int:
                     f"-N must lie in [1, {pset.size}] for this points file, "
                     f"got {args.count}"
                 )
-            pset = PointSet(pset.points[: args.count], provenance=pset.provenance)
+            pset = PointSet(
+                pset.numerators[: args.count], pset.precision, pset.provenance
+            )
         gset = None
     else:
         gset = _inline_gset(args, parser)
@@ -388,11 +379,6 @@ def _cmd_study(args, parser) -> int:
     alpha = args.alpha
     if alpha is None:
         alpha = max(1, min(5, MAX_PRECISION // args.m_max))
-    if alpha * args.m_max > MAX_PRECISION:
-        raise PrecisionError(
-            f"alpha={alpha} with m up to {args.m_max} needs precision "
-            f"{alpha * args.m_max}, beyond the {MAX_PRECISION}-digit limit"
-        )
     rng = random.Random(args.seed)
     counts = []
     for m in range(args.m_min, args.m_max + 1):

@@ -17,7 +17,6 @@ from .sequence import DyadicPoint, PointSet
 
 __all__ = [
     "interlace_digits",
-    "interlace_point",
     "interlace_vector",
     "interlace_pointset",
     "interlace_matrices",
@@ -45,14 +44,6 @@ def interlace_digits(numerators: Sequence[int], precision: int) -> int:
     return out
 
 
-def interlace_point(point: DyadicPoint) -> DyadicPoint:
-    """Interlace all coordinates of a point into a single coordinate."""
-    return DyadicPoint(
-        (interlace_digits(point.numerators, point.precision),),
-        point.dimension * point.precision,
-    )
-
-
 def interlace_vector(point: DyadicPoint, alpha: int) -> DyadicPoint:
     """Blockwise interlacing: coordinate j comes from input block j."""
     if alpha < 1:
@@ -72,8 +63,12 @@ def interlace_vector(point: DyadicPoint, alpha: int) -> DyadicPoint:
 
 
 def interlace_pointset(pset: PointSet, alpha: int) -> PointSet:
-    points = [interlace_vector(p, alpha) for p in pset.points]
-    return PointSet(points, provenance=f"{pset.provenance} interlaced alpha={alpha}")
+    rows = [interlace_vector(p, alpha).numerators for p in pset.points]
+    return PointSet(
+        rows,
+        alpha * pset.precision,
+        provenance=f"{pset.provenance} interlaced alpha={alpha}",
+    )
 
 
 def interlace_matrices(

@@ -38,7 +38,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import PrecisionError
 from .sequence import PointSet
 
 __all__ = [
@@ -119,13 +118,6 @@ class MeasureReport:
         }
 
 
-def _checked_precision(pset: PointSet) -> int:
-    w = pset.precision
-    if w > 64:
-        raise PrecisionError(f"precision {w} exceeds the 64-digit limit")
-    return w
-
-
 # A factor may reduce through BLAS (the Fourier factor's matmul), whose
 # kernels take output columns in groups, so a column's float result can
 # depend on its offset within the block.  Starting every block's columns at
@@ -148,9 +140,9 @@ def _pair_sum(
     own strictly upper part in column order, so the fsum-ed totals do not
     depend on ``block`` or ``threads``.
     """
-    w = _checked_precision(pset)
+    w = pset.precision
     n = pset.size
-    columns = [np.array(col, dtype=np.uint64) for col in pset.numerator_columns()]
+    columns = np.ascontiguousarray(pset.numerators.T)
     mask = np.uint64((1 << w) - 1)
     scale = 2.0**-w
 
@@ -314,10 +306,10 @@ def _kernel_coefficients(pset: PointSet) -> list[Fraction]:
     the product of B2({x_j - y_j}).  Each is non-negative, being a sum of
     squared exponential sums with positive weights.
     """
-    w = _checked_precision(pset)
+    w = pset.precision
     n = pset.size
     period = 1 << w
-    columns = pset.numerator_columns()
+    columns = pset.numerators.T.tolist()
     pairs = n * n
     g = [_square_pair_sum(xs) - period * _abs_pair_sum(xs) for xs in columns]
     first = Fraction(len(columns), 6) + Fraction(sum(g), period**2 * pairs)
@@ -433,7 +425,8 @@ def fourier_truncated(
         angles = (2.0 * math.pi) * t
         k_h = np.ones_like(angles)
         for h0 in range(0, trunc, 64):
-            cosines = np.cos(angles[..., None] * hs[h0 : h0 + 64])
+            cosines = angles[..., None] * hs[h0 : h0 + 64]
+            np.cos(cosines, out=cosines)
             k_h += 2.0 * (cosines @ weights[h0 : h0 + 64])
         return k_h
 

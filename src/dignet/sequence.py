@@ -1,26 +1,32 @@
-"""Exact digital sequence points as dyadic rationals.
+"""Exact digital sequence points as dyadic rationals, stored by columns.
 
-Points are generated by matrix-vector products over Z2 and kept as integer
-numerators at a fixed precision, so every operation here is exact.  Floats
-only appear when a caller asks for them.
+Point n of a digital sequence is x_n = C_j * digits(n) over Z2 in each
+coordinate j.  A ``PointSet`` keeps all of them as one (N, d) uint64 array
+of integer numerators at a fixed precision of at most 64 digits, so every
+operation here is exact and floats only appear when a caller asks for them.
+The map n -> x_n is linear over Z2, so for n < 2^b point n + 2^b is point n
+XOR the image of digit b; ``generate_points`` fills the array by these XOR
+doublings, one array operation per input digit.  ``DyadicPoint`` is the
+scalar type of single points such as digital shifts.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as _dt
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from pathlib import Path
 from typing import IO, Sequence
 
+import numpy as np
+
 from .errors import PrecisionError
-from .gf2 import BitVector
 from .niederreiter import GeneratingMatrixSet
 
 __all__ = [
     "DyadicPoint",
     "PointSet",
-    "digit_vector",
     "generate_points",
     "digital_shift",
     "tail_shift_vector",
@@ -33,7 +39,17 @@ __all__ = [
 MAX_PRECISION = 64
 
 
-@dataclass(frozen=True)
+def _check_precision(precision: int) -> None:
+    """Refuse precisions that a uint64 numerator cannot hold."""
+    if precision > MAX_PRECISION:
+        raise PrecisionError(
+            f"precision {precision} exceeds the {MAX_PRECISION}-digit limit"
+        )
+    if precision < 0:
+        raise ValueError("precision must be nonnegative")
+
+
+@dataclass(frozen=True, slots=True)
 class DyadicPoint:
     """Point in [0,1)^d with coordinate j equal to numerators[j] / 2^precision."""
 
@@ -53,10 +69,6 @@ class DyadicPoint:
     def dimension(self) -> int:
         return len(self.numerators)
 
-    def values(self) -> tuple[float, ...]:
-        scale = 2.0 ** -self.precision
-        return tuple(v * scale for v in self.numerators)
-
     def at_precision(self, precision: int) -> "DyadicPoint":
         """Same point with zero digits appended (precision may only grow)."""
         if precision < self.precision:
@@ -73,50 +85,48 @@ class DyadicPoint:
         return DyadicPoint(tuple(x ^ y for x, y in zip(a.numerators, b.numerators)), w)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """Ordered list of points sharing a dimension and precision."""
+    """N points in [0,1)^d: row n of ``numerators`` over 2^precision is point n.
 
-    points: list[DyadicPoint]
+    ``numerators`` may be given as any (N, d) array-like of non-negative
+    integers; it is stored as a read-only uint64 array after the precision
+    and the range of every entry have been checked, here and only here.
+    """
+
+    numerators: np.ndarray
+    precision: int
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("point set must not be empty")
-        d = self.points[0].dimension
-        w = self.points[0].precision
-        for p in self.points:
-            if p.dimension != d or p.precision != w:
-                raise ValueError("points disagree on dimension or precision")
+        w = self.precision
+        _check_precision(w)
+        try:
+            nums = np.array(self.numerators, dtype=np.uint64)
+        except OverflowError:
+            raise ValueError(f"numerator out of range for precision {w}") from None
+        if nums.ndim != 2 or 0 in nums.shape:
+            raise ValueError(
+                f"point set needs a non-empty (N, d) array, got shape {nums.shape}"
+            )
+        if w < MAX_PRECISION and (nums >> np.uint64(w)).any():
+            raise ValueError(f"numerator out of range for precision {w}")
+        nums.flags.writeable = False
+        object.__setattr__(self, "numerators", nums)
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return self.numerators.shape[0]
 
     @property
     def dimension(self) -> int:
-        return self.points[0].dimension
+        return self.numerators.shape[1]
 
     @property
-    def precision(self) -> int:
-        return self.points[0].precision
-
-    def numerator_columns(self) -> list[list[int]]:
-        """Per-coordinate numerator lists, coordinate-major."""
-        d = self.dimension
-        return [[p.numerators[j] for p in self.points] for j in range(d)]
-
-    def values(self) -> list[tuple[float, ...]]:
-        return [p.values() for p in self.points]
-
-
-def digit_vector(n: int, m: int) -> BitVector:
-    """Least-significant-first binary digits of n, as a length-m vector."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    if n >> m:
-        raise ValueError(f"index {n} does not fit in {m} digits")
-    return BitVector(n, m)
+    def points(self) -> list[DyadicPoint]:
+        """The rows as scalar points of Python ints (a derived, read-only view)."""
+        w = self.precision
+        return [DyadicPoint(tuple(row), w) for row in self.numerators.tolist()]
 
 
 def _column_numerators(gset: GeneratingMatrixSet, precision: int) -> list[list[int]]:
@@ -140,35 +150,18 @@ def _column_numerators(gset: GeneratingMatrixSet, precision: int) -> list[list[i
     return out
 
 
-def _point_numerators(column_vals: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
-    coords = []
-    for vals in column_vals:
-        acc = 0
-        nn = n
-        b = 0
-        while nn:
-            if nn & 1:
-                acc ^= vals[b]
-            nn >>= 1
-            b += 1
-        coords.append(acc)
-    return tuple(coords)
-
-
 def generate_points(
     gset: GeneratingMatrixSet, count: int, precision: int | None = None
 ) -> PointSet:
     """First ``count`` points of the sequence, exact at the given precision.
 
     ``precision`` defaults to the full row extent of the matrices.  Points
-    are returned in index order.
+    are returned in index order: rows [2^b, 2^(b+1)) are rows [0, 2^b)
+    XOR the image of input digit b.
     """
     if precision is None:
         precision = gset.rows
-    if precision > MAX_PRECISION:
-        raise PrecisionError(
-            f"precision {precision} exceeds the {MAX_PRECISION}-digit limit"
-        )
+    _check_precision(precision)
     if precision > gset.rows:
         raise ValueError(
             f"precision {precision} exceeds the {gset.rows} rows available"
@@ -179,12 +172,13 @@ def generate_points(
         raise ValueError(
             f"cannot index {count} points with {gset.cols} matrix columns"
         )
-    column_vals = _column_numerators(gset, precision)
-    points = [
-        DyadicPoint(_point_numerators(column_vals, n), precision)
-        for n in range(count)
-    ]
-    return PointSet(points, provenance=gset.describe())
+    digit_images = np.array(_column_numerators(gset, precision), dtype=np.uint64).T
+    nums = np.zeros((count, gset.dimension), dtype=np.uint64)
+    for b in range((count - 1).bit_length()):
+        h = 1 << b
+        tail = min(h, count - h)
+        np.bitwise_xor(nums[:tail], digit_images[b], out=nums[h : h + tail])
+    return PointSet(nums, precision, provenance=gset.describe())
 
 
 def digital_shift(pset: PointSet, shift: DyadicPoint) -> PointSet:
@@ -193,8 +187,9 @@ def digital_shift(pset: PointSet, shift: DyadicPoint) -> PointSet:
         raise ValueError(
             f"shift dimension {shift.dimension} does not match point set {pset.dimension}"
         )
-    shifted = [p.xor(shift) for p in pset.points]
-    return PointSet(shifted, provenance=f"{pset.provenance} + digital shift")
+    w = max(pset.precision, shift.precision)
+    shifted = [p.xor(shift).numerators for p in pset.points]
+    return PointSet(shifted, w, provenance=f"{pset.provenance} + digital shift")
 
 
 def block_decomposition(total: int) -> list[int]:
@@ -232,17 +227,20 @@ def tail_shift_vector(
         )
     if precision is None:
         precision = gset.rows
-    if precision > MAX_PRECISION:
-        raise PrecisionError(
-            f"precision {precision} exceeds the {MAX_PRECISION}-digit limit"
-        )
+    _check_precision(precision)
     base = sum(1 << e for e in exponents[: block_index - 1])
     if base >> gset.cols:
         raise ValueError(
             f"block base index {base} does not fit in {gset.cols} matrix columns"
         )
-    column_vals = _column_numerators(gset, precision)
-    return DyadicPoint(_point_numerators(column_vals, base), precision)
+    digits = [b for b in range(base.bit_length()) if base >> b & 1]
+    return DyadicPoint(
+        tuple(
+            reduce(xor, (vals[b] for b in digits), 0)
+            for vals in _column_numerators(gset, precision)
+        ),
+        precision,
+    )
 
 
 def sum_of_digits(n: int) -> int:
@@ -258,16 +256,8 @@ def sum_of_digits(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _hex_field(numerator: int, precision: int) -> str:
-    return f"0x{numerator:X}/{precision}"
-
-
-def _parse_hex_field(text: str) -> tuple[int, int]:
-    try:
-        num_part, prec_part = text.split("/")
-        return int(num_part, 16), int(prec_part)
-    except ValueError as exc:
-        raise ValueError(f"malformed dyadic field {text!r}") from exc
+# Rows formatted per write call; bounds the temporary strings and lists.
+_CSV_CHUNK = 1 << 14
 
 
 def write_points_csv(
@@ -285,55 +275,69 @@ def write_points_csv(
     if timestamp is None:
         timestamp = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
     out.write(f"# generator: {pset.provenance}; written: {timestamp}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    d = pset.dimension
-    header = ["n"]
-    for j in range(1, d + 1):
-        header += [f"x{j}_hex", f"x{j}"]
-    writer.writerow(header)
-    for n, p in enumerate(pset.points):
-        row: list[str] = [str(n)]
-        for num, val in zip(p.numerators, p.values()):
-            row.append(_hex_field(num, p.precision))
-            row.append(f"{val:.17g}")
-        writer.writerow(row)
+    d, w = pset.dimension, pset.precision
+    out.write(",".join(["n"] + [f"x{j}_hex,x{j}" for j in range(1, d + 1)]) + "\n")
+    row_format = "{}" + f",0x{{:X}}/{w},{{:.17g}}" * d + "\n"
+    for start in range(0, pset.size, _CSV_CHUNK):
+        nums = pset.numerators[start : start + _CSV_CHUNK]
+        values = nums.astype(np.float64) * 2.0**-w
+        columns = []
+        for j in range(d):
+            columns += [nums[:, j].tolist(), values[:, j].tolist()]
+        out.write(
+            "".join(
+                row_format.format(n, *fields)
+                for n, fields in enumerate(zip(*columns), start)
+            )
+        )
 
 
 def read_points_csv(source: IO[str] | str | Path) -> PointSet:
-    """Rebuild a point set from the CSV form, using the hex fields only."""
+    """Rebuild a point set from the CSV form, using the hex fields only.
+
+    Lines are parsed as they stream in, into one flat list of numerators;
+    the row width, the precision and the numerators' range are checked once
+    at the end.
+    """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
             return read_points_csv(fh)
     provenance = ""
-    rows = []
-    reader = csv.reader(source)
-    for row in reader:
-        if not row:
-            continue
-        if row[0].startswith("#"):
-            text = ",".join(row).lstrip("# ")
+    flat: list[int] = []
+    precisions: set[str] = set()
+    widths: set[int] = set()
+    for line in source:
+        line = line.rstrip("\r\n")
+        if line.startswith("#"):
+            text = line.lstrip("# ")
             if text.startswith("generator:"):
                 provenance = text[len("generator:"):].split("; written:")[0].strip()
             continue
-        if row[0] == "n":
+        fields = line.split(",")
+        if not line or fields[0] == "n":
             continue
-        rows.append(row)
-    if not rows:
+        widths.add(len(fields))
+        for field in fields[1::2]:
+            try:
+                num, prec = field.split("/")
+                flat.append(int(num, 16))
+            except ValueError:
+                raise ValueError(f"malformed dyadic field {field!r}") from None
+            precisions.add(prec)
+    if not widths:
         raise ValueError("no data rows in points CSV")
-    points = []
-    for row in rows:
-        fields = row[1:]
-        if len(fields) % 2:
-            raise ValueError(f"odd field count in points row {row!r}")
-        nums = []
-        precision = None
-        for hex_field in fields[0::2]:
-            num, prec = _parse_hex_field(hex_field)
-            if precision is None:
-                precision = prec
-            elif prec != precision:
-                raise ValueError("inconsistent precisions in points row")
-            nums.append(num)
-        assert precision is not None
-        points.append(DyadicPoint(tuple(nums), precision))
-    return PointSet(points, provenance=provenance)
+    if len(widths) != 1 or min(widths) < 3 or min(widths) % 2 == 0:
+        raise ValueError(
+            f"points rows need one odd field count of at least 3, got {sorted(widths)}"
+        )
+    width = widths.pop()
+    try:
+        found = {int(p) for p in precisions}
+    except ValueError:
+        raise ValueError(f"malformed precision among {sorted(precisions)}") from None
+    if len(found) != 1:
+        raise ValueError(f"inconsistent precisions {sorted(found)} in points CSV")
+    # An object array keeps the Python ints, so PointSet sees any value that
+    # does not fit its precision.
+    rows = np.array(flat, dtype=object).reshape(-1, (width - 1) // 2)
+    return PointSet(rows, found.pop(), provenance=provenance)

@@ -25,7 +25,6 @@ from dignet.measures import (
 from dignet.niederreiter import build_matrices
 from dignet.quality import minimal_t
 from dignet.sequence import (
-    DyadicPoint,
     PointSet,
     block_decomposition,
     generate_points,
@@ -39,6 +38,7 @@ from dignet.walshlab import (
     walsh_signs,
 )
 
+from support import pset_from_tuples
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -51,30 +51,26 @@ def _emit(num: int, ok: bool, detail: str) -> None:
 
 
 def _random_pset(rng: random.Random, d: int, n: int, w: int = 10) -> PointSet:
-    return PointSet(
-        [
-            DyadicPoint(tuple(rng.getrandbits(w) for _ in range(d)), w)
-            for _ in range(n)
-        ]
+    return pset_from_tuples(
+        [tuple(rng.getrandbits(w) for _ in range(d)) for _ in range(n)], w
     )
 
 
 def _torus_shift(pset: PointSet, offsets) -> PointSet:
     w = pset.precision
     box = 1 << w
-    return PointSet(
+    return pset_from_tuples(
         [
-            DyadicPoint(
-                tuple((v + o) % box for v, o in zip(p.numerators, offsets)), w
-            )
-            for p in pset.points
-        ]
+            tuple((v + o) % box for v, o in zip(row, offsets))
+            for row in pset.numerators.tolist()
+        ],
+        w,
     )
 
 
 def test_acceptance_1_exact_small_values():
-    one = PointSet([DyadicPoint((0,), 1)])
-    two = PointSet([DyadicPoint((0,), 1), DyadicPoint((1,), 1)])
+    one = pset_from_tuples([(0,)], 1)
+    two = pset_from_tuples([(0,), (1,)], 1)
     cases = [
         (periodic_l2, one, 1.0 / math.sqrt(6.0)),
         (diaphony, one, math.pi / math.sqrt(3.0)),
@@ -238,10 +234,7 @@ def _character_sums_match(gset) -> bool:
     n = 1 << gset.cols
     pset = generate_points(gset, n)
     members = dual_net_members(gset)
-    nums = [
-        np.array([p.numerators[j] for p in pset.points], dtype=np.uint64)
-        for j in range(d)
-    ]
+    nums = list(pset.numerators.T)
     if d == 1:
         revs = np.array([reverse_bits(k, b) for k in range(1 << b)], dtype=np.uint64)
         sums = np.empty(1 << b, dtype=np.int64)
@@ -353,9 +346,9 @@ def test_acceptance_7_interlacing_commutes_and_blocks_split():
                 via_matrices = generate_points(
                     interlace_matrices(base, alpha), 1 << m, alpha * m
                 )
-                if [p.numerators for p in via_points.points] != [
-                    p.numerators for p in via_matrices.points
-                ]:
+                if not np.array_equal(
+                    via_points.numerators, via_matrices.numerators
+                ):
                     square_ok = False
     split_ok = True
     gsets = [
@@ -365,7 +358,7 @@ def test_acceptance_7_interlacing_commutes_and_blocks_split():
     ]
     for gset in gsets:
         w = gset.rows
-        full = generate_points(gset, 256, w)
+        full = [p.numerators for p in generate_points(gset, 256, w).points]
         for total in range(2, 257):
             base_idx = 0
             for i, mi in enumerate(block_decomposition(total), start=1):
@@ -373,11 +366,9 @@ def test_acceptance_7_interlacing_commutes_and_blocks_split():
                 for a in range(1 << mi):
                     want = tuple(
                         x ^ s
-                        for x, s in zip(
-                            full.points[a].numerators, sigma.numerators
-                        )
+                        for x, s in zip(full[a], sigma.numerators)
                     )
-                    if full.points[base_idx + a].numerators != want:
+                    if full[base_idx + a] != want:
                         split_ok = False
                 base_idx += 1 << mi
     ok = square_ok and split_ok

@@ -132,6 +132,39 @@ def test_measure_points_file_rejects_precision(tmp_path, capsys):
     assert "-W/--precision" in capsys.readouterr().err
 
 
+_BAD_POINTS_HEAD = "# generator: demo; written: t\nn,x1_hex,x1,x2_hex,x2\n"
+_GOOD_POINTS_ROW = "0,0x1/4,0.0625,0x2/4,0.125\n"
+
+
+@pytest.mark.parametrize(
+    "rows, code",
+    [
+        pytest.param(_GOOD_POINTS_ROW + "1,0x1/4,0.0625\n", EXIT_USAGE, id="row-width"),
+        pytest.param("0,0x1/4,0.0625,0x2/4\n", EXIT_USAGE, id="odd-field-count"),
+        pytest.param("0,0xZZ/4,0.0625,0x2/4,0.125\n", EXIT_USAGE, id="bad-hex"),
+        pytest.param("0,0x1/4,0.0625,0x2/5,0.125\n", EXIT_USAGE, id="mixed-in-row"),
+        pytest.param(
+            _GOOD_POINTS_ROW + "1,0x1/5,0.0625,0x2/5,0.125\n",
+            EXIT_USAGE,
+            id="mixed-across-rows",
+        ),
+        pytest.param("0,0x10/4,0.0625,0x2/4,0.125\n", EXIT_USAGE, id="over-precision"),
+        pytest.param(
+            "0,0x10000000000000000/64,0,0x2/64,0\n", EXIT_USAGE, id="over-uint64"
+        ),
+        pytest.param("0\n", EXIT_USAGE, id="index-only-row"),
+        pytest.param("0,0x1/65,0.0,0x2/65,0.0\n", EXIT_REFUSED, id="precision-65"),
+    ],
+)
+def test_measure_points_file_refuses_bad_input(rows, code, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(_BAD_POINTS_HEAD + rows)
+    assert main(["measure", "--points", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("refused: " if code == EXIT_REFUSED else "error: ")
+
+
 def test_measure_cross_check(tmp_path):
     data = _run_json(
         ["measure", "-d", "2", "-m", "3", "--cross-check", "--trunc", "64"],

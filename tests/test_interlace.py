@@ -2,17 +2,18 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from dignet.interlace import (
     interlace_digits,
     interlace_matrices,
-    interlace_point,
     interlace_pointset,
     interlace_vector,
 )
 from dignet.niederreiter import build_matrices
 from dignet.sequence import DyadicPoint, generate_points
+from support import interlace_point
 
 
 def test_interlace_digits_frozen_examples():
@@ -25,9 +26,9 @@ def test_interlace_digits_frozen_examples():
 
 def test_interlace_point_values():
     p = interlace_point(DyadicPoint((1, 0), 1))
-    assert p.precision == 2 and p.values() == (0.5,)
+    assert p == DyadicPoint((0b10,), 2)  # 0.5
     p = interlace_point(DyadicPoint((1, 2), 2))
-    assert p.precision == 4 and p.values() == (0.375,)
+    assert p == DyadicPoint((0b0110,), 4)  # 0.375
 
 
 def test_interlace_vector_examples():
@@ -36,11 +37,11 @@ def test_interlace_vector_examples():
 
     p = DyadicPoint((1, 0, 1, 0), 1)
     out = interlace_vector(p, 2)
-    assert out.values() == (0.5, 0.5)
+    assert out == DyadicPoint((0b10, 0b10), 2)  # (0.5, 0.5)
 
     p = DyadicPoint((1, 2), 2)
     out = interlace_vector(p, 2)
-    assert out.dimension == 1 and out.values() == (0.375,)
+    assert out == DyadicPoint((0b0110,), 4)  # 0.375
 
 
 def test_interlace_vector_dimension_mismatch():
@@ -127,6 +128,6 @@ def test_commuting_square_points_vs_matrices():
                 via_points = interlace_pointset(pts, alpha)
                 gset = interlace_matrices(base, alpha)
                 via_matrices = generate_points(gset, 1 << m, alpha * m)
-                assert [p.numerators for p in via_points.points] == [
-                    p.numerators for p in via_matrices.points
-                ], (d_out, alpha, m)
+                assert np.array_equal(
+                    via_points.numerators, via_matrices.numerators
+                ), (d_out, alpha, m)

@@ -26,7 +26,8 @@ from dignet.measures import (
     periodic_l2,
 )
 from dignet.niederreiter import build_matrices
-from dignet.sequence import DyadicPoint, PointSet, generate_points
+from dignet.sequence import PointSet, generate_points
+from support import pset_from_tuples, values
 
 # ---------------------------------------------------------------------------
 # Independent oracle: literal sum over the frequency box, one h vector at a
@@ -43,16 +44,16 @@ def _inv_weight_sq(scheme: WeightScheme, h: int) -> float:
 
 
 def _direct_box_squared(pset: PointSet, scheme: WeightScheme, bound: int) -> float:
-    values = pset.values()
-    n = len(values)
-    d = len(values[0])
+    coords = values(pset)
+    n = len(coords)
+    d = len(coords[0])
     total = 0.0
     for hvec in itertools.product(range(-bound, bound + 1), repeat=d):
         if all(h == 0 for h in hvec):
             continue
         expsum = sum(
             cmath.exp(2j * math.pi * sum(h * x for h, x in zip(hvec, pt)))
-            for pt in values
+            for pt in coords
         )
         wsq = 1.0
         for h in hvec:
@@ -72,10 +73,11 @@ def _fraction_coefficients(pset: PointSet) -> list[Fraction]:
     period = 1 << pset.precision
     d = pset.dimension
     totals = [Fraction(0)] * (d + 1)
-    for p in pset.points:
-        for q in pset.points:
+    rows = pset.numerators.tolist()
+    for p in rows:
+        for q in rows:
             elem = [Fraction(1)] + [Fraction(0)] * d
-            for a, b in zip(p.numerators, q.numerators):
+            for a, b in zip(p, q):
                 t = Fraction((a - b) % period, period)
                 b2 = t * t - t + Fraction(1, 6)
                 for k in range(d, 0, -1):
@@ -84,30 +86,19 @@ def _fraction_coefficients(pset: PointSet) -> list[Fraction]:
     return [s / pset.size**2 for s in totals[1:]]
 
 
-def _pset_from_tuples(rows, w: int) -> PointSet:
-    return PointSet([DyadicPoint(tuple(r), w) for r in rows])
-
-
 def _random_pset(rng: random.Random, n: int, d: int, w: int) -> PointSet:
-    return PointSet(
-        [
-            DyadicPoint(tuple(rng.getrandbits(w) for _ in range(d)), w)
-            for _ in range(n)
-        ],
-        provenance="random",
-    )
+    rows = [tuple(rng.getrandbits(w) for _ in range(d)) for _ in range(n)]
+    return pset_from_tuples(rows, w, provenance="random")
 
 
 def _torus_shift(pset: PointSet, offsets: tuple[int, ...]) -> PointSet:
     w = pset.precision
     period = 1 << w
-    pts = [
-        DyadicPoint(
-            tuple((v + o) % period for v, o in zip(p.numerators, offsets)), w
-        )
-        for p in pset.points
+    rows = [
+        tuple((v + o) % period for v, o in zip(row, offsets))
+        for row in pset.numerators.tolist()
     ]
-    return PointSet(pts, provenance=pset.provenance)
+    return pset_from_tuples(rows, w, provenance=pset.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +135,17 @@ def test_periodic_l2_single_point():
 
 
 def test_periodic_l2_two_point_example():
-    pset = PointSet([DyadicPoint((0,), 1), DyadicPoint((1,), 1)])
+    pset = pset_from_tuples([(0,), (1,)], 1)
     assert periodic_l2(pset).value == pytest.approx(1.0 / math.sqrt(24.0), rel=1e-12)
 
 
 def test_diaphony_single_point():
-    pset = PointSet([DyadicPoint((3,), 4)])
+    pset = pset_from_tuples([(3,)], 4)
     assert diaphony(pset).value == pytest.approx(math.pi / math.sqrt(3.0), rel=1e-12)
 
 
 def test_diaphony_two_point_example():
-    pset = PointSet([DyadicPoint((0,), 1), DyadicPoint((1,), 1)])
+    pset = pset_from_tuples([(0,), (1,)], 1)
     assert diaphony(pset).value == pytest.approx(math.pi / math.sqrt(12.0), rel=1e-12)
 
 
@@ -184,7 +175,7 @@ _EXACT_CASES = {
 @pytest.mark.parametrize("case", sorted(_EXACT_CASES))
 def test_exact_coefficients_equal_fraction_oracle(case):
     rows, w = _EXACT_CASES[case]
-    pset = _pset_from_tuples(rows, w)
+    pset = pset_from_tuples(rows, w)
     got = _kernel_coefficients(pset)
     assert all(isinstance(a, Fraction) for a in got)
     want = _fraction_coefficients(pset)
@@ -205,7 +196,7 @@ def _dyadic_sets(draw):
     rows = draw(
         st.lists(st.tuples(*[coord] * d), min_size=1, max_size=9)
     )
-    return _pset_from_tuples(rows, w)
+    return pset_from_tuples(rows, w)
 
 
 @settings(max_examples=150, deadline=None)
@@ -268,7 +259,7 @@ def test_squared_values_nonnegative_on_good_nets():
 
 
 def test_fourier_single_point_h1():
-    pset = PointSet([DyadicPoint((5,), 4)])
+    pset = pset_from_tuples([(5,)], 4)
     rep = fourier_truncated(pset, DIAPHONY, 1)
     assert rep.squared == pytest.approx(2.0, rel=1e-12)
     assert rep.truncation == {"H": 1}
@@ -311,7 +302,7 @@ def test_kernel_gated_by_fourier_tail_bound_d1():
 
 
 def test_fourier_validation():
-    pset = PointSet([DyadicPoint((0,), 1)])
+    pset = pset_from_tuples([(0,)], 1)
     with pytest.raises(ValueError):
         fourier_truncated(pset, DIAPHONY, 0)
 
@@ -355,7 +346,7 @@ def test_both_kernel_measures_match_individual_calls():
 
 
 def test_measure_report_json():
-    pset = PointSet([DyadicPoint((1,), 2)], provenance="demo")
+    pset = pset_from_tuples([(1,)], 2, provenance="demo")
     rep = periodic_l2(pset)
     data = rep.to_json_dict()
     assert data["measure"] == "periodic-l2"
@@ -367,10 +358,10 @@ def test_measure_report_json():
 
 
 def test_precision_limit():
+    # The refusal happens when the set is built, before any measure runs.
     for numerators in ((0,), (0, 1), (0, 1, 2)):
-        pset = PointSet([DyadicPoint(numerators, 65)])
         with pytest.raises(PrecisionError):
-            periodic_l2(pset)
+            periodic_l2(pset_from_tuples([numerators], 65))
 
 
 def test_weight_scheme_values():

@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import csv
 import io
 import random
+import string
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dignet import sequence
 
 from dignet.errors import PrecisionError
+from dignet.gf2 import matvec
 from dignet.interlace import interlace_matrices
 from dignet.niederreiter import build_matrices
 from dignet.sequence import (
     DyadicPoint,
     PointSet,
     block_decomposition,
-    digit_vector,
     digital_shift,
     generate_points,
     read_points_csv,
@@ -20,6 +27,7 @@ from dignet.sequence import (
     tail_shift_vector,
     write_points_csv,
 )
+from support import digit_vector, pset_from_tuples, values
 
 
 def test_digit_vector_examples():
@@ -33,7 +41,7 @@ def test_digit_vector_examples():
 def test_generate_points_van_der_corput_prefix():
     gset = build_matrices(1, 2, 2)
     pts = generate_points(gset, 4, 2)
-    assert [p.values()[0] for p in pts.points] == [0.0, 0.5, 0.25, 0.75]
+    assert [v[0] for v in values(pts)] == [0.0, 0.5, 0.25, 0.75]
 
 
 def test_generate_points_bit_reversal_is_van_der_corput():
@@ -48,7 +56,7 @@ def test_generate_points_bit_reversal_is_van_der_corput():
 def test_generate_points_sobol_pair_frozen():
     gset = build_matrices(2, 2, 2)
     pts = generate_points(gset, 4, 2)
-    assert pts.values() == [
+    assert values(pts) == [
         (0.0, 0.0),
         (0.5, 0.5),
         (0.25, 0.75),
@@ -61,6 +69,51 @@ def test_generate_points_origin_first():
         gset = build_matrices(d, 5, 5)
         pts = generate_points(gset, 1, 5)
         assert pts.points[0].numerators == (0,) * d
+
+
+def _matvec_numerators(gset, n: int, precision: int) -> tuple[int, ...]:
+    """Point n from the definition x_n = C_j * digits(n) over Z2."""
+    out = []
+    for mat in gset.matrices:
+        y = matvec(mat, digit_vector(n, gset.cols))
+        out.append(sum(y[i] << (precision - 1 - i) for i in range(precision)))
+    return tuple(out)
+
+
+def test_generate_points_matches_matvec_definition():
+    # Counts that are not powers of two end in a partial doubling step.
+    for gset, w in (
+        (interlace_matrices(build_matrices(4, 10, 10), 2), 17),
+        (build_matrices(3, 10, 10), 10),
+    ):
+        for count in (1, 2, 3, 5, 100, 257, 1000):
+            pts = generate_points(gset, count, w)
+            want = [_matvec_numerators(gset, n, w) for n in range(count)]
+            assert [p.numerators for p in pts.points] == want
+
+
+def test_point_set_checks_at_construction():
+    with pytest.raises(PrecisionError):
+        pset_from_tuples([(0,)], 65)
+    bad = [
+        ([(16,)], 4),
+        ([(1 << 64,)], 64),
+        ([(-1,)], 4),
+        ([(0,)], -1),
+        ([], 4),
+        ([(1, 2), (3,)], 4),
+    ]
+    for rows, w in bad:
+        with pytest.raises(ValueError):
+            pset_from_tuples(rows, w)
+    top = pset_from_tuples([((1 << 64) - 1, 0)], 64)
+    assert top.points[0].numerators == ((1 << 64) - 1, 0)
+    source = np.array([[1, 2]], dtype=np.uint64)
+    pset = PointSet(source, 2)
+    source[0, 0] = 3
+    assert pset.numerators.tolist() == [[1, 2]]
+    with pytest.raises(ValueError):
+        pset.numerators[0, 0] = 0
 
 
 def test_generate_points_validation():
@@ -77,7 +130,7 @@ def test_generate_points_validation():
 
 
 def test_digital_shift_examples():
-    pts = PointSet([DyadicPoint((1,), 1)])
+    pts = pset_from_tuples([(1,)], 1)
     shifted = digital_shift(pts, DyadicPoint((1,), 1))
     assert shifted.points[0].numerators == (0,)
 
@@ -92,9 +145,8 @@ def test_digital_shift_involution_and_padding():
     for _ in range(30):
         w = rng.randint(1, 10)
         d = rng.randint(1, 3)
-        pts = PointSet(
-            [DyadicPoint(tuple(rng.getrandbits(w) for _ in range(d)), w)
-             for _ in range(5)]
+        pts = pset_from_tuples(
+            [tuple(rng.getrandbits(w) for _ in range(d)) for _ in range(5)], w
         )
         sw = rng.randint(1, w)
         sigma = DyadicPoint(tuple(rng.getrandbits(sw) for _ in range(d)), sw)
@@ -103,7 +155,7 @@ def test_digital_shift_involution_and_padding():
 
 
 def test_digital_shift_dimension_mismatch():
-    pts = PointSet([DyadicPoint((0, 0), 2)])
+    pts = pset_from_tuples([(0, 0)], 2)
     with pytest.raises(ValueError):
         digital_shift(pts, DyadicPoint((1,), 2))
 
@@ -112,24 +164,22 @@ def test_net_prefix_is_xor_subgroup():
     for m in (2, 4, 6):
         gset = build_matrices(2, m, m)
         pts = generate_points(gset, 1 << m, m)
-        seen = {p.numerators for p in pts.points}
-        for a in pts.points:
-            for b in pts.points:
-                combo = tuple(x ^ y for x, y in zip(a.numerators, b.numerators))
+        nums = [p.numerators for p in pts.points]
+        seen = set(nums)
+        for a in nums:
+            for b in nums:
+                combo = tuple(x ^ y for x, y in zip(a, b))
                 assert combo in seen
 
 
 def test_generate_points_xor_linearity_in_index():
     for m in (3, 6):
         gset = build_matrices(2, m, m)
-        pts = generate_points(gset, 1 << m, m)
+        nums = [p.numerators for p in generate_points(gset, 1 << m, m).points]
         for n in range(1 << m):
             for p in range(1 << m):
-                want = tuple(
-                    x ^ y
-                    for x, y in zip(pts.points[n].numerators, pts.points[p].numerators)
-                )
-                assert pts.points[n ^ p].numerators == want
+                want = tuple(x ^ y for x, y in zip(nums[n], nums[p]))
+                assert nums[n ^ p] == want
 
 
 def test_block_decomposition():
@@ -175,7 +225,7 @@ def test_block_splitting_reproduces_prefixes():
     ]
     for gset in gsets:
         w = gset.rows
-        full = generate_points(gset, 256, w)
+        full = [p.numerators for p in generate_points(gset, 256, w).points]
         for total in range(2, 257):
             exponents = block_decomposition(total)
             base = 0
@@ -184,9 +234,9 @@ def test_block_splitting_reproduces_prefixes():
                 for a in range(1 << mi):
                     want = tuple(
                         x ^ s
-                        for x, s in zip(full.points[a].numerators, sigma.numerators)
+                        for x, s in zip(full[a], sigma.numerators)
                     )
-                    assert full.points[base + a].numerators == want
+                    assert full[base + a] == want
                 base += 1 << mi
 
 
@@ -217,7 +267,7 @@ def test_points_csv_round_trip():
 
 
 def test_points_csv_hex_fields_authoritative():
-    pts = PointSet([DyadicPoint((10,), 4)], provenance="manual")
+    pts = pset_from_tuples([(10,)], 4, provenance="manual")
     buf = io.StringIO()
     write_points_csv(pts, buf, timestamp="t")
     assert "0xA/4" in buf.getvalue()
@@ -232,6 +282,79 @@ def test_points_csv_file_round_trip(tmp_path):
     path = tmp_path / "pts.csv"
     write_points_csv(pts, path)
     assert read_points_csv(path).points == pts.points
+
+
+def _per_point_csv(pset: PointSet, timestamp: str) -> str:
+    """The per-point CSV writer that the array writer replaced, as its oracle."""
+    out = io.StringIO()
+    out.write(f"# generator: {pset.provenance}; written: {timestamp}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    header = ["n"]
+    for j in range(1, pset.dimension + 1):
+        header += [f"x{j}_hex", f"x{j}"]
+    writer.writerow(header)
+    scale = 2.0**-pset.precision
+    for n, p in enumerate(pset.points):
+        row: list[str] = [str(n)]
+        for num in p.numerators:
+            row.append(f"0x{num:X}/{p.precision}")
+            row.append(f"{num * scale:.17g}")
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def _csv_cases():
+    rng = random.Random(83)
+    top = (1 << 64) - 1
+    near_top = [
+        (top - k, (1 << 63) + rng.getrandbits(20), top - rng.getrandbits(11))
+        for k in range(40)
+    ]
+    return {
+        "d1": generate_points(build_matrices(1, 8, 8), 50),
+        "d2-w36": generate_points(interlace_matrices(build_matrices(4, 18, 18), 2), 300),
+        "d3": generate_points(build_matrices(3, 10, 10), 77, 7),
+        "d2-w36-random": pset_from_tuples(
+            [(rng.getrandbits(36), rng.getrandbits(36)) for _ in range(60)], 36
+        ),
+        "d3-w64-near-top": pset_from_tuples(near_top, 64, provenance="top, bits"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_csv_cases()))
+def test_points_csv_bytes_match_per_point_writer(case, monkeypatch):
+    pset = _csv_cases()[case]
+    # A small chunk makes every case cross several chunk boundaries.
+    monkeypatch.setattr(sequence, "_CSV_CHUNK", 7)
+    buf = io.StringIO()
+    write_points_csv(pset, buf, timestamp="2026-01-01T00:00:00+00:00")
+    assert buf.getvalue() == _per_point_csv(pset, "2026-01-01T00:00:00+00:00")
+
+
+@st.composite
+def _csv_point_sets(draw):
+    d = draw(st.integers(1, 4))
+    w = draw(st.integers(0, 64))
+    coord = st.integers(0, (1 << w) - 1)
+    rows = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=50))
+    provenance = draw(
+        st.text(alphabet=string.ascii_letters + string.digits + " ,;:=()", max_size=40)
+        .map(str.strip)
+        .filter(lambda text: "; written:" not in text)
+    )
+    return pset_from_tuples(rows, w, provenance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_csv_point_sets())
+@example(pset_from_tuples([(1, 2)], 4, "niederreiter(d=2, alpha=2, t=8)"))
+def test_points_csv_round_trip_property(pset):
+    buf = io.StringIO()
+    write_points_csv(pset, buf, timestamp="t")
+    back = read_points_csv(io.StringIO(buf.getvalue()))
+    assert back.numerators.tolist() == pset.numerators.tolist()
+    assert back.precision == pset.precision
+    assert back.provenance == pset.provenance
 
 
 def test_dyadic_point_validation():

@@ -25,6 +25,7 @@ from dignet.walshlab import (
     walsh_series_l2,
     walsh_signs,
 )
+from support import pset_from_tuples
 
 # ---------------------------------------------------------------------------
 # Independent oracle: rho(k,l) = sum_h beta(h,k) conj(beta(h,l)) / r(h)^2 with
@@ -287,7 +288,7 @@ def test_character_property_exhaustive():
         box_mask = (1 << bound) - 1
         sign_tables = []
         for j in range(d):
-            nums = np.array([p.numerators[j] for p in pset.points], dtype=np.uint64)
+            nums = pset.numerators[:, j]
             sign_tables.append(
                 np.stack([walsh_signs(k, nums, pset.precision) for k in range(1 << bound)])
             )
@@ -394,14 +395,7 @@ def test_general_series_converges_to_kernel(rho_1024):
             nums = [
                 [rng.getrandbits(bound_bits) for _ in range(n)] for _ in range(d)
             ]
-            from dignet.sequence import PointSet
-
-            pset = PointSet(
-                [
-                    DyadicPoint(tuple(nums[j][i] for j in range(d)), bound_bits)
-                    for i in range(n)
-                ]
-            )
+            pset = pset_from_tuples(zip(*nums), bound_bits)
             pair_factor = np.ones((n, n))
             for j in range(d):
                 revs = np.array(
