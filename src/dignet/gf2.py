@@ -16,6 +16,7 @@ __all__ = [
     "rank",
     "rows_independent",
     "nullspace_basis",
+    "echelon_insert",
 ]
 
 
@@ -207,16 +208,9 @@ def nullspace_basis(m: BitMatrix) -> list[BitVector]:
     full column rank.
     """
     n = m.ncols
-    rows = [r for r in m.row_masks if r]
     pivots: dict[int, int] = {}
-    for r in rows:
-        while r:
-            lead = r.bit_length() - 1
-            if lead in pivots:
-                r ^= pivots[lead]
-            else:
-                pivots[lead] = r
-                break
+    for r in m.row_masks:
+        echelon_insert(pivots, r)
     # Back-substitute so each pivot column appears in exactly one row.
     for lead in sorted(pivots, reverse=True):
         r = pivots[lead]
@@ -236,14 +230,23 @@ def nullspace_basis(m: BitMatrix) -> list[BitVector]:
     return basis
 
 
+def echelon_insert(pivots: dict[int, int], row: int) -> int:
+    """Reduce ``row`` against the ``{lead: row}`` basis and add what is left.
+
+    Returns the lead (highest set bit) of the added row, or -1 when the row
+    reduces to zero and the basis is unchanged.
+    """
+    while row:
+        lead = row.bit_length() - 1
+        if lead not in pivots:
+            pivots[lead] = row
+            return lead
+        row ^= pivots[lead]
+    return -1
+
+
 def _rank_of_masks(masks: Iterable[int]) -> int:
     pivots: dict[int, int] = {}
     for r in masks:
-        while r:
-            lead = r.bit_length() - 1
-            if lead in pivots:
-                r ^= pivots[lead]
-            else:
-                pivots[lead] = r
-                break
+        echelon_insert(pivots, r)
     return len(pivots)

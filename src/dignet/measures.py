@@ -19,11 +19,11 @@ is then a polynomial in c, c*A for d = 1 and c*A + c^2*B for d = 2, whose
 coefficients are exact non-negative rationals rounded once, so the
 cancellation in T/N^2 - 1 never happens in floats.
 
-Every other pairwise sum, the d >= 3 kernel and the Fourier oracle alike,
-runs through one blocked float engine, ``_pair_sum``.  It takes one
-per-coordinate factor function per measure, sums the O(N^2 d) products
-over pairs n < p once (both callers' summands are symmetric in the pair
-and their diagonal is added in closed form), and accumulates with math.fsum over per-row
+Every other pairwise sum, the d >= 3 kernel, the Fourier oracle and the
+Walsh series of ``walshlab`` alike, runs through one blocked float engine,
+``_pair_sum``.  A block callable supplies the summands; the engine sums
+them over pairs n < p once (every caller's summand is symmetric in the pair
+and each adds its own diagonal) and accumulates with math.fsum over per-row
 partial sums, so results do not depend on ``block`` or ``threads``, which
 only affect this engine.
 """
@@ -126,53 +126,64 @@ _COLUMN_ALIGN = 64
 
 
 def _pair_sum(
-    pset: PointSet,
-    factor_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
+    count: int,
+    block_terms: Callable[[slice, slice], Sequence[np.ndarray]],
     block: int,
     threads: int,
 ) -> list[float]:
-    """Sum over pairs n < p of prod_j fn(t_j), one sum per factor function.
+    """Sum over pairs n < p < count of each summand array of ``block_terms``.
 
-    ``t_j`` is the exact fractional difference {x_j - y_j} of coordinate j,
-    taken as a numerator difference mod 2^precision before float conversion.
-    Each block of rows pairs only with the columns from its first row on
-    (rounded down to a multiple of ``_COLUMN_ALIGN``), and each row sums its
-    own strictly upper part in column order, so the fsum-ed totals do not
-    depend on ``block`` or ``threads``.
+    ``block_terms(rows, cols)`` returns one (rows, cols) array per sum, its
+    entry [a, b] the summand of pair (rows.start + a, cols.start + b).  Each
+    block of rows pairs only with the columns from its first row on (rounded
+    down to a multiple of ``_COLUMN_ALIGN``), and each row sums its own
+    strictly upper part in column order, so the fsum-ed totals do not depend
+    on ``block`` or ``threads``.
     """
-    w = pset.precision
-    n = pset.size
-    columns = np.ascontiguousarray(pset.numerators.T)
-    mask = np.uint64((1 << w) - 1)
-    scale = 2.0**-w
 
     def run_block(i0: int) -> list[list[float]]:
-        i1 = min(i0 + block, n)
+        i1 = min(i0 + block, count)
         c0 = i0 - i0 % _COLUMN_ALIGN
-        prods: list[np.ndarray] = []
-        for col in columns:
-            diff = (col[i0:i1, None] - col[None, c0:]) & mask
-            t = diff.astype(np.float64) * scale
-            if not prods:
-                prods = [fn(t) for fn in factor_fns]
-            else:
-                for prod, fn in zip(prods, factor_fns):
-                    prod *= fn(t)
+        terms = block_terms(slice(i0, i1), slice(c0, count))
         first = i0 - c0 + 1
         return [
-            [prod[bi, first + bi :].sum() for bi in range(i1 - i0)] for prod in prods
+            [term[bi, first + bi :].sum() for bi in range(i1 - i0)] for term in terms
         ]
 
-    starts = range(0, n, block)
+    starts = range(0, count, block)
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             block_rows = list(pool.map(run_block, starts))
     else:
         block_rows = [run_block(i0) for i0 in starts]
     return [
-        math.fsum(row for rows in block_rows for row in rows[k])
-        for k in range(len(factor_fns))
+        math.fsum(row for rows in term_rows for row in rows)
+        for term_rows in zip(*block_rows)
     ]
+
+
+def _difference_factors(
+    pset: PointSet, factor_fns: Sequence[Callable[[np.ndarray], np.ndarray]]
+) -> Callable[[slice, slice], list[np.ndarray]]:
+    """Block callable of prod_j fn(t_j), one array per factor function, where
+    t_j = {x_j - y_j} is taken exactly as numerators mod 2^precision."""
+    columns = np.ascontiguousarray(pset.numerators.T)
+    mask = np.uint64((1 << pset.precision) - 1)
+    scale = 2.0**-pset.precision
+
+    def block_terms(rows: slice, cols: slice) -> list[np.ndarray]:
+        prods: list[np.ndarray] = []
+        for col in columns:
+            diff = (col[rows, None] - col[None, cols]) & mask
+            t = diff.astype(np.float64) * scale
+            if not prods:
+                prods = [fn(t) for fn in factor_fns]
+            else:
+                for prod, fn in zip(prods, factor_fns):
+                    prod *= fn(t)
+        return prods
+
+    return block_terms
 
 
 def _float_kernel_squared(
@@ -193,9 +204,8 @@ def _float_kernel_squared(
 
         return factor
 
-    upper_sums = _pair_sum(
-        pset, [make_factor(s.kernel_coeff) for s in schemes], block, threads
-    )
+    fns = [make_factor(s.kernel_coeff) for s in schemes]
+    upper_sums = _pair_sum(n, _difference_factors(pset, fns), block, threads)
     out = []
     for scheme, upper in zip(schemes, upper_sums):
         diag = n * (1.0 + scheme.kernel_coeff / 6.0) ** d
@@ -430,7 +440,7 @@ def fourier_truncated(
             k_h += 2.0 * (cosines @ weights[h0 : h0 + 64])
         return k_h
 
-    upper = _pair_sum(pset, [cosine_factor], block, threads)[0]
+    upper = _pair_sum(n, _difference_factors(pset, [cosine_factor]), block, threads)[0]
     total = n * k_zero**d + 2.0 * upper
     squared = scheme.prefactor(d) * (total / (n * n) - 1.0)
     return _report(pset, scheme, "fourier", squared, truncation={"H": trunc})

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, echelon_insert
 from .niederreiter import GeneratingMatrixSet
 
 __all__ = [
@@ -173,14 +173,10 @@ def check_order_alpha_t(
         if nodes > node_cap:
             raise _NodeCap
         chosen.append((j, i))
-        r = row_bits(j, i)
-        while r:
-            lead = r.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = r
-                return lead
-            r ^= pivots[lead]
-        raise _Dependent
+        lead = echelon_insert(pivots, row_bits(j, i))
+        if lead < 0:
+            raise _Dependent
+        return lead
 
     def undo(lead: int) -> None:
         del pivots[lead]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -202,7 +202,7 @@ def block_decomposition(total: int) -> list[int]:
 def tail_shift_vector(
     gset: GeneratingMatrixSet,
     block_index: int,
-    total: int | Sequence[int],
+    total: int,
     precision: int | None = None,
 ) -> DyadicPoint:
     """Digital shift carried by block ``block_index`` of an N-point prefix.
@@ -213,14 +213,7 @@ def tail_shift_vector(
     all its indices, which is exactly the sequence point at index
     2^{m_1} + ... + 2^{m_{i-1}}.  Blocks are numbered from 1.
     """
-    if isinstance(total, int):
-        exponents = block_decomposition(total)
-    else:
-        exponents = list(total)
-        if any(e < 0 for e in exponents) or not exponents:
-            raise ValueError(f"malformed decomposition {exponents}")
-        if any(a <= b for a, b in zip(exponents, exponents[1:])):
-            raise ValueError(f"exponents must be strictly decreasing, got {exponents}")
+    exponents = block_decomposition(total)
     if not 1 <= block_index <= len(exponents):
         raise ValueError(
             f"block index {block_index} out of range for {len(exponents)} blocks"
@@ -252,7 +245,7 @@ def sum_of_digits(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # CSV export / import.  Hex numerators are authoritative; the float column is
-# a convenience for spreadsheets.
+# a convenience for spreadsheets, which the reader checks against them.
 # ---------------------------------------------------------------------------
 
 
@@ -293,19 +286,23 @@ def write_points_csv(
 
 
 def read_points_csv(source: IO[str] | str | Path) -> PointSet:
-    """Rebuild a point set from the CSV form, using the hex fields only.
+    """Rebuild a point set from the CSV form; the hex fields are authoritative.
 
-    Lines are parsed as they stream in, into one flat list of numerators;
-    the row width, the precision and the numerators' range are checked once
-    at the end.
+    Lines are parsed as they stream in, into a flat list of numerators and
+    one of float fields; a row whose index is not its row number 0, 1, ...
+    is refused there.  The row width, the precision and the numerators'
+    range are checked once at the end, and then every float field must
+    equal float64(numerator) * 2^-precision, the value the writer emits.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
             return read_points_csv(fh)
     provenance = ""
     flat: list[int] = []
+    floats: list[str] = []
     precisions: set[str] = set()
     widths: set[int] = set()
+    row = 0
     for line in source:
         line = line.rstrip("\r\n")
         if line.startswith("#"):
@@ -316,6 +313,9 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
         fields = line.split(",")
         if not line or fields[0] == "n":
             continue
+        if fields[0] != str(row):
+            raise ValueError(f"row {row} has index {fields[0]!r}")
+        row += 1
         widths.add(len(fields))
         for field in fields[1::2]:
             try:
@@ -324,6 +324,7 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
             except ValueError:
                 raise ValueError(f"malformed dyadic field {field!r}") from None
             precisions.add(prec)
+        floats += fields[2::2]
     if not widths:
         raise ValueError("no data rows in points CSV")
     if len(widths) != 1 or min(widths) < 3 or min(widths) % 2 == 0:
@@ -340,4 +341,13 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     # An object array keeps the Python ints, so PointSet sees any value that
     # does not fit its precision.
     rows = np.array(flat, dtype=object).reshape(-1, (width - 1) // 2)
-    return PointSet(rows, found.pop(), provenance=provenance)
+    pset = PointSet(rows, found.pop(), provenance=provenance)
+    expected = pset.numerators.astype(np.float64) * 2.0**-pset.precision
+    try:
+        values = np.array(floats, dtype=np.float64).reshape(expected.shape)
+    except ValueError:
+        raise ValueError("malformed float field in points CSV") from None
+    wrong = np.flatnonzero((values != expected).any(axis=1))
+    if wrong.size:
+        raise ValueError(f"row {wrong[0]} has a float field other than its hex value")
+    return pset

@@ -3,7 +3,9 @@
 Dyadic Walsh characters, the bit-length weight mu, closed-form Walsh
 correlation coefficients for the periodic-L2 Fourier weights, dual-net
 enumeration over Z2, and a truncated Walsh-series evaluator for the
-squared periodic L2 discrepancy of digital nets.
+squared periodic L2 discrepancy of digital nets.  The series' double sum
+over dual members runs through the pair engine of ``measures``, the one
+that also serves the d >= 3 kernel and the Fourier oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .gf2 import BitMatrix, nullspace_basis, rank
-from .measures import PERIODIC_L2, MeasureReport
+from .measures import PERIODIC_L2, MeasureReport, _pair_sum
 from .niederreiter import GeneratingMatrixSet
 from .sequence import DyadicPoint
 
@@ -215,9 +217,10 @@ def _stacked_transpose(gset: GeneratingMatrixSet, bound_bits: int) -> BitMatrix:
     return BitMatrix(masks, gset.dimension * bound_bits)
 
 
-def _dual_member_combos(
+def _dual_member_coords(
     gset: GeneratingMatrixSet, bound_bits: int, max_members: int
-) -> list[int]:
+) -> list[np.ndarray]:
+    """Members of the truncated dual net as one int64 index array per coordinate."""
     d = gset.dimension
     total_bits = d * bound_bits
     if bound_bits < 1:
@@ -238,7 +241,11 @@ def _dual_member_combos(
     for vec in basis:
         combos.extend([c ^ vec.bits for c in combos])
     combos.sort()
-    return combos
+    box_mask = (1 << bound_bits) - 1
+    return [
+        np.array([(c >> (j * bound_bits)) & box_mask for c in combos], dtype=np.int64)
+        for j in range(d)
+    ]
 
 
 def dual_net_members(
@@ -258,14 +265,8 @@ def dual_net_members(
     """
     if bound_bits is None:
         bound_bits = gset.rows
-    combos = _dual_member_combos(gset, bound_bits, max_members)
-    d = gset.dimension
-    box_mask = (1 << bound_bits) - 1
-    members = [
-        tuple((c >> (j * bound_bits)) & box_mask for j in range(d)) for c in combos
-    ]
-    members.sort()
-    return members
+    coords = _dual_member_coords(gset, bound_bits, max_members)
+    return sorted(zip(*(c.tolist() for c in coords)))
 
 
 def dual_rank(gset: GeneratingMatrixSet, bound_bits: int) -> int:
@@ -273,25 +274,30 @@ def dual_rank(gset: GeneratingMatrixSet, bound_bits: int) -> int:
     return rank(_stacked_transpose(gset, bound_bits))
 
 
+# Rows of dual members per block of the Walsh series' pair sum.
+_WALSH_BLOCK = 512
+
+
 def walsh_series_l2(
     gset: GeneratingMatrixSet,
     *,
     bound_bits: int | None = None,
     shift: DyadicPoint | None = None,
-    cap_level: int | None = None,
     max_members: int = 8192,
-    block: int = 512,
 ) -> MeasureReport:
     """Squared periodic L2 discrepancy of a digital net by Walsh series.
 
     Evaluates the truncated double sum of rho over the dual net
     (excluding the zero vector), scaled by the weight-scheme prefactor.
     With a digital shift sigma, every term is multiplied by the Walsh
-    signs of sigma at both index vectors.  The report's truncation
-    metadata carries the member count and a crude tail estimate: the sum
-    of 2^(-mu(k) - mu(l)) over enumerated pairs whose combined weight
-    exceeds `cap_level` (default: bound_bits plus the smallest nonzero
-    member weight), scaled by the prefactor.
+    signs of sigma at both index vectors.  rho is symmetric and the signs
+    square to 1, so the double sum is the diagonal plus twice the pairs
+    k < l, which the pair engine of ``measures`` sums; every term is an
+    exact dyadic times a power of 3, so only the sums round.  The report's
+    truncation metadata carries the member count and a crude tail
+    estimate: the sum of 2^(-mu(k) - mu(l)) over enumerated pairs whose
+    combined weight exceeds the cap level, bound_bits plus the smallest
+    nonzero member weight, scaled by the prefactor.
     """
     if bound_bits is None:
         bound_bits = gset.rows
@@ -300,42 +306,33 @@ def walsh_series_l2(
         raise ValueError(
             f"shift has {len(shift.numerators)} coordinates, net has {d}"
         )
-    combos = _dual_member_combos(gset, bound_bits, max_members)
-    count = len(combos)
-    box_mask = (1 << bound_bits) - 1
-    coords = [
-        np.array([(c >> (j * bound_bits)) & box_mask for c in combos], dtype=np.int64)
-        for j in range(d)
-    ]
+    coords = _dual_member_coords(gset, bound_bits, max_members)
+    count = len(coords[0])
 
     signs = None
     if shift is not None:
         signs = np.ones(count, dtype=np.float64)
-        for j in range(d):
-            signs *= _member_shift_signs(
-                coords[j], shift.numerators[j], shift.precision
-            )
+        for ks, numerator in zip(coords, shift.numerators):
+            signs *= _member_shift_signs(ks, numerator, shift.precision)
 
-    rowsums: list[float] = []
-    for start in range(0, count, block):
-        stop = min(start + block, count)
-        prod = _rho_array(coords[0][start:stop, None], coords[0][None, :])
-        for j in range(1, d):
-            prod *= _rho_array(coords[j][start:stop, None], coords[j][None, :])
+    def block_terms(rows: slice, cols: slice) -> list[np.ndarray]:
+        prod = _rho_array(coords[0][rows, None], coords[0][None, cols])
+        for ks in coords[1:]:
+            prod *= _rho_array(ks[rows, None], ks[None, cols])
         if signs is not None:
-            prod *= signs[start:stop, None] * signs[None, :]
-        rowsums.extend(prod.sum(axis=1).tolist())
-    total = math.fsum(rowsums)
+            prod *= signs[rows, None] * signs[None, cols]
+        return [prod]
+
+    diagonal = np.prod([_rho_array(ks, ks) for ks in coords], axis=0)
+    upper = _pair_sum(count, block_terms, _WALSH_BLOCK, 1)[0]
+    total = math.fsum(diagonal.tolist()) + 2.0 * upper
 
     prefactor = PERIODIC_L2.prefactor(d)
     squared = prefactor * (total - 1.0)
 
-    mus = np.zeros(count, dtype=np.int64)
-    for j in range(d):
-        mus += np.frexp(coords[j].astype(np.float64))[1].astype(np.int64)
-    if cap_level is None:
-        nonzero = mus[mus > 0]
-        cap_level = bound_bits + (int(nonzero.min()) if nonzero.size else 0)
+    mus = np.sum([np.frexp(ks.astype(np.float64))[1] for ks in coords], axis=0)
+    nonzero = mus[mus > 0]
+    cap_level = bound_bits + (int(nonzero.min()) if nonzero.size else 0)
     weights = np.ldexp(1.0, -mus)
     order = np.argsort(mus, kind="stable")
     mus_sorted = mus[order]

@@ -153,6 +153,14 @@ _GOOD_POINTS_ROW = "0,0x1/4,0.0625,0x2/4,0.125\n"
             "0,0x10000000000000000/64,0,0x2/64,0\n", EXIT_USAGE, id="over-uint64"
         ),
         pytest.param("0\n", EXIT_USAGE, id="index-only-row"),
+        pytest.param("foo,0x1/4,0.0625,0x2/4,0.125\n", EXIT_USAGE, id="bad-index"),
+        pytest.param(
+            _GOOD_POINTS_ROW + "2,0x1/4,0.0625,0x2/4,0.125\n",
+            EXIT_USAGE,
+            id="out-of-order-index",
+        ),
+        pytest.param("0,0x1/4,0.5,0x2/4,0.125\n", EXIT_USAGE, id="float-not-hex"),
+        pytest.param("0,0x1/4,abc,0x2/4,0.125\n", EXIT_USAGE, id="malformed-float"),
         pytest.param("0,0x1/65,0.0,0x2/65,0.0\n", EXIT_REFUSED, id="precision-65"),
     ],
 )

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from dignet.cli import construct_matrices
 from dignet.errors import BudgetError
 from dignet.gf2 import BitMatrix, rank
 from dignet.interlace import interlace_matrices
@@ -348,6 +349,39 @@ def test_series_with_shift_matches_kernel_of_shifted_net():
             err = abs(report.squared - kernel.squared)
             assert err <= report.truncation["tail_estimate"]
             assert err <= 0.25 * 2.0 ** -(m + 4)
+
+
+@pytest.mark.parametrize("shift", [None, (5, 3)], ids=["plain", "shifted"])
+def test_series_matches_scalar_double_sum(shift):
+    """The series against an independent double sum over the dual members.
+
+    The oracle takes rho from a table of scalar ``rho_coefficient`` values
+    and the shift signs from scalar ``walsh_eval``, and sums every ordered
+    pair; 1,024 members cross the series' block boundary.
+    """
+    gset = construct_matrices(2, 2, 4)
+    bound = 7
+    sigma = None if shift is None else DyadicPoint(shift, 3)
+    members = dual_net_members(gset, bound)
+    assert len(members) == 1024
+    indices = range(1 << bound)
+    table = np.array([[rho_coefficient(k, l) for l in indices] for k in indices])
+    terms = np.ones((len(members), len(members)))
+    for column in zip(*members):
+        ks = np.array(column)
+        terms *= table[ks[:, None], ks[None, :]]
+    if sigma is not None:
+        signs = np.array(
+            [
+                math.prod(walsh_eval(k, s, 3) for k, s in zip(ks, sigma.numerators))
+                for ks in members
+            ],
+            dtype=np.float64,
+        )
+        terms *= signs[:, None] * signs[None, :]
+    expected = (math.fsum(terms.ravel().tolist()) - 1.0) / 9.0
+    got = walsh_series_l2(gset, bound_bits=bound, shift=sigma).squared
+    assert abs(got - expected) <= 1e-14 * abs(expected)
 
 
 def test_series_shift_dimension_mismatch():
