@@ -70,8 +70,8 @@ EXIT_REFUSED = 2
 EXIT_IO = 3
 
 
-def _thread_count(text: str) -> int:
-    """argparse type for --threads: an integer of at least 1."""
+def _positive_int(text: str) -> int:
+    """argparse type for counts and caps: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -279,6 +279,11 @@ def _cmd_points(args, parser) -> int:
 
 def _cmd_measure(args, parser) -> int:
     scheme = PERIODIC_L2 if args.measure == "per-l2" else DIAPHONY
+    walsh_opts = {"max_members": args.max_members} if args.max_members else {}
+    if args.method != "walsh" and (args.bound_bits is not None or walsh_opts):
+        parser.error("--bound-bits and --max-members apply to the walsh method only")
+    if args.method == "walsh" and args.cross_check:
+        parser.error("--cross-check runs kernel and fourier, not the walsh method")
     if args.method == "walsh" or args.cross_check:
         if args.points:
             parser.error("the walsh method and --cross-check need generating "
@@ -332,9 +337,7 @@ def _cmd_measure(args, parser) -> int:
                 f"the walsh method sums the whole net of 2^{gset.cols} points; "
                 "drop -N or pass the full size"
             )
-        report = walsh_series_l2(
-            gset, bound_bits=args.bound_bits, max_members=args.max_members
-        )
+        report = walsh_series_l2(gset, bound_bits=args.bound_bits, **walsh_opts)
     _dump_json(args.out, report.to_json_dict())
     return EXIT_OK
 
@@ -453,11 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="frequency bound for the fourier method")
     pe.add_argument("--bound-bits", type=int,
                     help="digit bound for the walsh method")
-    pe.add_argument("--max-members", type=int, default=8192,
-                    help="dual enumeration budget for the walsh method")
+    pe.add_argument("--max-members", type=_positive_int,
+                    help="dual enumeration budget for the walsh method "
+                         "(default 8192)")
     pe.add_argument("--cross-check", action="store_true",
                     help="run kernel and fourier, report the gap")
-    pe.add_argument("--threads", type=_thread_count, default=1,
+    pe.add_argument("--threads", type=_positive_int, default=1,
                     help="worker threads for the d >= 3 kernel and the fourier method")
     pe.add_argument("--out")
     pe.set_defaults(func=_cmd_measure)
@@ -471,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="digit columns of the inline construction")
     pt.add_argument("--m-min", type=int, default=1)
     pt.add_argument("--m-max", type=int, default=None)
-    pt.add_argument("--node-cap", type=int, default=10_000_000)
+    pt.add_argument("--node-cap", type=_positive_int, default=10_000_000)
     pt.add_argument("--out")
     pt.set_defaults(func=_cmd_tvalue)
 

@@ -19,13 +19,12 @@ is then a polynomial in c, c*A for d = 1 and c*A + c^2*B for d = 2, whose
 coefficients are exact non-negative rationals rounded once, so the
 cancellation in T/N^2 - 1 never happens in floats.
 
-Every other pairwise sum, the d >= 3 kernel, the Fourier oracle and the
-Walsh series of ``walshlab`` alike, runs through one blocked float engine,
-``_pair_sum``.  A block callable supplies the summands; the engine sums
-them over pairs n < p once (every caller's summand is symmetric in the pair
-and each adds its own diagonal) and accumulates with math.fsum over per-row
-partial sums, so results do not depend on ``block`` or ``threads``, which
-only affect this engine.
+The other pairwise sums, the d >= 3 kernel and the Fourier oracle, run
+through one blocked float engine, ``_pair_sum``.  A block callable supplies
+the summands; the engine sums them over pairs n < p once (every caller's
+summand is symmetric in the pair and each adds its own diagonal) and
+accumulates with math.fsum over per-row partial sums, so results do not
+depend on ``block`` or ``threads``, which only affect this engine.
 """
 
 from __future__ import annotations

@@ -1,22 +1,26 @@
 """Walsh-function analysis of digital nets.
 
-Dyadic Walsh characters, the bit-length weight mu, closed-form Walsh
-correlation coefficients for the periodic-L2 Fourier weights, dual-net
-enumeration over Z2, and a truncated Walsh-series evaluator for the
-squared periodic L2 discrepancy of digital nets.  The series' double sum
-over dual members runs through the pair engine of ``measures``, the one
-that also serves the d >= 3 kernel and the Fourier oracle.
+Dyadic Walsh characters, closed-form Walsh correlation coefficients for
+the periodic-L2 Fourier weights, dual-net enumeration over Z2, and a
+truncated Walsh-series evaluator for the squared periodic L2 discrepancy
+of digital nets.  The series' double sum over the M dual members is not
+taken pair by pair: rho(k, l) is nonzero only on four relations between
+the bit structures of k and l, each a product f(k) g(l), so the sum splits
+into grouped joins over the 4^d relation vectors, O(4^d M log M) at most,
+accumulated as an exact rational and rounded once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import BudgetError
-from .gf2 import BitMatrix, nullspace_basis, rank
-from .measures import PERIODIC_L2, MeasureReport, _pair_sum
+from .gf2 import BitMatrix, nullspace_basis
+from .measures import PERIODIC_L2, MeasureReport
 from .niederreiter import GeneratingMatrixSet
 from .sequence import DyadicPoint
 
@@ -34,18 +38,6 @@ def reverse_bits(value: int, width: int) -> int:
     return out
 
 
-def mu(k: int) -> int:
-    """Bit-length weight: position of the most significant one bit.
-
-    mu(0) = 0 and mu(k) = floor(log2 k) + 1 for k >= 1.  Extended to
-    index vectors by summation; governs the decay of the Walsh
-    correlation coefficients.
-    """
-    if k < 0:
-        raise ValueError("index must be nonnegative")
-    return k.bit_length()
-
-
 def walsh_eval(k: int, numerator: int, precision: int) -> int:
     """Evaluate the k-th dyadic Walsh function at numerator / 2**precision.
 
@@ -61,34 +53,6 @@ def walsh_eval(k: int, numerator: int, precision: int) -> int:
     width = max(precision, k.bit_length())
     scaled = numerator << (width - precision)
     return -1 if (scaled & reverse_bits(k, width)).bit_count() & 1 else 1
-
-
-def walsh_eval_vector(indices: tuple[int, ...], point: DyadicPoint) -> int:
-    """Product of coordinatewise Walsh evaluations; +1 or -1."""
-    if len(indices) != len(point.numerators):
-        raise ValueError(
-            f"index vector has {len(indices)} coordinates, "
-            f"point has {len(point.numerators)}"
-        )
-    sign = 1
-    for k, num in zip(indices, point.numerators):
-        sign *= walsh_eval(k, num, point.precision)
-    return sign
-
-
-def _pairing_signs(values: np.ndarray, mask: int) -> np.ndarray:
-    """1 - 2 * parity(popcount(values & mask)) as floats: +1 or -1 each."""
-    parity = np.bitwise_count(values & np.uint64(mask)) & np.uint64(1)
-    return 1.0 - 2.0 * parity.astype(np.float64)
-
-
-def walsh_signs(k: int, numerators: np.ndarray, precision: int) -> np.ndarray:
-    """Vectorized walsh_eval for one index against many numerators."""
-    width = max(precision, k.bit_length())
-    if width > 64:
-        raise ValueError("combined digit width exceeds 64")
-    nums = np.asarray(numerators, dtype=np.uint64) << np.uint64(width - precision)
-    return _pairing_signs(nums, reverse_bits(k, width))
 
 
 def rho_coefficient(k: int, l: int) -> float:
@@ -136,59 +100,6 @@ def rho_coefficient(k: int, l: int) -> float:
         if lp - (1 << (b2 - 1)) == k:
             return math.ldexp(-3.0, -b1 - b2 - 1)
     return 0.0
-
-
-def rho_vector(indices_k: tuple[int, ...], indices_l: tuple[int, ...]) -> float:
-    """Product of coordinatewise correlation coefficients."""
-    if len(indices_k) != len(indices_l):
-        raise ValueError("index vectors must have equal dimension")
-    out = 1.0
-    for k, l in zip(indices_k, indices_l):
-        out *= rho_coefficient(k, l)
-        if out == 0.0:
-            return 0.0
-    return out
-
-
-def _rho_array(k: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Elementwise closed-form rho over integer arrays (broadcasting)."""
-    k = np.asarray(k, dtype=np.int64)
-    l = np.asarray(l, dtype=np.int64)
-    a1 = np.frexp(k.astype(np.float64))[1].astype(np.int64)
-    b1 = np.frexp(l.astype(np.float64))[1].astype(np.int64)
-    kp = np.where(k > 0, k - np.left_shift(np.int64(1), np.maximum(a1 - 1, 0)), 0)
-    lp = np.where(l > 0, l - np.left_shift(np.int64(1), np.maximum(b1 - 1, 0)), 0)
-    a2 = np.frexp(kp.astype(np.float64))[1].astype(np.int64)
-    b2 = np.frexp(lp.astype(np.float64))[1].astype(np.int64)
-    kpp = np.where(kp > 0, kp - np.left_shift(np.int64(1), np.maximum(a2 - 1, 0)), -1)
-    lpp = np.where(lp > 0, lp - np.left_shift(np.int64(1), np.maximum(b2 - 1, 0)), -1)
-    conditions = [
-        (k == 0) & (l == 0),
-        (k == 0) | (l == 0),
-        (k == l) & (kp == 0),
-        k == l,
-        (kp == lp) & (kp > 0),
-        kpp == l,
-        lpp == k,
-    ]
-    choices = [
-        np.ones_like(a1, dtype=np.float64),
-        np.zeros_like(a1, dtype=np.float64),
-        np.ldexp(1.0, -2 * a1 - 1),
-        np.ldexp(1.0, 1 - 2 * a1),
-        np.ldexp(3.0, -a1 - b1 - 1),
-        np.ldexp(-3.0, -a1 - a2 - 1),
-        np.ldexp(-3.0, -b1 - b2 - 1),
-    ]
-    return np.select(conditions, choices, default=0.0)
-
-
-def rho_table(count: int) -> np.ndarray:
-    """Dense (count x count) table of rho_coefficient values."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    idx = np.arange(count, dtype=np.int64)
-    return _rho_array(idx[:, None], idx[None, :])
 
 
 MAX_DUAL_BITS = 24
@@ -269,13 +180,95 @@ def dual_net_members(
     return sorted(zip(*(c.tolist() for c in coords)))
 
 
-def dual_rank(gset: GeneratingMatrixSet, bound_bits: int) -> int:
-    """Rank of the stacked transposed system at the given digit bound."""
-    return rank(_stacked_transpose(gset, bound_bits))
+def _bit_lengths(values: np.ndarray) -> np.ndarray:
+    """int.bit_length of each entry of a nonnegative int64 array below 2^53."""
+    return np.frexp(values.astype(np.float64))[1].astype(np.int64)
 
 
-# Rows of dual members per block of the Walsh series' pair sum.
-_WALSH_BLOCK = 512
+def _relation_patterns(ks: np.ndarray) -> list[tuple]:
+    """The relations on which rho(k, l) is nonzero at one coordinate, factored.
+
+    Each is (c, row keys, row exponents, column keys, column exponents) over
+    the members' indices ks: on the pairs whose row key of k equals the
+    column key of l (-1 marks an index outside), it contributes
+    c * 2^-(row exponent of k) * 2^-(column exponent of l).  In the notation
+    of ``rho_coefficient``:
+
+      EQ    k = l          2^(-2*a1 - 1), and 1 at k = 0
+      TAIL  k' = l' > 0    3 * 2^(-a1 - 1) * 2^(-b1)
+      DOWN  l = k'' > 0    -3 * 2^(-a1 - a2 - 1)
+      UP    k = l'' > 0    -3 * 2^(-b1 - b2 - 1)
+
+    TAIL also holds at k = l with k' > 0, where rho is 2^(1 - 2*a1); EQ
+    carries that value minus TAIL's 3 * 2^(-2*a1 - 1) there, so the four
+    terms add up to rho(k, l) for every pair.
+    """
+    a1 = _bit_lengths(ks)
+    tail = np.where(ks > 0, ks - (1 << np.maximum(a1 - 1, 0)), 0)
+    a2 = _bit_lengths(tail)
+    tail2 = np.where(tail > 0, tail - (1 << np.maximum(a2 - 1, 0)), 0)
+    zero = np.zeros_like(ks)
+    tail_key = np.where(tail > 0, tail, -1)
+    down_key, down_exp = np.where(tail2 > 0, tail2, -1), a1 + a2 + 1
+    nonzero_key = np.where(ks > 0, ks, -1)
+    return [
+        (1, ks, np.where(ks > 0, 2 * a1 + 1, 0), ks, zero),
+        (3, tail_key, a1 + 1, tail_key, a1),
+        (-3, down_key, down_exp, nonzero_key, zero),
+        (-3, nonzero_key, zero, down_key, down_exp),
+    ]
+
+
+def _key_sums(side: tuple, signs: np.ndarray) -> tuple[list[int], int]:
+    """Sums of s * 2^-e per packed key, in key order, as ints over 2^-scale.
+
+    The weights s * 2^(scale - e) are Python ints, so no sum can wrap.
+    """
+    ids, packed, exps = side
+    _, groups = np.unique(packed, return_inverse=True)
+    scale = int(exps.max())
+    sums = np.zeros(int(groups.max()) + 1, dtype=object)
+    np.add.at(sums, groups, signs[ids].astype(object) << (scale - exps).astype(object))
+    return sums.tolist(), scale
+
+
+def _relation_sum(coords: list[np.ndarray], signs: np.ndarray, bits: int) -> Fraction:
+    """Exact sum over ordered member pairs (k, l) of prod_j rho(k_j, l_j) s_k s_l.
+
+    The product of the coordinates' four-term sums (``_relation_patterns``)
+    expands into one grouped join per vector of relations: the sum over
+    packed keys of the row weights summed per key times the column weights
+    summed per key.  A side of a join is (member ids, packed keys, exponent
+    sums).  The vectors are walked coordinate by coordinate, dropping rows
+    and columns whose key has no partner on the other side, so a relation
+    prefix that no pair satisfies ends its branch.
+    """
+    relations = [_relation_patterns(ks) for ks in coords]
+
+    def refine(side: tuple, keys: np.ndarray, exps: np.ndarray) -> tuple:
+        ids, packed, total = side
+        inside = keys[ids] >= 0
+        ids = ids[inside]
+        return ids, (packed[inside] << bits) | keys[ids], total[inside] + exps[ids]
+
+    def join(j: int, const: int, rows: tuple, cols: tuple) -> Fraction:
+        if j == len(relations):  # both sides now hold the same keys
+            (rs, r_scale), (cs, c_scale) = _key_sums(rows, signs), _key_sums(cols, signs)
+            pairs = sum(map(operator.mul, rs, cs))
+            return Fraction(const * pairs, 1 << (r_scale + c_scale))
+        total = Fraction(0)
+        for c, row_keys, row_exps, col_keys, col_exps in relations[j]:
+            r, k = refine(rows, row_keys, row_exps), refine(cols, col_keys, col_exps)
+            r_kept, k_kept = np.isin(r[1], k[1]), np.isin(k[1], r[1])
+            if r_kept.any():
+                rows_in = tuple(a[r_kept] for a in r)
+                cols_in = tuple(a[k_kept] for a in k)
+                total += join(j + 1, const * c, rows_in, cols_in)
+        return total
+
+    everyone = np.arange(len(coords[0]))
+    start = (everyone, everyone * 0, everyone * 0)
+    return join(0, 1, start, start)
 
 
 def walsh_series_l2(
@@ -290,14 +283,18 @@ def walsh_series_l2(
     Evaluates the truncated double sum of rho over the dual net
     (excluding the zero vector), scaled by the weight-scheme prefactor.
     With a digital shift sigma, every term is multiplied by the Walsh
-    signs of sigma at both index vectors.  rho is symmetric and the signs
-    square to 1, so the double sum is the diagonal plus twice the pairs
-    k < l, which the pair engine of ``measures`` sums; every term is an
-    exact dyadic times a power of 3, so only the sums round.  The report's
-    truncation metadata carries the member count and a crude tail
-    estimate: the sum of 2^(-mu(k) - mu(l)) over enumerated pairs whose
-    combined weight exceeds the cap level, bound_bits plus the smallest
-    nonzero member weight, scaled by the prefactor.
+    signs of sigma at both index vectors.  Per coordinate rho(k, l) is
+    nonzero on four key relations only (k = l, k' = l', l = k'', k = l''),
+    each a product f(k) g(l); the double sum is therefore a signed sum of
+    grouped joins over the 4^d relation vectors, at most O(4^d M log M)
+    for M members, and the branches that no pair reaches are skipped.
+    Every term is +-3^c * 2^-e, so the sum is an exact rational and the
+    result is rounded once: the value is exact over the enumerated members.
+    The report's truncation metadata carries the member count and a crude
+    tail estimate: the sum of 2^(-mu(k) - mu(l)), mu the summed bit lengths
+    of an index vector, over enumerated pairs whose combined weight exceeds
+    the cap level, bound_bits plus the smallest nonzero member weight,
+    scaled by the prefactor.
     """
     if bound_bits is None:
         bound_bits = gset.rows
@@ -309,28 +306,16 @@ def walsh_series_l2(
     coords = _dual_member_coords(gset, bound_bits, max_members)
     count = len(coords[0])
 
-    signs = None
+    signs = np.ones(count, dtype=np.int64)
     if shift is not None:
-        signs = np.ones(count, dtype=np.float64)
         for ks, numerator in zip(coords, shift.numerators):
             signs *= _member_shift_signs(ks, numerator, shift.precision)
 
-    def block_terms(rows: slice, cols: slice) -> list[np.ndarray]:
-        prod = _rho_array(coords[0][rows, None], coords[0][None, cols])
-        for ks in coords[1:]:
-            prod *= _rho_array(ks[rows, None], ks[None, cols])
-        if signs is not None:
-            prod *= signs[rows, None] * signs[None, cols]
-        return [prod]
-
-    diagonal = np.prod([_rho_array(ks, ks) for ks in coords], axis=0)
-    upper = _pair_sum(count, block_terms, _WALSH_BLOCK, 1)[0]
-    total = math.fsum(diagonal.tolist()) + 2.0 * upper
+    total = _relation_sum(coords, signs, bound_bits)
+    squared = float(Fraction(1, 3**d) * (total - 1))
 
     prefactor = PERIODIC_L2.prefactor(d)
-    squared = prefactor * (total - 1.0)
-
-    mus = np.sum([np.frexp(ks.astype(np.float64))[1] for ks in coords], axis=0)
+    mus = np.sum([_bit_lengths(ks) for ks in coords], axis=0)
     nonzero = mus[mus > 0]
     cap_level = bound_bits + (int(nonzero.min()) if nonzero.size else 0)
     weights = np.ldexp(1.0, -mus)
@@ -360,7 +345,7 @@ def walsh_series_l2(
 
 
 def _member_shift_signs(ks: np.ndarray, numerator: int, precision: int) -> np.ndarray:
-    """Walsh signs wal_k(sigma_j) for an array of indices at one coordinate.
+    """Walsh signs wal_k(sigma_j), +1 or -1, for indices at one coordinate.
 
     Digit i of k pairs with digit i + 1 of sigma_j, which is bit i of the
     numerator reversed over its precision; digits of k beyond the precision
@@ -368,4 +353,5 @@ def _member_shift_signs(ks: np.ndarray, numerator: int, precision: int) -> np.nd
     """
     if precision > 64:
         raise ValueError(f"shift precision {precision} exceeds 64")
-    return _pairing_signs(ks.astype(np.uint64), reverse_bits(numerator, precision))
+    mask = np.uint64(reverse_bits(numerator, precision))
+    return 1 - 2 * (np.bitwise_count(ks.astype(np.uint64) & mask) & 1).astype(np.int64)

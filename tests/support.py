@@ -1,17 +1,27 @@
 """Helpers that only the tests use.
 
 ``pset_from_tuples`` is the one way the tests build point sets by hand.  The
-scalar helpers below left the package because no shipped path calls them;
-they stay here as small oracles for the array code.
+helpers below left the package because no shipped path calls them; they stay
+here as small oracles: the scalar ones for the array code, and the dense rho
+arrays as a vector form of ``rho_coefficient`` that shares no code with it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from dignet.gf2 import BitVector
+import numpy as np
+
+from dignet.gf2 import BitVector, rank
 from dignet.interlace import interlace_digits
+from dignet.niederreiter import GeneratingMatrixSet
 from dignet.sequence import DyadicPoint, PointSet
+from dignet.walshlab import (
+    _stacked_transpose,
+    reverse_bits,
+    rho_coefficient,
+    walsh_eval,
+)
 
 
 def pset_from_tuples(
@@ -42,3 +52,96 @@ def interlace_point(point: DyadicPoint) -> DyadicPoint:
         (interlace_digits(point.numerators, point.precision),),
         point.dimension * point.precision,
     )
+
+
+def rho_array(k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Elementwise closed-form rho over integer arrays (broadcasting)."""
+    k = np.asarray(k, dtype=np.int64)
+    l = np.asarray(l, dtype=np.int64)
+    a1 = np.frexp(k.astype(np.float64))[1].astype(np.int64)
+    b1 = np.frexp(l.astype(np.float64))[1].astype(np.int64)
+    kp = np.where(k > 0, k - np.left_shift(np.int64(1), np.maximum(a1 - 1, 0)), 0)
+    lp = np.where(l > 0, l - np.left_shift(np.int64(1), np.maximum(b1 - 1, 0)), 0)
+    a2 = np.frexp(kp.astype(np.float64))[1].astype(np.int64)
+    b2 = np.frexp(lp.astype(np.float64))[1].astype(np.int64)
+    kpp = np.where(kp > 0, kp - np.left_shift(np.int64(1), np.maximum(a2 - 1, 0)), -1)
+    lpp = np.where(lp > 0, lp - np.left_shift(np.int64(1), np.maximum(b2 - 1, 0)), -1)
+    conditions = [
+        (k == 0) & (l == 0),
+        (k == 0) | (l == 0),
+        (k == l) & (kp == 0),
+        k == l,
+        (kp == lp) & (kp > 0),
+        kpp == l,
+        lpp == k,
+    ]
+    choices = [
+        np.ones_like(a1, dtype=np.float64),
+        np.zeros_like(a1, dtype=np.float64),
+        np.ldexp(1.0, -2 * a1 - 1),
+        np.ldexp(1.0, 1 - 2 * a1),
+        np.ldexp(3.0, -a1 - b1 - 1),
+        np.ldexp(-3.0, -a1 - a2 - 1),
+        np.ldexp(-3.0, -b1 - b2 - 1),
+    ]
+    return np.select(conditions, choices, default=0.0)
+
+
+def rho_table(count: int) -> np.ndarray:
+    """Dense (count x count) table of rho_coefficient values."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    idx = np.arange(count, dtype=np.int64)
+    return rho_array(idx[:, None], idx[None, :])
+
+
+def mu(k: int) -> int:
+    """Bit-length weight: position of the most significant one bit.
+
+    mu(0) = 0 and mu(k) = floor(log2 k) + 1 for k >= 1.  Extended to
+    index vectors by summation; governs the decay of the Walsh
+    correlation coefficients.
+    """
+    if k < 0:
+        raise ValueError("index must be nonnegative")
+    return k.bit_length()
+
+
+def walsh_eval_vector(indices: tuple[int, ...], point: DyadicPoint) -> int:
+    """Product of coordinatewise Walsh evaluations; +1 or -1."""
+    if len(indices) != len(point.numerators):
+        raise ValueError(
+            f"index vector has {len(indices)} coordinates, "
+            f"point has {len(point.numerators)}"
+        )
+    sign = 1
+    for k, num in zip(indices, point.numerators):
+        sign *= walsh_eval(k, num, point.precision)
+    return sign
+
+
+def walsh_signs(k: int, numerators: np.ndarray, precision: int) -> np.ndarray:
+    """Vectorized walsh_eval for one index against many numerators."""
+    width = max(precision, k.bit_length())
+    if width > 64:
+        raise ValueError("combined digit width exceeds 64")
+    nums = np.asarray(numerators, dtype=np.uint64) << np.uint64(width - precision)
+    parity = np.bitwise_count(nums & np.uint64(reverse_bits(k, width))) & np.uint64(1)
+    return 1.0 - 2.0 * parity.astype(np.float64)
+
+
+def rho_vector(indices_k: tuple[int, ...], indices_l: tuple[int, ...]) -> float:
+    """Product of coordinatewise correlation coefficients."""
+    if len(indices_k) != len(indices_l):
+        raise ValueError("index vectors must have equal dimension")
+    out = 1.0
+    for k, l in zip(indices_k, indices_l):
+        out *= rho_coefficient(k, l)
+        if out == 0.0:
+            return 0.0
+    return out
+
+
+def dual_rank(gset: GeneratingMatrixSet, bound_bits: int) -> int:
+    """Rank of the stacked transposed system at the given digit bound."""
+    return rank(_stacked_transpose(gset, bound_bits))

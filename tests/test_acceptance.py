@@ -35,10 +35,9 @@ from dignet.walshlab import (
     reverse_bits,
     rho_coefficient,
     walsh_series_l2,
-    walsh_signs,
 )
 
-from support import pset_from_tuples
+from support import pset_from_tuples, walsh_signs
 
 ACCEPTANCE_LINES: list[str] = []
 

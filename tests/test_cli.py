@@ -213,11 +213,52 @@ def test_measure_walsh_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["measure", "-d", "1", "-m", "2", "--method", "walsh", "-N", "3"])
     assert exc.value.code == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "-d", "1", "-m", "2", "--method", "walsh", "--cross-check"])
+    assert exc.value.code == EXIT_USAGE
     pts = tmp_path / "pts.csv"
     assert main(["points", "-d", "1", "-m", "1", "-N", "1", "--out", str(pts)]) == 0
     with pytest.raises(SystemExit) as exc:
         main(["measure", "--points", str(pts), "--method", "walsh"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "kernel", "--bound-bits", "3"],
+        ["--method", "fourier", "--max-members", "64"],
+        ["--cross-check", "--bound-bits", "5"],
+        ["--max-members", "8192"],
+    ],
+)
+def test_measure_rejects_walsh_flags_without_walsh(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "-d", "2", "-m", "3"] + flags)
+    assert exc.value.code == EXIT_USAGE
+    assert "walsh method only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_measure_rejects_max_members_below_one(cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "-d", "2", "-m", "3", "--method", "walsh",
+              "--bound-bits", "7", "--max-members", cap])
+    assert exc.value.code == EXIT_USAGE
+    assert "--max-members: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "walsh", "--bound-bits", "7"],
+        ["--method", "walsh", "--bound-bits", "7", "--max-members", "4096"],
+        ["--cross-check", "--trunc", "16", "--threads", "2"],
+    ],
+)
+def test_measure_accepts_method_flags(flags, tmp_path):
+    data = _run_json(["measure", "-d", "2", "-a", "2", "-m", "3"] + flags, tmp_path)
+    assert ("gap" in data) == ("--cross-check" in flags)
 
 
 def test_tvalue_sobol(tmp_path):
@@ -250,6 +291,14 @@ def test_tvalue_matrix_file(tmp_path):
 def test_tvalue_range_validation(tmp_path, capsys):
     assert main(["tvalue", "-d", "1", "-m", "3", "--m-max", "9"]) == EXIT_USAGE
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_tvalue_rejects_node_cap_below_one(cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tvalue", "-d", "1", "-m", "3", "--node-cap", cap])
+    assert exc.value.code == EXIT_USAGE
+    assert "--node-cap: must be at least 1" in capsys.readouterr().err
 
 
 def test_study_csv(tmp_path):

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dignet.cli import construct_matrices
 from dignet.gf2 import BitMatrix
 from dignet.niederreiter import (
     GeneratingMatrixSet,
@@ -298,6 +303,18 @@ def test_matrix_set_json_round_trip(tmp_path):
     loaded = load_matrix_set(path)
     assert loaded.matrices == gset.matrices
     assert loaded.t == gset.t and loaded.alpha == gset.alpha
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6))
+def test_matrix_set_json_round_trip_property(dimension, alpha, m):
+    gset = construct_matrices(dimension, alpha, m)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mats.json"
+        save_matrix_set(gset, path)
+        loaded = load_matrix_set(path)
+    assert loaded.matrices == gset.matrices
+    assert (loaded.t, loaded.alpha) == (gset.t, gset.alpha)
 
 
 def test_matrix_set_json_rejects_malformed(tmp_path):

@@ -2,31 +2,37 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dignet.cli import construct_matrices
 from dignet.errors import BudgetError
 from dignet.gf2 import BitMatrix, rank
 from dignet.interlace import interlace_matrices
 from dignet.measures import periodic_l2
-from dignet.niederreiter import build_matrices
+from dignet.niederreiter import GeneratingMatrixSet, build_matrices
 from dignet.sequence import DyadicPoint, digital_shift, generate_points
 from dignet.walshlab import (
+    _key_sums,
     dual_net_members,
-    dual_rank,
-    mu,
     reverse_bits,
     rho_coefficient,
+    walsh_eval,
+    walsh_series_l2,
+)
+from support import (
+    dual_rank,
+    mu,
+    pset_from_tuples,
     rho_table,
     rho_vector,
-    walsh_eval,
     walsh_eval_vector,
-    walsh_series_l2,
     walsh_signs,
 )
-from support import pset_from_tuples
 
 # ---------------------------------------------------------------------------
 # Independent oracle: rho(k,l) = sum_h beta(h,k) conj(beta(h,l)) / r(h)^2 with
@@ -382,6 +388,93 @@ def test_series_matches_scalar_double_sum(shift):
     expected = (math.fsum(terms.ravel().tolist()) - 1.0) / 9.0
     got = walsh_series_l2(gset, bound_bits=bound, shift=sigma).squared
     assert abs(got - expected) <= 1e-14 * abs(expected)
+
+
+def _fraction_series(gset, bound, sigma):
+    """The series rounded once from a brute-force ``Fraction`` double sum.
+
+    Every ordered pair of dual members contributes prod_j rho(k_j, l_j)
+    times the Walsh signs of the shift at both members, all from scalar
+    ``rho_coefficient`` and ``walsh_eval``.
+    """
+    members = dual_net_members(gset, bound, max_members=1 << 10)
+    signs = [
+        1
+        if sigma is None
+        else math.prod(
+            walsh_eval(k, s, sigma.precision) for k, s in zip(ks, sigma.numerators)
+        )
+        for ks in members
+    ]
+    total = Fraction(0)
+    for ks, sign_k in zip(members, signs):
+        for ls, sign_l in zip(members, signs):
+            term = sign_k * sign_l
+            for k, l in zip(ks, ls):
+                rho = rho_coefficient(k, l)
+                if rho == 0.0:
+                    break
+                term *= Fraction(rho)
+            else:
+                total += term
+    return float(Fraction(1, 3**gset.dimension) * (total - 1))
+
+
+@pytest.mark.parametrize(
+    "dim, alpha, m, bound, shift",
+    [
+        (1, 1, 3, 6, None),
+        (1, 2, 4, 8, (101,)),
+        (1, 3, 3, 9, None),
+        (1, 2, 8, 16, None),
+        (1, 2, 8, 16, (77,)),
+        (2, 1, 3, 5, (99, 45)),
+        (2, 2, 4, 6, None),
+        (2, 2, 4, 6, (118, 23)),
+        (2, 3, 3, 5, (70, 51)),
+        (3, 1, 3, 3, None),
+        (3, 2, 2, 3, (96, 33, 80)),
+        (3, 3, 2, 3, (127, 64, 40)),
+    ],
+)
+def test_series_equals_fraction_oracle(dim, alpha, m, bound, shift):
+    gset = construct_matrices(dim, alpha, m)
+    sigma = None if shift is None else DyadicPoint(shift, 7)
+    got = walsh_series_l2(gset, bound_bits=bound, shift=sigma).squared
+    assert got == _fraction_series(gset, bound, sigma)
+
+
+@st.composite
+def _small_nets(draw):
+    """Random generating matrices with d * bound <= 8 and a random shift."""
+    dim = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 6))
+    bound = draw(st.integers(1, 8 // dim))
+    masks = st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)
+    matrices = [BitMatrix(draw(masks), cols) for _ in range(dim)]
+    gset = GeneratingMatrixSet(dim, 1, 0, matrices, [])
+    shift = draw(st.none() | st.lists(st.integers(0, 63), min_size=dim, max_size=dim))
+    return gset, bound, None if shift is None else DyadicPoint(tuple(shift), 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_nets())
+def test_series_equals_fraction_oracle_on_random_nets(case):
+    gset, bound, sigma = case
+    got = walsh_series_l2(gset, bound_bits=bound, shift=sigma).squared
+    assert got == _fraction_series(gset, bound, sigma)
+
+
+def test_key_sums_exact_past_int64():
+    """Group sums that would wrap in int64 come back as exact Python ints."""
+    ids = np.arange(5)
+    keys = np.array([0, 0, 0, 0, 1])
+    exps = np.array([0, 0, 0, 62, 1])
+    signs = np.array([1, 1, 1, 1, -1])
+    sums, scale = _key_sums((ids, keys, exps), signs)
+    assert scale == 62
+    assert sums == [3 * 2**62 + 1, -(2**61)]
 
 
 def test_series_shift_dimension_mismatch():
