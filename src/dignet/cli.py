@@ -71,7 +71,7 @@ EXIT_IO = 3
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts and caps: an integer of at least 1."""
+    """argparse type for counts, caps, orders and bounds: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -284,6 +284,9 @@ def _cmd_measure(args, parser) -> int:
         parser.error("--bound-bits and --max-members apply to the walsh method only")
     if args.method == "walsh" and args.cross_check:
         parser.error("--cross-check runs kernel and fourier, not the walsh method")
+    if args.trunc is not None and args.method != "fourier" and not args.cross_check:
+        parser.error("--trunc applies to the fourier method and --cross-check only")
+    trunc = args.trunc if args.trunc is not None else 256
     if args.method == "walsh" or args.cross_check:
         if args.points:
             parser.error("the walsh method and --cross-check need generating "
@@ -312,9 +315,7 @@ def _cmd_measure(args, parser) -> int:
     kernel = periodic_l2 if scheme is PERIODIC_L2 else diaphony
     if args.cross_check:
         rep_kernel = kernel(pset, threads=args.threads)
-        rep_fourier = fourier_truncated(
-            pset, scheme, args.trunc, threads=args.threads
-        )
+        rep_fourier = fourier_truncated(pset, scheme, trunc, threads=args.threads)
         _dump_json(
             args.out,
             {
@@ -328,7 +329,7 @@ def _cmd_measure(args, parser) -> int:
     if args.method == "kernel":
         report = kernel(pset, threads=args.threads)
     elif args.method == "fourier":
-        report = fourier_truncated(pset, scheme, args.trunc, threads=args.threads)
+        report = fourier_truncated(pset, scheme, trunc, threads=args.threads)
     else:
         if scheme is not PERIODIC_L2:
             parser.error("the walsh method computes per-l2 only")
@@ -424,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matrix-file", help="load matrices from a JSON file")
         p.add_argument("-d", "--dimension", type=int, default=1,
                        help="output dimension (inline construction)")
-        p.add_argument("-a", "--alpha", type=int, default=1,
+        p.add_argument("-a", "--alpha", type=_positive_int, default=1,
                        help="interlacing factor (inline construction)")
         p.add_argument("-m", "--size", type=int,
                        help="digit columns of the inline construction")
@@ -436,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("matrices", help="emit generating matrices as JSON")
     pm.add_argument("-d", "--dimension", type=int, required=True)
-    pm.add_argument("-a", "--alpha", type=int, default=1)
+    pm.add_argument("-a", "--alpha", type=_positive_int, default=1)
     pm.add_argument("-m", "--size", type=int, required=True)
     pm.add_argument("--out")
     pm.set_defaults(func=_cmd_matrices)
@@ -452,8 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--measure", choices=["per-l2", "diaphony"], default="per-l2")
     pe.add_argument("--method", choices=["kernel", "fourier", "walsh"],
                     default="kernel")
-    pe.add_argument("--trunc", type=int, default=256,
-                    help="frequency bound for the fourier method")
+    pe.add_argument("--trunc", type=_positive_int,
+                    help="frequency bound for the fourier method and "
+                         "--cross-check (default 256)")
     pe.add_argument("--bound-bits", type=int,
                     help="digit bound for the walsh method")
     pe.add_argument("--max-members", type=_positive_int,
@@ -469,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("tvalue", help="verify net quality per block size")
     pt.add_argument("--matrix-file")
     pt.add_argument("-d", "--dimension", type=int, default=1)
-    pt.add_argument("-a", "--alpha", type=int, default=None,
+    pt.add_argument("-a", "--alpha", type=_positive_int, default=None,
                     help="order of the check (default: the construction's)")
     pt.add_argument("-m", "--size", type=int,
                     help="digit columns of the inline construction")
@@ -482,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("study", help="scaling study of both measures")
     ps.add_argument("-d", "--dimension", type=int, choices=[1, 2], default=None,
                     help="restrict to one dimension (default: both 1 and 2)")
-    ps.add_argument("-a", "--alpha", type=int, default=None,
+    ps.add_argument("-a", "--alpha", type=_positive_int, default=None,
                     help="interlacing factor (default: largest feasible <= 5)")
     ps.add_argument("--m-min", type=int, default=6)
     ps.add_argument("--m-max", type=int, default=13)

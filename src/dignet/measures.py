@@ -24,7 +24,11 @@ through one blocked float engine, ``_pair_sum``.  A block callable supplies
 the summands; the engine sums them over pairs n < p once (every caller's
 summand is symmetric in the pair and each adds its own diagonal) and
 accumulates with math.fsum over per-row partial sums, so results do not
-depend on ``block`` or ``threads``, which only affect this engine.
+depend on ``block`` or ``threads``, which only affect this engine.  The
+d >= 3 kernel's summands come from the coordinate differences
+(``_difference_factors``).  The Fourier oracle shares no summand code with
+it: its pair factors are Gram products of per-point cosine and sine
+features.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import BudgetError
 from .sequence import PointSet
 
 __all__ = [
@@ -49,6 +54,7 @@ __all__ = [
     "diaphony",
     "both_kernel_measures",
     "fourier_truncated",
+    "FOURIER_BUDGET_BYTES",
 ]
 
 
@@ -117,11 +123,15 @@ class MeasureReport:
         }
 
 
-# A factor may reduce through BLAS (the Fourier factor's matmul), whose
-# kernels take output columns in groups, so a column's float result can
-# depend on its offset within the block.  Starting every block's columns at
-# a multiple of this keeps each column's offset class that of a full row.
+# Every block's columns start at a multiple of this, so a block callable can
+# work on a grid fixed by the point set, not by ``block``.  It is also that
+# grid for the Fourier oracle's Gram: BLAS results can depend on the call's
+# shape and an entry's place in it, so each Gram entry comes from the one
+# GEMM of its strip of this many rows against all columns from the strip on.
 _COLUMN_ALIGN = 64
+
+# Bytes the Fourier oracle may allocate at once (see ``_fourier_bytes``).
+FOURIER_BUDGET_BYTES = 1 << 30
 
 
 def _pair_sum(
@@ -406,6 +416,42 @@ def both_kernel_measures(
     )
 
 
+def _fourier_bytes(
+    size: int, dimension: int, trunc: int, block: int, threads: int
+) -> int:
+    """Upper bound on the bytes ``fourier_truncated`` allocates at once.
+
+    The d feature matrices, one coordinate's phase and angle scratch while
+    they are built, and per worker one block's factor product plus one strip
+    Gram.
+    """
+    features = 8 * size * 2 * trunc
+    workers = min(threads, -(-size // block))
+    per_block = 8 * size * (min(block, size) + _COLUMN_ALIGN)
+    return dimension * features + features + workers * per_block
+
+
+def _fourier_features(
+    column: np.ndarray, hs: np.ndarray, scale: np.ndarray, precision: int
+) -> np.ndarray:
+    """(N, 2H) rows scale * (cos, sin)(2*pi*h*x_n) for one coordinate.
+
+    The phase h * x_n mod 2^precision is reduced exactly in integers: uint64
+    products wrap mod 2^64, which 2^precision divides, so masking the low
+    bits gives the residue and only the final angle is rounded.
+    """
+    mask = np.uint64((1 << precision) - 1)
+    phases = (column[:, None] * hs[None, :]) & mask
+    angles = phases.astype(np.float64)
+    angles *= 2.0 * math.pi * 2.0**-precision
+    trunc = hs.size
+    out = np.empty((column.size, 2 * trunc))
+    np.cos(angles, out=out[:, :trunc])
+    np.sin(angles, out=out[:, trunc:])
+    out *= np.tile(scale, 2)
+    return out
+
+
 def fourier_truncated(
     pset: PointSet,
     scheme: WeightScheme,
@@ -418,28 +464,55 @@ def fourier_truncated(
 
     Evaluates the defining sum over h in {-trunc..trunc}^d minus the origin,
     reorganized over point pairs: the weighted exponential sums collapse to
-    the truncated cosine kernel 1 + sum_h 2*w(h)*cos(2*pi*h*delta) per
-    coordinate, which is an exact finite reordering, not the closed form.
-    Cost grows with trunc; intended for cross-checks, not production use.
+    the truncated cosine kernel 1 + sum_h 2*w(h)*cos(2*pi*h*(x - y)) per
+    coordinate, an exact finite reordering, not the closed form.  With
+    cos(a - b) = cos a cos b + sin a sin b each coordinate's kernel is
+    1 + F[n] . F[p] for a feature matrix F whose row n holds
+    sqrt(2*w(h)) * (cos, sin)(2*pi*h*x_n), h = 1..trunc.  Each phase
+    h*x_n mod 2^w is reduced exactly in integers before one rounding to an
+    angle.
+
+    Cost: O(N*trunc*d) cosines and sines plus O(N^2*trunc*d) BLAS flops.
+    Every dot product comes from one GEMM per strip of ``_COLUMN_ALIGN``
+    rows of the global grid against all columns from the strip on, so the
+    result does not depend on ``block`` or ``threads``.  Memory: the
+    features' N*2*trunc*d*8 bytes plus, per worker, one block's
+    (block, N) product and a strip Gram.  A request whose bound
+    (``_fourier_bytes``) exceeds ``FOURIER_BUDGET_BYTES`` (1 GiB) is refused
+    with ``BudgetError`` before anything is allocated.
     """
     if trunc < 1:
         raise ValueError(f"truncation bound must be >= 1, got {trunc}")
     n = pset.size
     d = pset.dimension
-    hs = np.arange(1, trunc + 1, dtype=np.float64)
+    need = _fourier_bytes(n, d, trunc, block, threads)
+    if need > FOURIER_BUDGET_BYTES:
+        raise BudgetError(
+            f"the Fourier oracle at N={n}, d={d}, trunc={trunc} needs about "
+            f"{need} bytes, over its budget of {FOURIER_BUDGET_BYTES}"
+        )
+    hs = np.arange(1, trunc + 1, dtype=np.uint64)
     weights = scheme.inverse_weight_sq(hs)
     k_zero = 1.0 + 2.0 * float(weights.sum())
+    scale = np.sqrt(2.0 * weights)
+    features = [
+        _fourier_features(col, hs, scale, pset.precision)
+        for col in pset.numerators.T
+    ]
 
-    def cosine_factor(t: np.ndarray) -> np.ndarray:
-        angles = (2.0 * math.pi) * t
-        k_h = np.ones_like(angles)
-        for h0 in range(0, trunc, 64):
-            cosines = angles[..., None] * hs[h0 : h0 + 64]
-            np.cos(cosines, out=cosines)
-            k_h += 2.0 * (cosines @ weights[h0 : h0 + 64])
-        return k_h
+    def block_terms(rows: slice, cols: slice) -> list[np.ndarray]:
+        prod = np.ones((rows.stop - rows.start, cols.stop - cols.start))
+        for s0 in range(cols.start, rows.stop, _COLUMN_ALIGN):
+            lo = max(rows.start, s0)
+            hi = min(rows.stop, s0 + _COLUMN_ALIGN)
+            dst = prod[lo - rows.start : hi - rows.start, s0 - cols.start :]
+            for feats in features:
+                gram = feats[s0 : s0 + _COLUMN_ALIGN] @ feats[s0 : cols.stop].T
+                gram += 1.0
+                dst *= gram[lo - s0 : hi - s0]
+        return [prod]
 
-    upper = _pair_sum(n, _difference_factors(pset, [cosine_factor]), block, threads)[0]
+    upper = _pair_sum(n, block_terms, block, threads)[0]
     total = n * k_zero**d + 2.0 * upper
     squared = scheme.prefactor(d) * (total / (n * n) - 1.0)
     return _report(pset, scheme, "fourier", squared, truncation={"H": trunc})

@@ -2,18 +2,22 @@
 
 ``pset_from_tuples`` is the one way the tests build point sets by hand.  The
 helpers below left the package because no shipped path calls them; they stay
-here as small oracles: the scalar ones for the array code, and the dense rho
-arrays as a vector form of ``rho_coefficient`` that shares no code with it.
+here as small oracles: the scalar ones for the array code, the dense rho
+arrays as a vector form of ``rho_coefficient`` that shares no code with it,
+and the pairwise-cosine Fourier sum as the oracle of the Gram form in
+``fourier_truncated``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from dignet.gf2 import BitVector, rank
 from dignet.interlace import interlace_digits
+from dignet.measures import WeightScheme
 from dignet.niederreiter import GeneratingMatrixSet
 from dignet.sequence import DyadicPoint, PointSet
 from dignet.walshlab import (
@@ -145,3 +149,30 @@ def rho_vector(indices_k: tuple[int, ...], indices_l: tuple[int, ...]) -> float:
 def dual_rank(gset: GeneratingMatrixSet, bound_bits: int) -> int:
     """Rank of the stacked transposed system at the given digit bound."""
     return rank(_stacked_transpose(gset, bound_bits))
+
+
+def fourier_pairwise_squared(pset: PointSet, scheme: WeightScheme, trunc: int) -> float:
+    """Truncated frequency sum over point pairs, one cosine per pair and h.
+
+    Per coordinate the pair factor is 1 + sum_h 2*w(h)*cos(2*pi*h*t) with
+    t = {x - y} taken exactly from the numerators; the factors multiply over
+    coordinates and the pairs n < p are summed row by row with math.fsum.
+    Dense (N, N) arrays, so only for small sets.
+    """
+    n, d = pset.size, pset.dimension
+    hs = np.arange(1, trunc + 1, dtype=np.float64)
+    weights = scheme.inverse_weight_sq(hs)
+    k_zero = 1.0 + 2.0 * float(weights.sum())
+    mask = np.uint64((1 << pset.precision) - 1)
+    prod = np.ones((n, n))
+    for col in pset.numerators.T:
+        t = ((col[:, None] - col[None, :]) & mask).astype(np.float64)
+        angles = (2.0 * math.pi * 2.0**-pset.precision) * t
+        factor = np.ones_like(angles)
+        for h0 in range(0, trunc, 64):
+            cosines = np.cos(angles[..., None] * hs[h0 : h0 + 64])
+            factor += 2.0 * (cosines @ weights[h0 : h0 + 64])
+        prod *= factor
+    upper = math.fsum(prod[i, i + 1 :].sum() for i in range(n))
+    total = n * k_zero**d + 2.0 * upper
+    return scheme.prefactor(d) * (total / (n * n) - 1.0)

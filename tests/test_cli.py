@@ -261,6 +261,66 @@ def test_measure_accepts_method_flags(flags, tmp_path):
     assert ("gap" in data) == ("--cross-check" in flags)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--trunc", "5"],
+        ["--method", "kernel", "--trunc", "5"],
+        ["--method", "walsh", "--bound-bits", "7", "--trunc", "5"],
+    ],
+)
+def test_measure_rejects_trunc_without_fourier(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "-d", "1", "-a", "1", "-m", "3"] + flags)
+    assert exc.value.code == EXIT_USAGE
+    assert "--trunc applies to the fourier method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trunc", ["0", "-4", "x"])
+def test_measure_rejects_trunc_below_one(trunc, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "-d", "1", "-m", "3", "--method", "fourier",
+              "--trunc", trunc])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --trunc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--method", "fourier"], ["--method", "fourier", "--trunc", "3"]]
+)
+def test_measure_fourier_trunc_default(flags, tmp_path):
+    data = _run_json(["measure", "-d", "1", "-m", "3"] + flags, tmp_path)
+    assert data["truncation"] == {"H": 3 if "--trunc" in flags else 256}
+
+
+def test_measure_fourier_budget_refusal(capsys):
+    code = main(["measure", "-d", "1", "-a", "1", "-m", "3", "--method",
+                 "fourier", "--trunc", "1000000000"])
+    assert code == EXIT_REFUSED
+    err = capsys.readouterr().err
+    assert err.startswith("refused:") and "budget" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrices", "-d", "1", "-m", "3"],
+        ["points", "-d", "1", "-m", "3"],
+        ["measure", "-d", "1", "-m", "3"],
+        ["tvalue", "-d", "1", "-m", "3"],
+        ["study", "--m-max", "6"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_alpha_below_one_is_a_usage_error(argv, alpha, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-a", alpha])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument -a/--alpha: must be at least 1" in capsys.readouterr().err
+
+
 def test_tvalue_sobol(tmp_path):
     data = _run_json(["tvalue", "-d", "2", "-m", "4"], tmp_path)
     assert data["construction_t"] == 0

@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dignet.errors import PrecisionError
+from dignet.errors import BudgetError, PrecisionError
 from dignet.interlace import interlace_matrices
 from dignet.measures import (
     DIAPHONY,
+    FOURIER_BUDGET_BYTES,
     PERIODIC_L2,
     MeasureReport,
     WeightScheme,
     _float_kernel_squared,
+    _fourier_bytes,
     _kernel_coefficients,
     bernoulli2,
     both_kernel_measures,
@@ -27,7 +29,7 @@ from dignet.measures import (
 )
 from dignet.niederreiter import build_matrices
 from dignet.sequence import PointSet, generate_points
-from support import pset_from_tuples, values
+from support import fourier_pairwise_squared, pset_from_tuples, values
 
 # ---------------------------------------------------------------------------
 # Independent oracle: literal sum over the frequency box, one h vector at a
@@ -305,6 +307,79 @@ def test_fourier_validation():
     pset = pset_from_tuples([(0,)], 1)
     with pytest.raises(ValueError):
         fourier_truncated(pset, DIAPHONY, 0)
+
+
+def _pair_factor_scale(scheme: WeightScheme, d: int, trunc: int) -> float:
+    """prefactor^d * k_zero^d, the size of the largest pair factor."""
+    k_zero = 1.0 + 2.0 * sum(_inv_weight_sq(scheme, h) for h in range(1, trunc + 1))
+    return (scheme.prefactor_base * k_zero) ** d
+
+
+@pytest.mark.parametrize("w", [1, 8, 53, 64])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_fourier_gram_matches_pairwise_cosine_oracle(d, w):
+    # w = 64 makes h * x wrap in uint64 before the phase is masked.
+    rng = random.Random(1000 * d + w)
+    for trunc in (1, 7, 64, 128):
+        pset = _random_pset(rng, rng.randint(2, 40), d, w)
+        for scheme in (PERIODIC_L2, DIAPHONY):
+            got = fourier_truncated(pset, scheme, trunc).squared
+            want = fourier_pairwise_squared(pset, scheme, trunc)
+            assert abs(got - want) <= 1e-15 * _pair_factor_scale(scheme, d, trunc)
+
+
+def test_fourier_exact_under_precision_refinement():
+    # x / 2^w and (x * 2^k) / 2^(w+k) are the same point.  The phases are
+    # reduced in integers, so the angles, and with them the value, agree
+    # bit for bit.
+    rng = random.Random(73)
+    for d, w in ((1, 1), (2, 8), (1, 20), (2, 53), (1, 60)):
+        pset = _random_pset(rng, 30, d, w)
+        base = fourier_truncated(pset, DIAPHONY, 128).squared
+        for k in sorted({1, 64 - w}):
+            rows = [tuple(v << k for v in row) for row in pset.numerators.tolist()]
+            finer = pset_from_tuples(rows, w + k)
+            assert fourier_truncated(finer, DIAPHONY, 128).squared == base
+
+
+def test_fourier_equal_across_blocks_and_threads_sweep():
+    rng = random.Random(79)
+    for d, w, n, trunc in (
+        (1, 64, 150, 128), (2, 1, 70, 7), (2, 53, 200, 64),
+        (3, 8, 130, 33), (4, 36, 90, 16), (1, 20, 700, 40),
+    ):
+        pset = _random_pset(rng, n, d, w)
+        scheme = rng.choice((PERIODIC_L2, DIAPHONY))
+        base = fourier_truncated(pset, scheme, trunc).squared
+        for block in (1, 7, 9, 64, 100, 1000):
+            for threads in (1, 2, 3):
+                got = fourier_truncated(
+                    pset, scheme, trunc, block=block, threads=threads
+                )
+                assert got.squared == base, (d, w, n, block, threads)
+
+
+def test_fourier_refuses_over_budget_before_allocating():
+    import tracemalloc
+
+    # Features of 3 points at trunc 2e7 take 960 MB, over the 1 GiB budget
+    # with the phase scratch; the frequency array alone would be 160 MB.
+    pset = pset_from_tuples([(1,), (2,), (3,)], 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            fourier_truncated(pset, DIAPHONY, 2 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_fourier_budget_covers_features_and_block():
+    assert _fourier_bytes(512, 2, 128, 256, 2) < FOURIER_BUDGET_BYTES // 100
+    # The features alone, N * 2H * d * 8 bytes, count against the budget.
+    assert _fourier_bytes(16384, 4, 512, 256, 1) > 16384 * 2 * 512 * 4 * 8
+    assert _fourier_bytes(16384, 4, 1024, 256, 1) > FOURIER_BUDGET_BYTES
 
 
 # ---------------------------------------------------------------------------
