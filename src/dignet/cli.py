@@ -256,7 +256,8 @@ def _inline_gset(args, parser: argparse.ArgumentParser) -> GeneratingMatrixSet:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Subcommand handlers.  Each gets its own subcommand's parser, so a usage
+# error it finds prints that subcommand's usage line.
 # ---------------------------------------------------------------------------
 
 
@@ -315,7 +316,7 @@ def _cmd_measure(args, parser) -> int:
     kernel = periodic_l2 if scheme is PERIODIC_L2 else diaphony
     if args.cross_check:
         rep_kernel = kernel(pset, threads=args.threads)
-        rep_fourier = fourier_truncated(pset, scheme, trunc, threads=args.threads)
+        rep_fourier = fourier_truncated(pset, scheme, trunc)
         _dump_json(
             args.out,
             {
@@ -329,7 +330,7 @@ def _cmd_measure(args, parser) -> int:
     if args.method == "kernel":
         report = kernel(pset, threads=args.threads)
     elif args.method == "fourier":
-        report = fourier_truncated(pset, scheme, trunc, threads=args.threads)
+        report = fourier_truncated(pset, scheme, trunc)
     else:
         if scheme is not PERIODIC_L2:
             parser.error("the walsh method computes per-l2 only")
@@ -432,20 +433,22 @@ def build_parser() -> argparse.ArgumentParser:
         if with_count:
             p.add_argument("-N", "--count", type=int,
                            help="number of points (default: the full net)")
-            p.add_argument("-W", "--precision", type=int,
-                           help="digit precision (default: matrix rows)")
+            p.add_argument("-W", "--precision", type=_positive_int,
+                           help="digit precision (default: matrix rows; fewer "
+                                "truncates each coordinate to its leading W "
+                                "digits)")
 
     pm = sub.add_parser("matrices", help="emit generating matrices as JSON")
     pm.add_argument("-d", "--dimension", type=int, required=True)
     pm.add_argument("-a", "--alpha", type=_positive_int, default=1)
     pm.add_argument("-m", "--size", type=int, required=True)
     pm.add_argument("--out")
-    pm.set_defaults(func=_cmd_matrices)
+    pm.set_defaults(func=_cmd_matrices, parser=pm)
 
     pp = sub.add_parser("points", help="emit sequence points as CSV")
     add_generator_flags(pp, with_count=True)
     pp.add_argument("--out")
-    pp.set_defaults(func=_cmd_points)
+    pp.set_defaults(func=_cmd_points, parser=pp)
 
     pe = sub.add_parser("measure", help="evaluate one measure, emit JSON")
     add_generator_flags(pe, with_count=True)
@@ -464,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--cross-check", action="store_true",
                     help="run kernel and fourier, report the gap")
     pe.add_argument("--threads", type=_positive_int, default=1,
-                    help="worker threads for the d >= 3 kernel and the fourier method")
+                    help="worker threads for the d >= 3 kernel")
     pe.add_argument("--out")
-    pe.set_defaults(func=_cmd_measure)
+    pe.set_defaults(func=_cmd_measure, parser=pe)
 
     pt = sub.add_parser("tvalue", help="verify net quality per block size")
     pt.add_argument("--matrix-file")
@@ -479,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--m-max", type=int, default=None)
     pt.add_argument("--node-cap", type=_positive_int, default=10_000_000)
     pt.add_argument("--out")
-    pt.set_defaults(func=_cmd_tvalue)
+    pt.set_defaults(func=_cmd_tvalue, parser=pt)
 
     ps = sub.add_parser("study", help="scaling study of both measures")
     ps.add_argument("-d", "--dimension", type=int, choices=[1, 2], default=None,
@@ -496,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seed for the random-N sampling only")
     ps.add_argument("--format", choices=["csv", "json"], default="csv")
     ps.add_argument("--out")
-    ps.set_defaults(func=_cmd_study)
+    ps.set_defaults(func=_cmd_study, parser=ps)
 
     return parser
 
@@ -505,7 +508,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except (BudgetError, PrecisionError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED

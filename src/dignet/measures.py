@@ -20,12 +20,12 @@ coefficients are exact non-negative rationals rounded once, so the
 cancellation in T/N^2 - 1 never happens in floats.
 
 The other pairwise sums, the d >= 3 kernel and the Fourier oracle, run
-through one blocked float engine, ``_pair_sum``.  A block callable supplies
-the summands; the engine sums them over pairs n < p once (every caller's
-summand is symmetric in the pair and each adds its own diagonal) and
-accumulates with math.fsum over per-row partial sums, so results do not
-depend on ``block`` or ``threads``, which only affect this engine.  The
-d >= 3 kernel's summands come from the coordinate differences
+through one float engine, ``_pair_sum``, on one fixed grid of ``_STRIP``-row
+strips.  A strip callable supplies the summands; the engine sums them over
+pairs n < p once (every caller's summand is symmetric in the pair and each
+adds its own diagonal) and accumulates with math.fsum over per-row partial
+sums, so results do not depend on ``threads``, which only the d >= 3 kernel
+uses.  That kernel's summands come from the coordinate differences
 (``_difference_factors``).  The Fourier oracle shares no summand code with
 it: its pair factors are Gram products of per-point cosine and sine
 features.
@@ -123,12 +123,13 @@ class MeasureReport:
         }
 
 
-# Every block's columns start at a multiple of this, so a block callable can
-# work on a grid fixed by the point set, not by ``block``.  It is also that
-# grid for the Fourier oracle's Gram: BLAS results can depend on the call's
-# shape and an entry's place in it, so each Gram entry comes from the one
-# GEMM of its strip of this many rows against all columns from the strip on.
-_COLUMN_ALIGN = 64
+# The pair engine's one tiling: each strip callable call gets this many rows
+# (fewer in the last strip) and the columns from the strip's first row on.
+# It bounds the d >= 3 kernel's temporaries to O(_STRIP * N) per worker.  It
+# also fixes the Fourier oracle's Gram shapes: BLAS results can depend on a
+# call's shape and an entry's place in it, and on this grid each Gram entry
+# comes from the one GEMM of its strip.
+_STRIP = 64
 
 # Bytes the Fourier oracle may allocate at once (see ``_fourier_bytes``).
 FOURIER_BUDGET_BYTES = 1 << 30
@@ -136,51 +137,46 @@ FOURIER_BUDGET_BYTES = 1 << 30
 
 def _pair_sum(
     count: int,
-    block_terms: Callable[[slice, slice], Sequence[np.ndarray]],
-    block: int,
+    strip_terms: Callable[[slice, slice], Sequence[np.ndarray]],
     threads: int,
 ) -> list[float]:
-    """Sum over pairs n < p < count of each summand array of ``block_terms``.
+    """Sum over pairs n < p < count of each summand array of ``strip_terms``.
 
-    ``block_terms(rows, cols)`` returns one (rows, cols) array per sum, its
-    entry [a, b] the summand of pair (rows.start + a, cols.start + b).  Each
-    block of rows pairs only with the columns from its first row on (rounded
-    down to a multiple of ``_COLUMN_ALIGN``), and each row sums its own
-    strictly upper part in column order, so the fsum-ed totals do not depend
-    on ``block`` or ``threads``.
+    The rows are cut into strips of ``_STRIP``; ``strip_terms(rows, cols)``
+    gets one strip and the columns from its first row on, and returns one
+    (rows, cols) array per sum, its entry [a, b] the summand of pair
+    (rows.start + a, cols.start + b).  Each row sums its own strictly upper
+    part in column order, and ``threads`` workers share the strips, so the
+    fsum-ed totals do not depend on ``threads``.
     """
 
-    def run_block(i0: int) -> list[list[float]]:
-        i1 = min(i0 + block, count)
-        c0 = i0 - i0 % _COLUMN_ALIGN
-        terms = block_terms(slice(i0, i1), slice(c0, count))
-        first = i0 - c0 + 1
-        return [
-            [term[bi, first + bi :].sum() for bi in range(i1 - i0)] for term in terms
-        ]
+    def run_strip(i0: int) -> list[list[float]]:
+        i1 = min(i0 + _STRIP, count)
+        terms = strip_terms(slice(i0, i1), slice(i0, count))
+        return [[term[a, a + 1 :].sum() for a in range(i1 - i0)] for term in terms]
 
-    starts = range(0, count, block)
+    starts = range(0, count, _STRIP)
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            block_rows = list(pool.map(run_block, starts))
+            strip_rows = list(pool.map(run_strip, starts))
     else:
-        block_rows = [run_block(i0) for i0 in starts]
+        strip_rows = [run_strip(i0) for i0 in starts]
     return [
         math.fsum(row for rows in term_rows for row in rows)
-        for term_rows in zip(*block_rows)
+        for term_rows in zip(*strip_rows)
     ]
 
 
 def _difference_factors(
     pset: PointSet, factor_fns: Sequence[Callable[[np.ndarray], np.ndarray]]
 ) -> Callable[[slice, slice], list[np.ndarray]]:
-    """Block callable of prod_j fn(t_j), one array per factor function, where
+    """Strip callable of prod_j fn(t_j), one array per factor function, where
     t_j = {x_j - y_j} is taken exactly as numerators mod 2^precision."""
     columns = np.ascontiguousarray(pset.numerators.T)
     mask = np.uint64((1 << pset.precision) - 1)
     scale = 2.0**-pset.precision
 
-    def block_terms(rows: slice, cols: slice) -> list[np.ndarray]:
+    def strip_terms(rows: slice, cols: slice) -> list[np.ndarray]:
         prods: list[np.ndarray] = []
         for col in columns:
             diff = (col[rows, None] - col[None, cols]) & mask
@@ -192,14 +188,11 @@ def _difference_factors(
                     prod *= fn(t)
         return prods
 
-    return block_terms
+    return strip_terms
 
 
 def _float_kernel_squared(
-    pset: PointSet,
-    schemes: Sequence[WeightScheme],
-    block: int,
-    threads: int,
+    pset: PointSet, schemes: Sequence[WeightScheme], threads: int
 ) -> list[float]:
     """Squared kernel measures from the float O(N^2 d) pair engine."""
     n = pset.size
@@ -214,7 +207,7 @@ def _float_kernel_squared(
         return factor
 
     fns = [make_factor(s.kernel_coeff) for s in schemes]
-    upper_sums = _pair_sum(n, _difference_factors(pset, fns), block, threads)
+    upper_sums = _pair_sum(n, _difference_factors(pset, fns), threads)
     out = []
     for scheme, upper in zip(schemes, upper_sums):
         diag = n * (1.0 + scheme.kernel_coeff / 6.0) ** d
@@ -363,15 +356,12 @@ def _exact_kernel_squared(
 
 
 def _kernel_squared(
-    pset: PointSet,
-    schemes: Sequence[WeightScheme],
-    block: int,
-    threads: int,
+    pset: PointSet, schemes: Sequence[WeightScheme], threads: int
 ) -> list[float]:
     """Squared kernel measures: exact pair sums for d <= 2, floats above."""
     if pset.dimension <= 2:
         return _exact_kernel_squared(pset, schemes)
-    return _float_kernel_squared(pset, schemes, block, threads)
+    return _float_kernel_squared(pset, schemes, threads)
 
 
 def _report(
@@ -393,42 +383,37 @@ def _report(
     )
 
 
-def periodic_l2(pset: PointSet, *, block: int = 1024, threads: int = 1) -> MeasureReport:
+def periodic_l2(pset: PointSet, *, threads: int = 1) -> MeasureReport:
     """Periodic L2 discrepancy via the closed-form pairwise kernel."""
-    squared = _kernel_squared(pset, [PERIODIC_L2], block, threads)[0]
+    squared = _kernel_squared(pset, [PERIODIC_L2], threads)[0]
     return _report(pset, PERIODIC_L2, "kernel", squared)
 
 
-def diaphony(pset: PointSet, *, block: int = 1024, threads: int = 1) -> MeasureReport:
+def diaphony(pset: PointSet, *, threads: int = 1) -> MeasureReport:
     """Diaphony via the closed-form pairwise kernel."""
-    squared = _kernel_squared(pset, [DIAPHONY], block, threads)[0]
+    squared = _kernel_squared(pset, [DIAPHONY], threads)[0]
     return _report(pset, DIAPHONY, "kernel", squared)
 
 
 def both_kernel_measures(
-    pset: PointSet, *, block: int = 1024, threads: int = 1
+    pset: PointSet, *, threads: int = 1
 ) -> tuple[MeasureReport, MeasureReport]:
     """Periodic L2 discrepancy and diaphony in one pass over the pairs."""
-    sq_l2, sq_dia = _kernel_squared(pset, [PERIODIC_L2, DIAPHONY], block, threads)
+    sq_l2, sq_dia = _kernel_squared(pset, [PERIODIC_L2, DIAPHONY], threads)
     return (
         _report(pset, PERIODIC_L2, "kernel", sq_l2),
         _report(pset, DIAPHONY, "kernel", sq_dia),
     )
 
 
-def _fourier_bytes(
-    size: int, dimension: int, trunc: int, block: int, threads: int
-) -> int:
+def _fourier_bytes(size: int, dimension: int, trunc: int) -> int:
     """Upper bound on the bytes ``fourier_truncated`` allocates at once.
 
     The d feature matrices, one coordinate's phase and angle scratch while
-    they are built, and per worker one block's factor product plus one strip
-    Gram.
+    they are built, and one strip's factor product plus its strip Gram.
     """
     features = 8 * size * 2 * trunc
-    workers = min(threads, -(-size // block))
-    per_block = 8 * size * (min(block, size) + _COLUMN_ALIGN)
-    return dimension * features + features + workers * per_block
+    return dimension * features + features + 2 * 8 * _STRIP * size
 
 
 def _fourier_features(
@@ -453,12 +438,7 @@ def _fourier_features(
 
 
 def fourier_truncated(
-    pset: PointSet,
-    scheme: WeightScheme,
-    trunc: int,
-    *,
-    block: int = 256,
-    threads: int = 1,
+    pset: PointSet, scheme: WeightScheme, trunc: int
 ) -> MeasureReport:
     """Truncated frequency-sum evaluator, the measures' independent oracle.
 
@@ -472,20 +452,19 @@ def fourier_truncated(
     h*x_n mod 2^w is reduced exactly in integers before one rounding to an
     angle.
 
-    Cost: O(N*trunc*d) cosines and sines plus O(N^2*trunc*d) BLAS flops.
-    Every dot product comes from one GEMM per strip of ``_COLUMN_ALIGN``
-    rows of the global grid against all columns from the strip on, so the
-    result does not depend on ``block`` or ``threads``.  Memory: the
-    features' N*2*trunc*d*8 bytes plus, per worker, one block's
-    (block, N) product and a strip Gram.  A request whose bound
-    (``_fourier_bytes``) exceeds ``FOURIER_BUDGET_BYTES`` (1 GiB) is refused
-    with ``BudgetError`` before anything is allocated.
+    Cost: O(N*trunc*d) cosines and sines plus O(N^2*trunc*d) BLAS flops, one
+    GEMM per strip of the pair engine's grid and coordinate.  The engine
+    runs on one worker, since the GEMMs already use the BLAS threads.
+    Memory: the features' N*2*trunc*d*8 bytes plus one strip's (_STRIP, N)
+    product and Gram.  A request whose bound (``_fourier_bytes``) exceeds
+    ``FOURIER_BUDGET_BYTES`` (1 GiB) is refused with ``BudgetError`` before
+    anything is allocated.
     """
     if trunc < 1:
         raise ValueError(f"truncation bound must be >= 1, got {trunc}")
     n = pset.size
     d = pset.dimension
-    need = _fourier_bytes(n, d, trunc, block, threads)
+    need = _fourier_bytes(n, d, trunc)
     if need > FOURIER_BUDGET_BYTES:
         raise BudgetError(
             f"the Fourier oracle at N={n}, d={d}, trunc={trunc} needs about "
@@ -500,19 +479,18 @@ def fourier_truncated(
         for col in pset.numerators.T
     ]
 
-    def block_terms(rows: slice, cols: slice) -> list[np.ndarray]:
-        prod = np.ones((rows.stop - rows.start, cols.stop - cols.start))
-        for s0 in range(cols.start, rows.stop, _COLUMN_ALIGN):
-            lo = max(rows.start, s0)
-            hi = min(rows.stop, s0 + _COLUMN_ALIGN)
-            dst = prod[lo - rows.start : hi - rows.start, s0 - cols.start :]
-            for feats in features:
-                gram = feats[s0 : s0 + _COLUMN_ALIGN] @ feats[s0 : cols.stop].T
-                gram += 1.0
-                dst *= gram[lo - s0 : hi - s0]
+    def strip_terms(rows: slice, cols: slice) -> list[np.ndarray]:
+        prod = None
+        for feats in features:
+            gram = feats[rows] @ feats[cols].T
+            gram += 1.0
+            if prod is None:
+                prod = gram
+            else:
+                prod *= gram
         return [prod]
 
-    upper = _pair_sum(n, block_terms, block, threads)[0]
+    upper = _pair_sum(n, strip_terms, 1)[0]
     total = n * k_zero**d + 2.0 * upper
     squared = scheme.prefactor(d) * (total / (n * n) - 1.0)
     return _report(pset, scheme, "fourier", squared, truncation={"H": trunc})

@@ -76,6 +76,24 @@ def test_points_count_defaults_to_full_net(capsys):
     assert default[1:] == explicit[1:]
 
 
+def test_points_precision_truncates_to_leading_digits(tmp_path):
+    full, short = tmp_path / "full.csv", tmp_path / "short.csv"
+    assert main(["points", "-d", "2", "-m", "4", "--out", str(full)]) == 0
+    assert main(["points", "-d", "2", "-m", "4", "-W", "2", "--out", str(short)]) == 0
+    full_set, short_set = read_points_csv(full), read_points_csv(short)
+    assert (full_set.precision, short_set.precision) == (4, 2)
+    assert (short_set.numerators == full_set.numerators >> 2).all()
+
+
+@pytest.mark.parametrize("command", ["points", "measure"])
+@pytest.mark.parametrize("precision", ["0", "-2"])
+def test_precision_below_one_is_a_usage_error(command, precision, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-d", "1", "-m", "3", "-W", precision])
+    assert exc.value.code == EXIT_USAGE
+    assert "-W/--precision: must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_measure_rejects_threads_below_one(threads, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -236,7 +254,9 @@ def test_measure_rejects_walsh_flags_without_walsh(flags, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["measure", "-d", "2", "-m", "3"] + flags)
     assert exc.value.code == EXIT_USAGE
-    assert "walsh method only" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "walsh method only" in err
+    assert "usage: dignet measure" in err
 
 
 @pytest.mark.parametrize("cap", ["0", "-2"])
@@ -273,7 +293,9 @@ def test_measure_rejects_trunc_without_fourier(flags, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["measure", "-d", "1", "-a", "1", "-m", "3"] + flags)
     assert exc.value.code == EXIT_USAGE
-    assert "--trunc applies to the fourier method" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--trunc applies to the fourier method" in err
+    assert "usage: dignet measure" in err
 
 
 @pytest.mark.parametrize("trunc", ["0", "-4", "x"])

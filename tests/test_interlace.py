@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dignet.interlace import (
     interlace_digits,
@@ -11,7 +13,8 @@ from dignet.interlace import (
     interlace_pointset,
     interlace_vector,
 )
-from dignet.niederreiter import build_matrices
+from dignet.gf2 import BitMatrix
+from dignet.niederreiter import GeneratingMatrixSet, build_matrices
 from dignet.sequence import DyadicPoint, generate_points
 from support import interlace_point
 
@@ -131,3 +134,31 @@ def test_commuting_square_points_vs_matrices():
                 assert np.array_equal(
                     via_points.numerators, via_matrices.numerators
                 ), (d_out, alpha, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_commuting_square_on_random_matrices(data):
+    # Random GF(2) matrices, rows != cols, and a count that is not a power of
+    # two, so the prefix is no net.
+    d_out = data.draw(st.integers(1, 2), label="d_out")
+    alpha = data.draw(st.integers(1, 4), label="alpha")
+    cols = data.draw(st.integers(2, 8), label="cols")
+    rows = data.draw(
+        st.integers(1, 16 // alpha).filter(lambda r: r != cols), label="rows"
+    )
+    count = data.draw(
+        st.integers(3, 1 << cols).filter(lambda n: n & (n - 1)), label="count"
+    )
+    masks = st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)
+    base = GeneratingMatrixSet(
+        dimension=alpha * d_out,
+        alpha=1,
+        t=0,
+        matrices=[BitMatrix(data.draw(masks), cols) for _ in range(alpha * d_out)],
+        polynomials=[],
+    )
+    via_points = interlace_pointset(generate_points(base, count), alpha)
+    via_matrices = generate_points(interlace_matrices(base, alpha), count)
+    assert via_points.precision == via_matrices.precision == alpha * rows
+    assert np.array_equal(via_points.numerators, via_matrices.numerators)

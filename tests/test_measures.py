@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from dignet.measures import (
     DIAPHONY,
     FOURIER_BUDGET_BYTES,
     PERIODIC_L2,
+    _STRIP,
     MeasureReport,
     WeightScheme,
     _float_kernel_squared,
@@ -213,7 +215,7 @@ def test_float_engine_agrees_with_exact_path_d2():
     assert pset.dimension == 2
     schemes = [PERIODIC_L2, DIAPHONY]
     exact = both_kernel_measures(pset)
-    floats = _float_kernel_squared(pset, schemes, 1024, 1)
+    floats = _float_kernel_squared(pset, schemes, 1)
     for scheme, rep, got in zip(schemes, exact, floats):
         scale = scheme.prefactor(2) * (1.0 + scheme.kernel_coeff / 6.0) ** 2
         assert abs(got - rep.squared) <= 1e-13 * scale
@@ -342,44 +344,49 @@ def test_fourier_exact_under_precision_refinement():
             assert fourier_truncated(finer, DIAPHONY, 128).squared == base
 
 
-def test_fourier_equal_across_blocks_and_threads_sweep():
-    rng = random.Random(79)
-    for d, w, n, trunc in (
-        (1, 64, 150, 128), (2, 1, 70, 7), (2, 53, 200, 64),
-        (3, 8, 130, 33), (4, 36, 90, 16), (1, 20, 700, 40),
-    ):
-        pset = _random_pset(rng, n, d, w)
-        scheme = rng.choice((PERIODIC_L2, DIAPHONY))
-        base = fourier_truncated(pset, scheme, trunc).squared
-        for block in (1, 7, 9, 64, 100, 1000):
-            for threads in (1, 2, 3):
-                got = fourier_truncated(
-                    pset, scheme, trunc, block=block, threads=threads
-                )
-                assert got.squared == base, (d, w, n, block, threads)
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_fourier_refuses_over_budget_before_allocating():
-    import tracemalloc
-
     # Features of 3 points at trunc 2e7 take 960 MB, over the 1 GiB budget
     # with the phase scratch; the frequency array alone would be 160 MB.
     pset = pset_from_tuples([(1,), (2,), (3,)], 2)
-    tracemalloc.start()
-    try:
+
+    def refuse():
         with pytest.raises(BudgetError):
             fourier_truncated(pset, DIAPHONY, 2 * 10**7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+
+    assert _traced_peak(refuse) < 1 << 20
 
 
 def test_fourier_budget_covers_features_and_block():
-    assert _fourier_bytes(512, 2, 128, 256, 2) < FOURIER_BUDGET_BYTES // 100
+    assert _fourier_bytes(512, 2, 128) < FOURIER_BUDGET_BYTES // 100
     # The features alone, N * 2H * d * 8 bytes, count against the budget.
-    assert _fourier_bytes(16384, 4, 512, 256, 1) > 16384 * 2 * 512 * 4 * 8
-    assert _fourier_bytes(16384, 4, 1024, 256, 1) > FOURIER_BUDGET_BYTES
+    assert _fourier_bytes(16384, 4, 512) > 16384 * 2 * 512 * 4 * 8
+    assert _fourier_bytes(16384, 4, 1024) > FOURIER_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kernel_memory_is_strips_per_worker(threads):
+    # The d >= 3 kernel holds a few (_STRIP, N) arrays per worker, whatever
+    # N is: at most 8 of them, 8 bytes an entry.
+    n = 4096
+    pset = _random_pset(random.Random(83), n, 3, 30)
+    peak = _traced_peak(lambda: both_kernel_measures(pset, threads=threads))
+    assert peak <= threads * 8 * _STRIP * n * 8
+
+
+def test_fourier_memory_within_its_bound():
+    n, d, trunc = 4096, 2, 64
+    pset = _random_pset(random.Random(89), n, d, 40)
+    peak = _traced_peak(lambda: fourier_truncated(pset, DIAPHONY, trunc))
+    assert peak <= _fourier_bytes(n, d, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -388,28 +395,17 @@ def test_fourier_budget_covers_features_and_block():
 
 
 def test_reproducible_across_threads_and_blocks():
+    # Only the d >= 3 kernel runs the threaded strip engine; each set spans
+    # several strips, the last one partial.
     rng = random.Random(67)
-    pset = _random_pset(rng, 100, 2, 16)
-    baseline = periodic_l2(pset).squared
-    for threads in (1, 2, 4):
-        for block in (7, 32, 1024):
-            got = periodic_l2(pset, block=block, threads=threads).squared
-            assert got == baseline
-    # d = 3 runs the threaded block engine, which d <= 2 no longer reaches.
-    pset3 = _random_pset(rng, 100, 3, 16)
-    baseline3 = periodic_l2(pset3).squared
-    for threads in (1, 2, 4):
-        for block in (7, 32, 1024):
-            got = periodic_l2(pset3, block=block, threads=threads).squared
-            assert got == baseline3
-    # On this d = 1 set, a block whose columns start off the engine's column
-    # alignment moved the Fourier sum by one ulp (OpenBLAS, x86-64).
-    pset1 = _random_pset(random.Random(47), 50, 1, 8)
-    for fset, trunc in ((pset, 16), (pset3, 16), (pset1, 40)):
-        base_f = fourier_truncated(fset, DIAPHONY, trunc).squared
-        for block in (7, 9):
-            got = fourier_truncated(fset, DIAPHONY, trunc, block=block, threads=3)
-            assert got.squared == base_f
+    for d, w, n in ((3, 16, 300), (4, 53, 333), (3, 64, 700)):
+        pset = _random_pset(rng, n, d, w)
+        base = [r.squared for r in both_kernel_measures(pset)]
+        for threads in (1, 2, 4):
+            both = [r.squared for r in both_kernel_measures(pset, threads=threads)]
+            assert both == base, (d, w, n, threads)
+            assert periodic_l2(pset, threads=threads).squared == base[0]
+            assert diaphony(pset, threads=threads).squared == base[1]
 
 
 def test_both_kernel_measures_match_individual_calls():
