@@ -81,6 +81,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    """argparse type for file names: any text but the empty string."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file, got an empty string")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser that exits with code 1 on usage errors."""
 
@@ -361,11 +368,14 @@ def _cmd_tvalue(args, parser) -> int:
         )
     if args.m_min < 1 or args.m_min > m_max:
         raise ValueError(f"--m-min must lie in [1, {m_max}], got {args.m_min}")
+    if alpha * m_max > gset.rows:
+        parser.error(
+            f"-a/--alpha {alpha} needs {alpha * m_max} rows for m = {m_max}, "
+            f"but the matrices have {gset.rows}; lower -a/--alpha or --m-max"
+        )
     blocks = []
     for m in range(args.m_min, m_max + 1):
-        subs = [
-            mat.submatrix(min(alpha * m, gset.rows), m) for mat in gset.matrices
-        ]
+        subs = [mat.submatrix(alpha * m, m) for mat in gset.matrices]
         report = minimal_t(subs, alpha, node_cap=args.node_cap)
         blocks.append(report.to_json_dict())
     _dump_json(
@@ -423,8 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_generator_flags(p, with_count: bool):
-        p.add_argument("--matrix-file", help="load matrices from a JSON file")
-        p.add_argument("-d", "--dimension", type=int, default=1,
+        p.add_argument("--matrix-file", type=_path,
+                       help="load matrices from a JSON file")
+        p.add_argument("-d", "--dimension", type=_positive_int, default=1,
                        help="output dimension (inline construction)")
         p.add_argument("-a", "--alpha", type=_positive_int, default=1,
                        help="interlacing factor (inline construction)")
@@ -439,20 +450,21 @@ def build_parser() -> argparse.ArgumentParser:
                                 "digits)")
 
     pm = sub.add_parser("matrices", help="emit generating matrices as JSON")
-    pm.add_argument("-d", "--dimension", type=int, required=True)
+    pm.add_argument("-d", "--dimension", type=_positive_int, required=True)
     pm.add_argument("-a", "--alpha", type=_positive_int, default=1)
     pm.add_argument("-m", "--size", type=int, required=True)
-    pm.add_argument("--out")
+    pm.add_argument("--out", type=_path)
     pm.set_defaults(func=_cmd_matrices, parser=pm)
 
     pp = sub.add_parser("points", help="emit sequence points as CSV")
     add_generator_flags(pp, with_count=True)
-    pp.add_argument("--out")
+    pp.add_argument("--out", type=_path)
     pp.set_defaults(func=_cmd_points, parser=pp)
 
     pe = sub.add_parser("measure", help="evaluate one measure, emit JSON")
     add_generator_flags(pe, with_count=True)
-    pe.add_argument("--points", help="read points from a CSV file instead")
+    pe.add_argument("--points", type=_path,
+                    help="read points from a CSV file instead")
     pe.add_argument("--measure", choices=["per-l2", "diaphony"], default="per-l2")
     pe.add_argument("--method", choices=["kernel", "fourier", "walsh"],
                     default="kernel")
@@ -468,20 +480,23 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run kernel and fourier, report the gap")
     pe.add_argument("--threads", type=_positive_int, default=1,
                     help="worker threads for the d >= 3 kernel")
-    pe.add_argument("--out")
+    pe.add_argument("--out", type=_path)
     pe.set_defaults(func=_cmd_measure, parser=pe)
 
     pt = sub.add_parser("tvalue", help="verify net quality per block size")
-    pt.add_argument("--matrix-file")
-    pt.add_argument("-d", "--dimension", type=int, default=1)
+    pt.add_argument("--matrix-file", type=_path)
+    pt.add_argument("-d", "--dimension", type=_positive_int, default=1)
     pt.add_argument("-a", "--alpha", type=_positive_int, default=None,
                     help="order of the check (default: the construction's)")
     pt.add_argument("-m", "--size", type=int,
                     help="digit columns of the inline construction")
     pt.add_argument("--m-min", type=int, default=1)
     pt.add_argument("--m-max", type=int, default=None)
-    pt.add_argument("--node-cap", type=_positive_int, default=10_000_000)
-    pt.add_argument("--out")
+    pt.add_argument("--node-cap", type=_positive_int, default=10_000_000,
+                    help="row insertions per block search; past it the block "
+                         "falls back to the per-t scan and may report "
+                         "exhaustive false")
+    pt.add_argument("--out", type=_path)
     pt.set_defaults(func=_cmd_tvalue, parser=pt)
 
     ps = sub.add_parser("study", help="scaling study of both measures")
@@ -498,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=0,
                     help="seed for the random-N sampling only")
     ps.add_argument("--format", choices=["csv", "json"], default="csv")
-    ps.add_argument("--out")
+    ps.add_argument("--out", type=_path)
     ps.set_defaults(func=_cmd_study, parser=ps)
 
     return parser

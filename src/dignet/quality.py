@@ -11,9 +11,15 @@ The search enumerates only maximal selections: whenever a coordinate uses
 alpha counted rows, every row below the alpha-th one is included for free.
 Any admissible selection is a subset of such a maximal one, and subsets of
 independent families stay independent, so the reduction is lossless.  Rows
-are inserted into an incremental echelon basis; the first insertion that
-reduces to zero aborts the search with the current selection as a witness,
-which is itself admissible because counted weights only shrink on subsets.
+are inserted into an incremental echelon basis, and an insertion that
+reduces to zero leaves the current selection as a witness, which is itself
+admissible because counted weights only shrink on subsets.
+
+One depth-first search serves both questions.  The check at a fixed t
+stops at its first dependency.  The minimal t is a branch-and-bound search
+in the style of Pirsic & Schmid (J. Complexity 17, 2001): it starts at
+weight bound alpha*m and, at each dependency of weight w, keeps the
+selection and lowers the bound to w - 1, so t = alpha*m - bound at the end.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ __all__ = [
     "NetQualityReport",
     "check_order_alpha_t",
     "minimal_t",
-    "verify_sequence_property",
 ]
 
 PASS = "pass"
@@ -83,11 +88,12 @@ class NetQualityReport:
     """Verified quality parameter of a digital net.
 
     ``t`` is the smallest value passing the order-alpha check.  When
-    ``t > 0`` and the scan below ``t`` was exhaustive, ``witness`` holds a
-    dependent selection admissible at ``t - 1`` (same ``(j, i)`` convention
-    as :class:`CheckOutcome`).  ``exhaustive`` is False when some smaller
-    quality value came back inconclusive under the node cap, in which case
-    ``t`` is only an upper bound on the minimal value.
+    ``t > 0`` and the search was exhaustive, ``witness`` holds a dependent
+    selection of the smallest dependent weight alpha*m - t + 1, so it is
+    admissible at ``t - 1`` (same ``(j, i)`` convention as
+    :class:`CheckOutcome`).  ``exhaustive`` is False when the node cap
+    left some smaller quality value inconclusive, in which case ``t`` is
+    only an upper bound on the minimal value.
     """
 
     alpha: int
@@ -121,6 +127,88 @@ def _matrix_list(matrices: GeneratingMatrixSet | Sequence[BitMatrix]) -> list[Bi
     return out
 
 
+def _search(
+    mats: list[BitMatrix],
+    alpha: int,
+    bound: int,
+    node_cap: int,
+    zero_pad: bool,
+    first_only: bool,
+) -> tuple[int, tuple[tuple[int, int], ...] | None, int]:
+    """Depth-first search over maximal selections of counted weight <= bound.
+
+    A dependency ends the search when ``first_only``; otherwise it lowers
+    the bound to its weight - 1 and the search backtracks, each frame
+    reading the bound as it starts.  Returns the final bound, the last
+    dependent selection found (or None) and the number of row insertions.
+    Raises :class:`_NodeCap` past ``node_cap`` insertions.
+    """
+    d = len(mats)
+    depth_cap = alpha * mats[0].ncols
+    if not zero_pad:
+        depth_cap = min(mats[0].nrows, depth_cap)
+    # rows[j][i] is row i (1-based) of matrix j, zero past the stored rows.
+    rows = [[0, *mat.row_masks[:depth_cap]] + [0] * (depth_cap - mat.nrows)
+            for mat in mats]
+    pivots: dict[int, int] = {}
+    chosen: list[tuple[int, int]] = []
+    witness = None
+    nodes = 0
+
+    def insert(j: int, i: int, weight: int) -> int:
+        """Add row i of matrix j to the basis; return its pivot, or -1."""
+        nonlocal nodes, bound, witness
+        nodes += 1
+        if nodes > node_cap:
+            raise _NodeCap
+        chosen.append((j, i))
+        lead = echelon_insert(pivots, rows[j][i])
+        if lead < 0:
+            witness = tuple(chosen)
+            chosen.pop()
+            if first_only:
+                raise _Dependent
+            bound = weight - 1
+        return lead
+
+    def undo(lead: int) -> None:
+        del pivots[lead]
+        chosen.pop()
+
+    def next_coord(j: int, weight: int) -> None:
+        if j < d and weight < bound:
+            counted(j, 0, depth_cap, weight)
+
+    def counted(j: int, depth: int, hi: int, weight: int) -> None:
+        # Spend another counted slot first (heavier selections fail sooner).
+        # The range reads the bound once: a dependency found under row i
+        # weighs at least weight + i, so the lowered bound still admits i - 1.
+        for i in range(min(hi, bound - weight), 0, -1):
+            lead = insert(j, i, weight + i)
+            if lead >= 0:
+                if depth + 1 == alpha:
+                    frees = []
+                    for f in range(i - 1, 0, -1):
+                        free = insert(j, f, weight + i)
+                        if free < 0:
+                            break
+                        frees.append(free)
+                    else:
+                        next_coord(j + 1, weight + i)
+                    for free in reversed(frees):
+                        undo(free)
+                else:
+                    counted(j, depth + 1, i - 1, weight + i)
+                undo(lead)
+        next_coord(j + 1, weight)
+
+    try:
+        next_coord(0, 0)
+    except _Dependent:
+        pass
+    return bound, witness, nodes
+
+
 def check_order_alpha_t(
     matrices: GeneratingMatrixSet | Sequence[BitMatrix],
     alpha: int,
@@ -150,62 +238,19 @@ def check_order_alpha_t(
         dependent selection in search order.
     """
     mats = _matrix_list(matrices)
-    d = len(mats)
     m = mats[0].ncols
     if alpha < 1:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not 0 <= t <= alpha * m:
         raise ValueError(f"t must lie in [0, {alpha * m}], got {t}")
-    depth_cap = alpha * m if zero_pad else min(mats[0].nrows, alpha * m)
-    stored = mats[0].nrows
-
-    def row_bits(j: int, i: int) -> int:
-        return mats[j].row_masks[i - 1] if i <= stored else 0
-
-    pivots: dict[int, int] = {}
-    chosen: list[tuple[int, int]] = []
-    nodes = 0
-
-    def insert(j: int, i: int) -> int:
-        """Add row i of matrix j to the basis; return its pivot position."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise _NodeCap
-        chosen.append((j, i))
-        lead = echelon_insert(pivots, row_bits(j, i))
-        if lead < 0:
-            raise _Dependent
-        return lead
-
-    def undo(lead: int) -> None:
-        del pivots[lead]
-        chosen.pop()
-
-    def next_coord(j: int, budget: int) -> None:
-        if j < d:
-            counted(j, 0, depth_cap, budget)
-
-    def counted(j: int, depth: int, hi: int, budget: int) -> None:
-        # Spend another counted slot first (heavier selections fail sooner).
-        for i in range(min(hi, budget), 0, -1):
-            lead = insert(j, i)
-            if depth + 1 == alpha:
-                frees = [insert(j, f) for f in range(i - 1, 0, -1)]
-                next_coord(j + 1, budget - i)
-                for f in reversed(frees):
-                    undo(f)
-            else:
-                counted(j, depth + 1, i - 1, budget - i)
-            undo(lead)
-        next_coord(j + 1, budget)
-
     try:
-        next_coord(0, alpha * m - t)
-    except _Dependent:
-        return CheckOutcome(FAIL, tuple(chosen), nodes)
+        _, witness, nodes = _search(
+            mats, alpha, alpha * m - t, node_cap, zero_pad, first_only=True
+        )
     except _NodeCap:
-        return CheckOutcome(INCONCLUSIVE, None, nodes)
+        return CheckOutcome(INCONCLUSIVE, None, node_cap + 1)
+    if witness is not None:
+        return CheckOutcome(FAIL, witness, nodes)
     return CheckOutcome(PASS, None, nodes)
 
 
@@ -218,15 +263,35 @@ def minimal_t(
 ) -> NetQualityReport:
     """Smallest quality t passing the order-alpha check, with a witness.
 
-    Scans t upward from zero.  The check is monotone in t (a larger t only
-    shrinks the set of admissible selections), so the first passing value
-    is minimal whenever every smaller value failed conclusively. t =
-    alpha*m always passes with an empty enumeration, so the scan
-    terminates.
+    One branch-and-bound search finds the smallest counted weight w* of a
+    dependent selection, and t = alpha*m - w* + 1 (0 when every maximal
+    selection is independent).  Lowering the bound only prunes the search
+    tree and keeps the order of what is left, so the witness is the first
+    dependency of weight w* in search order: the one the fixed check at
+    t - 1 reports.
+
+    A search cut off by ``node_cap`` has certified no passing value, so it
+    falls back to scanning t upward with :func:`check_order_alpha_t`.  The
+    check is monotone in t, so the first passing value is minimal whenever
+    every smaller value failed conclusively; otherwise the report says
+    ``exhaustive=False`` and ``t`` is only an upper bound.  t = alpha*m
+    always passes with an empty enumeration, so the scan terminates.
     """
     mats = _matrix_list(matrices)
+    if alpha < 1:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     d = len(mats)
     m = mats[0].ncols
+    try:
+        bound, witness, _ = _search(
+            mats, alpha, alpha * m, node_cap, zero_pad, first_only=False
+        )
+    except _NodeCap:
+        pass
+    else:
+        # The bound only drops at a dependency, so t > 0 exactly when a
+        # witness was kept.
+        return NetQualityReport(alpha, m, d, alpha * m - bound, True, witness)
     witness = None
     exhaustive = True
     for t in range(alpha * m + 1):
@@ -235,12 +300,8 @@ def minimal_t(
         )
         if out.status == PASS:
             return NetQualityReport(
-                alpha=alpha,
-                m=m,
-                d=d,
-                t=t,
-                exhaustive=exhaustive,
-                witness=witness if (t > 0 and exhaustive) else None,
+                alpha, m, d, t, exhaustive,
+                witness if (t > 0 and exhaustive) else None,
             )
         if out.status == FAIL:
             witness = out.witness
@@ -248,42 +309,3 @@ def minimal_t(
             exhaustive = False
             witness = None
     raise AssertionError("unreachable: the empty check at t = alpha*m passes")
-
-
-def verify_sequence_property(
-    gset: GeneratingMatrixSet,
-    alpha: int,
-    t: int,
-    m_max: int,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> CheckOutcome:
-    """Check the order-alpha property of every leading block up to m_max.
-
-    For each m with alpha*m > t and m <= m_max, the upper-left
-    (alpha*m) x m submatrices must pass the order-alpha check at quality t.
-    The scan runs over increasing m and stops at the first failure, whose
-    witness is returned; an inconclusive block makes the aggregate
-    inconclusive unless a later block fails outright.
-    """
-    if m_max < 1:
-        raise ValueError(f"m_max must be positive, got {m_max}")
-    if gset.rows < alpha * m_max or gset.cols < m_max:
-        raise ValueError(
-            f"matrix extent {gset.rows}x{gset.cols} does not cover "
-            f"{alpha * m_max}x{m_max}"
-        )
-    total_nodes = 0
-    saw_inconclusive = False
-    for m in range(1, m_max + 1):
-        if alpha * m <= t:
-            continue
-        subs = [mat.submatrix(alpha * m, m) for mat in gset.matrices]
-        out = check_order_alpha_t(subs, alpha, t, node_cap=node_cap)
-        total_nodes += out.nodes
-        if out.status == FAIL:
-            return CheckOutcome(FAIL, out.witness, total_nodes)
-        if out.status == INCONCLUSIVE:
-            saw_inconclusive = True
-    status = INCONCLUSIVE if saw_inconclusive else PASS
-    return CheckOutcome(status, None, total_nodes)

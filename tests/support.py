@@ -4,8 +4,9 @@
 helpers below left the package because no shipped path calls them; they stay
 here as small oracles: the scalar ones for the array code, the dense rho
 arrays as a vector form of ``rho_coefficient`` that shares no code with it,
-and the pairwise-cosine Fourier sum as the oracle of the Gram form in
-``fourier_truncated``.
+the pairwise-cosine Fourier sum as the oracle of the Gram form in
+``fourier_truncated``, and the per-t scan and per-block sequence check as
+the oracles of the one-search ``minimal_t``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,14 @@ from dignet.gf2 import BitVector, rank
 from dignet.interlace import interlace_digits
 from dignet.measures import WeightScheme
 from dignet.niederreiter import GeneratingMatrixSet
+from dignet.quality import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    CheckOutcome,
+    NetQualityReport,
+    check_order_alpha_t,
+)
 from dignet.sequence import DyadicPoint, PointSet
 from dignet.walshlab import (
     _stacked_transpose,
@@ -176,3 +185,63 @@ def fourier_pairwise_squared(pset: PointSet, scheme: WeightScheme, trunc: int) -
     upper = math.fsum(prod[i, i + 1 :].sum() for i in range(n))
     total = n * k_zero**d + 2.0 * upper
     return scheme.prefactor(d) * (total / (n * n) - 1.0)
+
+
+def scan_minimal_t(mats, alpha: int, *, node_cap: int = 10_000_000,
+                   zero_pad: bool = False) -> NetQualityReport:
+    """Minimal t by one fixed-t check per t, scanning upward from zero.
+
+    The witness is the failing check's at t - 1, kept only when every
+    smaller t failed conclusively.
+    """
+    mats = list(mats)
+    m = mats[0].ncols
+    witness = None
+    exhaustive = True
+    for t in range(alpha * m + 1):
+        out = check_order_alpha_t(mats, alpha, t, node_cap=node_cap, zero_pad=zero_pad)
+        if out.status == PASS:
+            return NetQualityReport(alpha, m, len(mats), t, exhaustive,
+                                    witness if (t > 0 and exhaustive) else None)
+        exhaustive = exhaustive and out.status == FAIL
+        witness = out.witness
+    raise AssertionError("unreachable: the empty check at t = alpha*m passes")
+
+
+def verify_sequence_property(
+    gset: GeneratingMatrixSet,
+    alpha: int,
+    t: int,
+    m_max: int,
+    *,
+    node_cap: int = 10_000_000,
+) -> CheckOutcome:
+    """Check the order-alpha property of every leading block up to m_max.
+
+    For each m with alpha*m > t and m <= m_max, the upper-left
+    (alpha*m) x m submatrices must pass the order-alpha check at quality t.
+    The scan runs over increasing m and stops at the first failure, whose
+    witness is returned; an inconclusive block makes the aggregate
+    inconclusive unless a later block fails outright.
+    """
+    if m_max < 1:
+        raise ValueError(f"m_max must be positive, got {m_max}")
+    if gset.rows < alpha * m_max or gset.cols < m_max:
+        raise ValueError(
+            f"matrix extent {gset.rows}x{gset.cols} does not cover "
+            f"{alpha * m_max}x{m_max}"
+        )
+    total_nodes = 0
+    saw_inconclusive = False
+    for m in range(1, m_max + 1):
+        if alpha * m <= t:
+            continue
+        subs = [mat.submatrix(alpha * m, m) for mat in gset.matrices]
+        out = check_order_alpha_t(subs, alpha, t, node_cap=node_cap)
+        total_nodes += out.nodes
+        if out.status == FAIL:
+            return CheckOutcome(FAIL, out.witness, total_nodes)
+        if out.status == INCONCLUSIVE:
+            saw_inconclusive = True
+    status = INCONCLUSIVE if saw_inconclusive else PASS
+    return CheckOutcome(status, None, total_nodes)

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from dignet.cli import EXIT_IO, EXIT_REFUSED, EXIT_USAGE, main, study_rows
+from dignet.cli import EXIT_IO, EXIT_REFUSED, EXIT_USAGE, build_parser, main, study_rows
 from dignet.errors import PrecisionError
 from dignet.measures import periodic_l2
 from dignet.gf2 import BitMatrix
@@ -488,3 +488,92 @@ def test_study_rows_library():
         study_rows(1, 1, [1])
     with pytest.raises(PrecisionError):
         study_rows(1, 5, [1 << 13])
+
+
+def test_tvalue_refuses_alpha_beyond_stored_rows(tmp_path, capsys):
+    # A file from `matrices -d 1 -a 2 -m 4` holds 8 rows; order 4 needs 16
+    # for m = 4, and the missing rows must not be dropped silently.
+    path = tmp_path / "mats.json"
+    save_matrix_set(construct_matrices(1, 2, 4), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["tvalue", "--matrix-file", str(path), "-a", "4"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "-a/--alpha 4" in err and "16 rows" in err and "have 8" in err
+    data = _run_json(
+        ["tvalue", "--matrix-file", str(path), "-a", "4", "--m-max", "2"], tmp_path
+    )
+    assert [b["m"] for b in data["blocks"]] == [1, 2]
+
+
+# Every subcommand with small valid values for its flags; the sweep below
+# leaves each one out and sets each flag of the parser to nonsense.
+_SWEEP_BASE = {
+    "matrices": {"-d": "1", "-a": "2", "-m": "3", "--out": "out.json"},
+    "points": {"-d": "2", "-a": "2", "-m": "3", "-N": "5", "-W": "6",
+               "--out": "pts.csv"},
+    "measure": {"-d": "1", "-a": "2", "-m": "3", "-N": "8", "-W": "6",
+                "--measure": "diaphony", "--method": "fourier", "--trunc": "8",
+                "--threads": "1", "--out": "m.json"},
+    "tvalue": {"-d": "1", "-a": "2", "-m": "3", "--m-min": "1", "--m-max": "3",
+               "--node-cap": "1000", "--out": "t.json"},
+    "study": {"-d": "1", "-a": "2", "--m-min": "3", "--m-max": "4",
+              "--include-non-powers": None, "--self-test": None, "--seed": "1",
+              "--format": "json", "--out": "s.json"},
+}
+
+
+def _sweep_flags(command):
+    """The first option string of every flag of a subcommand but -h."""
+    sub = next(a for a in build_parser()._actions if a.choices and command in a.choices)
+    return [a.option_strings[0] for a in sub.choices[command]._actions
+            if a.option_strings and a.dest != "help"]
+
+
+def _sweep_argv(command, drop):
+    argv = [command]
+    for flag, value in _SWEEP_BASE[command].items():
+        if flag != drop:
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+def _sweep_cases():
+    cases = []
+    for command, base in _SWEEP_BASE.items():
+        for flag in _sweep_flags(command):
+            if flag in base:
+                cases.append(pytest.param(_sweep_argv(command, flag),
+                                          id=f"{command}-without-{flag}"))
+            for k, value in enumerate(("-3", "nonsense", "{}", "")):
+                cases.append(pytest.param(_sweep_argv(command, flag) + [flag, value],
+                                          id=f"{command}-{flag}-nonsense{k}"))
+    return cases
+
+
+def test_sweep_base_names_real_flags():
+    for command, base in _SWEEP_BASE.items():
+        assert set(base) <= set(_sweep_flags(command)), command
+
+
+@pytest.mark.parametrize("argv", _sweep_cases())
+def test_flag_sweep_exits_cleanly(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("-3", "nonsense", "{}"):
+        # A nonsense path names an existing file that holds junk.
+        (tmp_path / name).write_text("n,x1_hex\n0,zz\n" if name == "nonsense" else name)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["matrices", "points", "measure", "tvalue"])
+def test_dimension_below_one_names_the_flag(command, capsys):
+    # -d reached build_matrices as alpha * d, so "-d -3 -a 2" said "got -6".
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-m", "3", "-a", "2", "-d", "-3"])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument -d/--dimension: must be at least 1, got -3" in capsys.readouterr().err

@@ -13,7 +13,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dignet.cli import construct_matrices
 from dignet.errors import BudgetError
 from dignet.gf2 import BitMatrix
 from dignet.interlace import interlace_matrices
@@ -26,8 +29,8 @@ from dignet.quality import (
     NetQualityReport,
     check_order_alpha_t,
     minimal_t,
-    verify_sequence_property,
 )
+from support import scan_minimal_t, verify_sequence_property
 
 
 def _gauss_rank(masks) -> int:
@@ -320,3 +323,100 @@ def test_input_validation():
             [BitMatrix.identity(2), BitMatrix.identity(3)], 1, 0
         )
     assert isinstance(check_order_alpha_t(build_matrices(1, 2, 2), 1, 0), CheckOutcome)
+
+
+def _padded(mats, alpha: int) -> list[BitMatrix]:
+    """The matrices with zero rows appended up to alpha*m, as zero_pad sees them."""
+    extra = alpha * mats[0].ncols - mats[0].nrows
+    if extra <= 0:
+        return list(mats)
+    return [BitMatrix(list(mat.row_masks) + [0] * extra, mat.ncols) for mat in mats]
+
+
+def _assert_same_as_scan(mats, alpha: int, node_cap: int = 10_000_000,
+                         zero_pad: bool = False) -> None:
+    report = minimal_t(mats, alpha, node_cap=node_cap, zero_pad=zero_pad)
+    assert report == scan_minimal_t(mats, alpha, node_cap=node_cap, zero_pad=zero_pad)
+    if report.witness is not None:
+        full = _padded(mats, alpha) if zero_pad else mats
+        _assert_witness_valid(full, alpha, report.t - 1, report.witness)
+
+
+def _random_cases():
+    rng = random.Random(29)
+    cases = []
+    for d in (1, 2, 3):
+        for alpha in (1, 2, 3):
+            m = 4 if d * alpha <= 2 else 3 if d * alpha <= 4 else 2
+            for rows in (alpha * m - 1, alpha * m, alpha * m + 1):
+                for zero_pad in (False, True):
+                    mats = _random_matrices(rng, d, rows, m)
+                    cases.append(
+                        pytest.param(mats, alpha, zero_pad,
+                                     id=f"random-d{d}-a{alpha}-r{rows}-pad{int(zero_pad)}")
+                    )
+    return cases
+
+
+def _block_cases(d: int, alpha: int, m_max: int, m_stop: int | None = None):
+    gset = construct_matrices(d, alpha, m_max)
+    return [
+        pytest.param([mat.submatrix(alpha * m, m) for mat in gset.matrices], alpha,
+                     False, id=f"construct-d{d}-a{alpha}-m{m}")
+        for m in range(1, (m_stop or m_max) + 1)
+    ]
+
+
+_CONSTRUCTED = (
+    _block_cases(1, 4, 16, m_stop=12)
+    + _block_cases(2, 2, 8)
+    + _block_cases(2, 3, 6)
+    + _block_cases(3, 2, 5)
+    + [pytest.param(build_matrices(2, m, m).matrices, 1, False, id=f"sobol-m{m}")
+       for m in range(1, 7)]
+)
+
+
+@pytest.mark.parametrize("mats, alpha, zero_pad", _random_cases() + _CONSTRUCTED)
+def test_minimal_t_equals_scan(mats, alpha, zero_pad):
+    _assert_same_as_scan(mats, alpha, zero_pad=zero_pad)
+
+
+def test_minimal_t_equals_scan_at_every_lower_order():
+    # The interlaced sets of test_order_reduction_monotonicity.
+    cases = [(2, m, 2) for m in range(1, 5)] + [(3, m, 3) for m in range(1, 4)]
+    cases += [(4, m, 2) for m in range(1, 4)]
+    for streams, m, alpha in cases:
+        gset = interlace_matrices(build_matrices(streams, m, m), alpha)
+        for alpha_prime in range(1, alpha + 1):
+            _assert_same_as_scan(gset.matrices, alpha_prime)
+
+
+@pytest.mark.parametrize("node_cap", [1, 50, 5000])
+def test_minimal_t_equals_scan_under_node_cap(node_cap):
+    # The one search on block 12 takes 11,499 insertions, so every cap here
+    # sends it down the capped path; the smaller caps send the others too.
+    gset = construct_matrices(1, 4, 12)
+    for m in (3, 10, 12):
+        subs = [mat.submatrix(4 * m, m) for mat in gset.matrices]
+        _assert_same_as_scan(subs, 4, node_cap=node_cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_minimal_t_equals_scan_on_random_matrices(data):
+    d = data.draw(st.integers(1, 3), label="d")
+    alpha = data.draw(st.integers(1, 3), label="alpha")
+    m = data.draw(st.integers(1, max(1, 6 // (d * alpha))), label="m")
+    rows = data.draw(st.integers(max(1, alpha * m - 2), alpha * m + 1), label="rows")
+    masks = st.lists(st.integers(0, (1 << m) - 1), min_size=rows, max_size=rows)
+    mats = [BitMatrix(data.draw(masks, label=f"rows of C{j}"), m) for j in range(d)]
+    zero_pad = data.draw(st.booleans(), label="zero_pad")
+    node_cap = data.draw(st.sampled_from([3, 40, 10_000_000]), label="node_cap")
+    _assert_same_as_scan(mats, alpha, node_cap=node_cap, zero_pad=zero_pad)
+
+
+@pytest.mark.parametrize("alpha", [0, -1])
+def test_minimal_t_refuses_alpha_below_one(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        minimal_t([BitMatrix.identity(2)], alpha)
