@@ -305,7 +305,7 @@ def _cmd_measure(args, parser) -> int:
                          "points file")
         pset = read_points_csv(args.points)
         if args.count is not None:
-            if not 1 <= args.count <= pset.size:
+            if args.count > pset.size:
                 raise ValueError(
                     f"-N must lie in [1, {pset.size}] for this points file, "
                     f"got {args.count}"
@@ -366,7 +366,7 @@ def _cmd_tvalue(args, parser) -> int:
         raise ValueError(
             f"--m-max {m_max} exceeds the {gset.cols} columns available"
         )
-    if args.m_min < 1 or args.m_min > m_max:
+    if args.m_min > m_max:
         raise ValueError(f"--m-min must lie in [1, {m_max}], got {args.m_min}")
     if alpha * m_max > gset.rows:
         parser.error(
@@ -387,7 +387,7 @@ def _cmd_tvalue(args, parser) -> int:
 
 def _cmd_study(args, parser) -> int:
     dims = [args.dimension] if args.dimension is not None else [1, 2]
-    if args.m_min < 1 or args.m_min > args.m_max:
+    if args.m_min > args.m_max:
         raise ValueError(
             f"--m-min must lie in [1, {args.m_max}], got {args.m_min}"
         )
@@ -439,10 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output dimension (inline construction)")
         p.add_argument("-a", "--alpha", type=_positive_int, default=1,
                        help="interlacing factor (inline construction)")
-        p.add_argument("-m", "--size", type=int,
+        p.add_argument("-m", "--size", type=_positive_int,
                        help="digit columns of the inline construction")
         if with_count:
-            p.add_argument("-N", "--count", type=int,
+            p.add_argument("-N", "--count", type=_positive_int,
                            help="number of points (default: the full net)")
             p.add_argument("-W", "--precision", type=_positive_int,
                            help="digit precision (default: matrix rows; fewer "
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("matrices", help="emit generating matrices as JSON")
     pm.add_argument("-d", "--dimension", type=_positive_int, required=True)
     pm.add_argument("-a", "--alpha", type=_positive_int, default=1)
-    pm.add_argument("-m", "--size", type=int, required=True)
+    pm.add_argument("-m", "--size", type=_positive_int, required=True)
     pm.add_argument("--out", type=_path)
     pm.set_defaults(func=_cmd_matrices, parser=pm)
 
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--trunc", type=_positive_int,
                     help="frequency bound for the fourier method and "
                          "--cross-check (default 256)")
-    pe.add_argument("--bound-bits", type=int,
+    pe.add_argument("--bound-bits", type=_positive_int,
                     help="digit bound for the walsh method")
     pe.add_argument("--max-members", type=_positive_int,
                     help="dual enumeration budget for the walsh method "
@@ -488,10 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("-d", "--dimension", type=_positive_int, default=1)
     pt.add_argument("-a", "--alpha", type=_positive_int, default=None,
                     help="order of the check (default: the construction's)")
-    pt.add_argument("-m", "--size", type=int,
+    pt.add_argument("-m", "--size", type=_positive_int,
                     help="digit columns of the inline construction")
-    pt.add_argument("--m-min", type=int, default=1)
-    pt.add_argument("--m-max", type=int, default=None)
+    pt.add_argument("--m-min", type=_positive_int, default=1)
+    pt.add_argument("--m-max", type=_positive_int, default=None)
     pt.add_argument("--node-cap", type=_positive_int, default=10_000_000,
                     help="row insertions per block search; past it the block "
                          "falls back to the per-t scan and may report "
@@ -504,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict to one dimension (default: both 1 and 2)")
     ps.add_argument("-a", "--alpha", type=_positive_int, default=None,
                     help="interlacing factor (default: largest feasible <= 5)")
-    ps.add_argument("--m-min", type=int, default=6)
-    ps.add_argument("--m-max", type=int, default=13)
+    ps.add_argument("--m-min", type=_positive_int, default=6)
+    ps.add_argument("--m-max", type=_positive_int, default=13)
     ps.add_argument("--include-non-powers", action="store_true",
                     help="also sample N = 2^m - 1 and one random N per m")
     ps.add_argument("--self-test", action="store_true",

@@ -10,74 +10,12 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 __all__ = [
-    "BitVector",
     "BitMatrix",
     "matvec",
     "rank",
-    "rows_independent",
     "nullspace_basis",
     "echelon_insert",
 ]
-
-
-class BitVector:
-    """Fixed-length vector over Z2, packed into one integer.
-
-    Bit i of ``bits`` is component i.  Components beyond ``length`` must be
-    zero; the constructor enforces this.
-    """
-
-    __slots__ = ("bits", "length")
-
-    def __init__(self, bits: int, length: int):
-        if length < 0:
-            raise ValueError(f"length must be nonnegative, got {length}")
-        if bits < 0 or bits >> length:
-            raise ValueError(f"bits 0x{bits:x} do not fit in {length} components")
-        self.bits = bits
-        self.length = length
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        mask = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"components must be 0 or 1, got {b!r}")
-            mask |= b << n
-            n += 1
-        return cls(mask, n)
-
-    def to_bits(self) -> list[int]:
-        return [(self.bits >> i) & 1 for i in range(self.length)]
-
-    def weight(self) -> int:
-        """Number of nonzero components."""
-        return self.bits.bit_count()
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(f"component {i} out of range for length {self.length}")
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError(f"length mismatch: {self.length} vs {other.length}")
-        return BitVector(self.bits ^ other.bits, self.length)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        return self.length == other.length and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.length))
-
-    def __repr__(self) -> str:
-        return f"BitVector({''.join(str(b) for b in self.to_bits())})"
 
 
 class BitMatrix:
@@ -110,13 +48,15 @@ class BitMatrix:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
         """Build from row lists of 0/1 entries (all rows the same length)."""
-        vecs = [BitVector.from_bits(r) for r in rows]
-        if not vecs:
+        rows = [list(r) for r in rows]
+        if not rows:
             raise ValueError("need at least one row")
-        ncols = vecs[0].length
-        if any(v.length != ncols for v in vecs):
+        ncols = len(rows[0])
+        if any(len(r) != ncols for r in rows):
             raise ValueError("rows have inconsistent lengths")
-        return cls([v.bits for v in vecs], ncols)
+        if any(b not in (0, 1) for r in rows for b in r):
+            raise ValueError("entries must be 0 or 1")
+        return cls([sum(b << j for j, b in enumerate(r)) for r in rows], ncols)
 
     @classmethod
     def from_strings(cls, lines: Iterable[str]) -> "BitMatrix":
@@ -127,9 +67,6 @@ class BitMatrix:
             "".join("1" if (r >> j) & 1 else "0" for j in range(self.ncols))
             for r in self.row_masks
         ]
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.row_masks[i], self.ncols)
 
     def entry(self, i: int, j: int) -> int:
         if not 0 <= j < self.ncols:
@@ -169,45 +106,34 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
 
-def matvec(m: BitMatrix, v: BitVector) -> BitVector:
-    """Matrix-vector product over Z2.
+def matvec(m: BitMatrix, bits: int) -> int:
+    """Matrix-vector product over Z2 of a vector packed into ``bits``.
 
-    Component i of the result is the parity of ``row_i AND v``.
+    Bit i of the result is the parity of ``row_i AND bits``.
     """
-    if v.length != m.ncols:
-        raise ValueError(f"dimension mismatch: matrix has {m.ncols} columns, vector {v.length}")
+    if bits < 0 or bits >> m.ncols:
+        raise ValueError(f"vector 0x{bits:x} does not fit in {m.ncols} columns")
     out = 0
     for i, r in enumerate(m.row_masks):
-        out |= ((r & v.bits).bit_count() & 1) << i
-    return BitVector(out, m.nrows)
+        out |= ((r & bits).bit_count() & 1) << i
+    return out
 
 
 def rank(m: BitMatrix) -> int:
     """Rank over Z2 by Gaussian elimination on bit-packed rows."""
-    return _rank_of_masks(m.row_masks)
+    pivots: dict[int, int] = {}
+    for r in m.row_masks:
+        echelon_insert(pivots, r)
+    return len(pivots)
 
 
-def rows_independent(rows: Sequence[BitVector]) -> bool:
-    """True when the given vectors are linearly independent over Z2.
-
-    The empty family is independent.  All vectors must share a length.
-    """
-    if not rows:
-        return True
-    n = rows[0].length
-    if any(v.length != n for v in rows):
-        raise ValueError("vectors have inconsistent lengths")
-    return _rank_of_masks([v.bits for v in rows]) == len(rows)
-
-
-def nullspace_basis(m: BitMatrix) -> list[BitVector]:
+def nullspace_basis(m: BitMatrix) -> list[int]:
     """Basis of the right nullspace {x : m x = 0} over Z2.
 
-    Returns one BitVector of length ``m.ncols`` per free column, in
-    ascending free-column order.  The basis is empty when the matrix has
-    full column rank.
+    Returns one vector of ``m.ncols`` bits per free column, in ascending
+    free-column order.  The basis is empty when the matrix has full column
+    rank.
     """
-    n = m.ncols
     pivots: dict[int, int] = {}
     for r in m.row_masks:
         echelon_insert(pivots, r)
@@ -217,16 +143,15 @@ def nullspace_basis(m: BitMatrix) -> list[BitVector]:
         for other_lead in pivots:
             if other_lead > lead and (pivots[other_lead] >> lead) & 1:
                 pivots[other_lead] ^= r
-    pivot_cols = set(pivots)
     basis = []
-    for free in range(n):
-        if free in pivot_cols:
+    for free in range(m.ncols):
+        if free in pivots:
             continue
         x = 1 << free
         for lead, r in pivots.items():
             if (r >> free) & 1:
                 x |= 1 << lead
-        basis.append(BitVector(x, n))
+        basis.append(x)
     return basis
 
 
@@ -244,9 +169,3 @@ def echelon_insert(pivots: dict[int, int], row: int) -> int:
         row ^= pivots[lead]
     return -1
 
-
-def _rank_of_masks(masks: Iterable[int]) -> int:
-    pivots: dict[int, int] = {}
-    for r in masks:
-        echelon_insert(pivots, r)
-    return len(pivots)

@@ -3,7 +3,8 @@
 The construction assigns one primitive polynomial per coordinate (the first
 coordinate uses p(x) = x) and fills each matrix row with a prefix of the
 Laurent expansion of x^(e-offset-1) / p(x)^power, following Niederreiter's
-recipe.  Polynomials are bit masks: bit i is the coefficient of x^i.
+recipe.  Polynomials are plain int bit masks: bit i is the coefficient of
+x^i.
 """
 
 from __future__ import annotations
@@ -11,12 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix
 
 __all__ = [
-    "Poly2",
     "GeneratingMatrixSet",
     "poly_mul",
     "poly_divmod",
@@ -29,43 +28,6 @@ __all__ = [
     "save_matrix_set",
     "load_matrix_set",
 ]
-
-
-@dataclass(frozen=True)
-class Poly2:
-    """Polynomial over Z2, packed into an integer (bit i = coefficient of x^i)."""
-
-    mask: int
-
-    def __post_init__(self) -> None:
-        if self.mask < 0:
-            raise ValueError("polynomial mask must be nonnegative")
-
-    @property
-    def degree(self) -> int:
-        """Degree; the zero polynomial reports -1."""
-        return self.mask.bit_length() - 1
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[int]) -> "Poly2":
-        mask = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise ValueError(f"coefficients must be 0 or 1, got {c!r}")
-            mask |= c << i
-        return cls(mask)
-
-    def __str__(self) -> str:
-        if self.mask == 0:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            if (self.mask >> i) & 1:
-                terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-        return " + ".join(terms)
-
-
-X = Poly2(0b10)
 
 
 def poly_mul(a: int, b: int) -> int:
@@ -136,19 +98,19 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
-def is_irreducible(p: Poly2) -> bool:
+def is_irreducible(p: int) -> bool:
     """Irreducibility over Z2 via the x^(2^k) Frobenius criterion."""
-    e = p.degree
+    e = p.bit_length() - 1
     if e <= 0:
         return False
     if e == 1:
         return True
     # x^(2^e) must reduce to x, and x^(2^(e/q)) - x must be coprime to p
     # for every prime divisor q of e.
-    if _poly_powmod(2, 1 << e, p.mask) != 2:
+    if _poly_powmod(2, 1 << e, p) != 2:
         return False
     for q in _prime_factors(e):
-        g = _poly_gcd(_poly_powmod(2, 1 << (e // q), p.mask) ^ 2, p.mask)
+        g = _poly_gcd(_poly_powmod(2, 1 << (e // q), p) ^ 2, p)
         if g.bit_length() - 1 > 0:
             return False
     return True
@@ -160,23 +122,23 @@ def _poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def is_primitive(p: Poly2) -> bool:
+def is_primitive(p: int) -> bool:
     """True when p is irreducible and x generates the full multiplicative group.
 
     Requires x to be a unit mod p, so the constant coefficient must be 1.
     """
-    e = p.degree
-    if e < 1 or not p.mask & 1:
+    e = p.bit_length() - 1
+    if e < 1 or not p & 1:
         return False
     if not is_irreducible(p):
         return False
     order = (1 << e) - 1
-    if _poly_powmod(2, order, p.mask) != 1:
+    if _poly_powmod(2, order, p) != 1:
         return False
-    return all(_poly_powmod(2, order // q, p.mask) != 1 for q in _prime_factors(order))
+    return all(_poly_powmod(2, order // q, p) != 1 for q in _prime_factors(order))
 
 
-def primitive_polynomials(count: int) -> list[Poly2]:
+def primitive_polynomials(count: int) -> list[int]:
     """First ``count`` coordinate polynomials.
 
     The list starts with p(x) = x, then runs through the primitive
@@ -185,29 +147,30 @@ def primitive_polynomials(count: int) -> list[Poly2]:
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    out = [X]
+    out = [0b10]
     degree = 1
     while len(out) < count:
         for mask in range((1 << degree) | 1, 1 << (degree + 1), 2):
-            if is_primitive(Poly2(mask)):
-                out.append(Poly2(mask))
+            if is_primitive(mask):
+                out.append(mask)
                 if len(out) == count:
                     return out
         degree += 1
     return out
 
 
-def laurent_expand(p: Poly2, power: int, offset: int, length: int) -> BitVector:
+def laurent_expand(p: int, power: int, offset: int, length: int) -> int:
     """Leading coefficients of x^(e-offset-1) / p(x)^power in powers of 1/x.
 
-    Returns a_1..a_length with a_l the coefficient of x^(-l), computed by
+    Returns a_1..a_length packed into an int, a_l the coefficient of x^(-l)
+    at bit l - 1, computed by
     long division of x^(e-offset-1+length) by p(x)^power.  The quotient q
     then satisfies q * p^power = x^(e-offset-1+length) up to terms of degree
     below e*power.
     """
-    e = p.degree
+    e = p.bit_length() - 1
     if e < 1:
-        raise ValueError(f"need a polynomial of degree >= 1, got {p}")
+        raise ValueError(f"need a polynomial of degree >= 1, got mask {p:#b}")
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
     if not 0 <= offset < e:
@@ -215,12 +178,11 @@ def laurent_expand(p: Poly2, power: int, offset: int, length: int) -> BitVector:
     if length < 0:
         raise ValueError(f"length must be nonnegative, got {length}")
     num = 1 << (e - offset - 1 + length)
-    den = poly_pow(p.mask, power)
-    quot, _ = poly_divmod(num, den)
+    quot, _ = poly_divmod(num, poly_pow(p, power))
     bits = 0
     for l in range(1, length + 1):
         bits |= ((quot >> (length - l)) & 1) << (l - 1)
-    return BitVector(bits, length)
+    return bits
 
 
 @dataclass
@@ -235,7 +197,7 @@ class GeneratingMatrixSet:
     alpha: int
     t: int
     matrices: list[BitMatrix]
-    polynomials: list[Poly2]
+    polynomials: list[int]
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -270,7 +232,7 @@ class GeneratingMatrixSet:
             "rows": self.rows,
             "cols": self.cols,
             "matrices": [m.to_strings() for m in self.matrices],
-            "polynomials": [p.mask for p in self.polynomials],
+            "polynomials": list(self.polynomials),
         }
 
     @classmethod
@@ -282,12 +244,19 @@ class GeneratingMatrixSet:
                 alpha=int(data["alpha"]),
                 t=int(data["t"]),
                 matrices=matrices,
-                polynomials=[Poly2(int(m)) for m in data["polynomials"]],
+                polynomials=list(data["polynomials"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed matrix-set JSON: {exc}") from exc
         if (gset.rows, gset.cols) != (int(data["rows"]), int(data["cols"])):
             raise ValueError("matrix-set JSON shape fields disagree with row data")
+        if any(type(p) is not int or p < 0 for p in gset.polynomials):
+            raise ValueError("polynomial masks must be nonnegative integers")
+        if len(gset.polynomials) != gset.alpha * gset.dimension:
+            raise ValueError(
+                f"expected alpha*dimension = {gset.alpha * gset.dimension} "
+                f"polynomial masks, got {len(gset.polynomials)}"
+            )
         return gset
 
 
@@ -305,14 +274,13 @@ def build_matrices(dimension: int, rows: int, cols: int) -> GeneratingMatrixSet:
     polys = primitive_polynomials(dimension)
     matrices = []
     for p in polys:
-        e = p.degree
-        row_masks = []
-        for k in range(1, rows + 1):
-            power = (k - 1) // e + 1
-            offset = (k - 1) % e
-            row_masks.append(laurent_expand(p, power, offset, cols).bits)
+        e = p.bit_length() - 1
+        row_masks = [
+            laurent_expand(p, (k - 1) // e + 1, (k - 1) % e, cols)
+            for k in range(1, rows + 1)
+        ]
         matrices.append(BitMatrix(row_masks, cols))
-    t = sum(p.degree - 1 for p in polys)
+    t = sum(p.bit_length() - 2 for p in polys)  # degree - 1 per coordinate
     return GeneratingMatrixSet(
         dimension=dimension, alpha=1, t=t, matrices=matrices, polynomials=polys
     )

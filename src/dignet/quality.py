@@ -132,7 +132,6 @@ def _search(
     alpha: int,
     bound: int,
     node_cap: int,
-    zero_pad: bool,
     first_only: bool,
 ) -> tuple[int, tuple[tuple[int, int], ...] | None, int]:
     """Depth-first search over maximal selections of counted weight <= bound.
@@ -141,15 +140,19 @@ def _search(
     the bound to its weight - 1 and the search backtracks, each frame
     reading the bound as it starts.  Returns the final bound, the last
     dependent selection found (or None) and the number of row insertions.
-    Raises :class:`_NodeCap` past ``node_cap`` insertions.
+    Raises :class:`_NodeCap` past ``node_cap`` insertions, and ValueError
+    when the matrices have fewer than alpha*m rows: a selection may reach
+    down to row alpha*m, and a row that is not there cannot be checked.
     """
     d = len(mats)
     depth_cap = alpha * mats[0].ncols
-    if not zero_pad:
-        depth_cap = min(mats[0].nrows, depth_cap)
-    # rows[j][i] is row i (1-based) of matrix j, zero past the stored rows.
-    rows = [[0, *mat.row_masks[:depth_cap]] + [0] * (depth_cap - mat.nrows)
-            for mat in mats]
+    if mats[0].nrows < depth_cap:
+        raise ValueError(
+            f"order {alpha} needs {depth_cap} rows for m = {mats[0].ncols}, "
+            f"but the matrices have {mats[0].nrows}"
+        )
+    # rows[j][i] is row i (1-based) of matrix j.
+    rows = [[0, *mat.row_masks[:depth_cap]] for mat in mats]
     pivots: dict[int, int] = {}
     chosen: list[tuple[int, int]] = []
     witness = None
@@ -215,15 +218,12 @@ def check_order_alpha_t(
     t: int,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    zero_pad: bool = False,
 ) -> CheckOutcome:
     """Check the order-alpha row-selection property at quality t.
 
-    Selections draw from the first min(rows, alpha*m) rows of each matrix;
-    deeper rows can never appear in an admissible selection because a
-    counted index above alpha*m already exceeds the weight bound.  With
-    ``zero_pad`` the matrices are treated as having alpha*m rows, missing
-    ones all zero, so any selection reaching past the stored rows fails.
+    Selections draw from the first alpha*m rows of each matrix, which must
+    be present; deeper rows can never appear in an admissible selection
+    because a counted index above alpha*m already exceeds the weight bound.
 
     Args:
         matrices: the d generating matrices (or a full matrix set).
@@ -231,7 +231,6 @@ def check_order_alpha_t(
         t: candidate quality, between 0 and alpha*m.
         node_cap: abort with an inconclusive outcome after this many row
             insertions.  The outcome is never a wrong boolean.
-        zero_pad: extend short matrices with zero rows up to alpha*m.
 
     Returns:
         A :class:`CheckOutcome`; on failure the witness is the first
@@ -245,7 +244,7 @@ def check_order_alpha_t(
         raise ValueError(f"t must lie in [0, {alpha * m}], got {t}")
     try:
         _, witness, nodes = _search(
-            mats, alpha, alpha * m - t, node_cap, zero_pad, first_only=True
+            mats, alpha, alpha * m - t, node_cap, first_only=True
         )
     except _NodeCap:
         return CheckOutcome(INCONCLUSIVE, None, node_cap + 1)
@@ -259,7 +258,6 @@ def minimal_t(
     alpha: int,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    zero_pad: bool = False,
 ) -> NetQualityReport:
     """Smallest quality t passing the order-alpha check, with a witness.
 
@@ -276,6 +274,7 @@ def minimal_t(
     every smaller value failed conclusively; otherwise the report says
     ``exhaustive=False`` and ``t`` is only an upper bound.  t = alpha*m
     always passes with an empty enumeration, so the scan terminates.
+    Matrices with fewer than alpha*m rows are refused with ValueError.
     """
     mats = _matrix_list(matrices)
     if alpha < 1:
@@ -284,7 +283,7 @@ def minimal_t(
     m = mats[0].ncols
     try:
         bound, witness, _ = _search(
-            mats, alpha, alpha * m, node_cap, zero_pad, first_only=False
+            mats, alpha, alpha * m, node_cap, first_only=False
         )
     except _NodeCap:
         pass
@@ -295,9 +294,7 @@ def minimal_t(
     witness = None
     exhaustive = True
     for t in range(alpha * m + 1):
-        out = check_order_alpha_t(
-            mats, alpha, t, node_cap=node_cap, zero_pad=zero_pad
-        )
+        out = check_order_alpha_t(mats, alpha, t, node_cap=node_cap)
         if out.status == PASS:
             return NetQualityReport(
                 alpha, m, d, t, exhaustive,

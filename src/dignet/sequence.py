@@ -69,21 +69,6 @@ class DyadicPoint:
     def dimension(self) -> int:
         return len(self.numerators)
 
-    def at_precision(self, precision: int) -> "DyadicPoint":
-        """Same point with zero digits appended (precision may only grow)."""
-        if precision < self.precision:
-            raise ValueError("cannot lower precision without losing digits")
-        shift = precision - self.precision
-        return DyadicPoint(tuple(v << shift for v in self.numerators), precision)
-
-    def xor(self, other: "DyadicPoint") -> "DyadicPoint":
-        if self.dimension != other.dimension:
-            raise ValueError("dimension mismatch in digital shift")
-        w = max(self.precision, other.precision)
-        a = self.at_precision(w)
-        b = other.at_precision(w)
-        return DyadicPoint(tuple(x ^ y for x, y in zip(a.numerators, b.numerators)), w)
-
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
@@ -182,13 +167,17 @@ def generate_points(
 
 
 def digital_shift(pset: PointSet, shift: DyadicPoint) -> PointSet:
-    """XOR every point with the shift, aligning precisions by zero padding."""
+    """XOR every point with the shift, both zero-padded to the larger precision."""
     if shift.dimension != pset.dimension:
         raise ValueError(
             f"shift dimension {shift.dimension} does not match point set {pset.dimension}"
         )
     w = max(pset.precision, shift.precision)
-    shifted = [p.xor(shift).numerators for p in pset.points]
+    _check_precision(w)
+    sigma = np.array(
+        [v << (w - shift.precision) for v in shift.numerators], dtype=np.uint64
+    )
+    shifted = (pset.numerators << np.uint64(w - pset.precision)) ^ sigma
     return PointSet(shifted, w, provenance=f"{pset.provenance} + digital shift")
 
 

@@ -115,16 +115,11 @@ def _stacked_transpose(gset: GeneratingMatrixSet, bound_bits: int) -> BitMatrix:
     beyond the physical row count contribute nothing, so those digits
     are free.
     """
-    m = gset.cols
-    masks = []
-    for r in range(m):
-        mask = 0
-        for j, mat in enumerate(gset.matrices):
-            base = j * bound_bits
-            for a in range(min(bound_bits, len(mat.row_masks))):
-                if (mat.row_masks[a] >> r) & 1:
-                    mask |= 1 << (base + a)
-        masks.append(mask)
+    masks = [0] * gset.cols
+    for j, mat in enumerate(gset.matrices):
+        block = mat.submatrix(min(bound_bits, mat.nrows), mat.ncols).transpose()
+        for r, column in enumerate(block.row_masks):
+            masks[r] |= column << (j * bound_bits)
     return BitMatrix(masks, gset.dimension * bound_bits)
 
 
@@ -150,7 +145,7 @@ def _dual_member_coords(
         )
     combos = [0]
     for vec in basis:
-        combos.extend([c ^ vec.bits for c in combos])
+        combos.extend([c ^ vec for c in combos])
     combos.sort()
     box_mask = (1 << bound_bits) - 1
     return [

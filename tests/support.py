@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from dignet.gf2 import BitVector, rank
+from dignet.gf2 import rank
 from dignet.interlace import interlace_digits
 from dignet.measures import WeightScheme
 from dignet.niederreiter import GeneratingMatrixSet
@@ -50,13 +50,13 @@ def values(pset: PointSet) -> list[tuple[float, ...]]:
     return [tuple(v * scale for v in row) for row in pset.numerators.tolist()]
 
 
-def digit_vector(n: int, m: int) -> BitVector:
-    """Least-significant-first binary digits of n, as a length-m vector."""
+def digit_vector(n: int, m: int) -> int:
+    """Least-significant-first binary digits of n as an m-bit vector: n itself."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     if n >> m:
         raise ValueError(f"index {n} does not fit in {m} digits")
-    return BitVector(n, m)
+    return n
 
 
 def interlace_point(point: DyadicPoint) -> DyadicPoint:
@@ -187,8 +187,7 @@ def fourier_pairwise_squared(pset: PointSet, scheme: WeightScheme, trunc: int) -
     return scheme.prefactor(d) * (total / (n * n) - 1.0)
 
 
-def scan_minimal_t(mats, alpha: int, *, node_cap: int = 10_000_000,
-                   zero_pad: bool = False) -> NetQualityReport:
+def scan_minimal_t(mats, alpha: int, *, node_cap: int = 10_000_000) -> NetQualityReport:
     """Minimal t by one fixed-t check per t, scanning upward from zero.
 
     The witness is the failing check's at t - 1, kept only when every
@@ -199,7 +198,7 @@ def scan_minimal_t(mats, alpha: int, *, node_cap: int = 10_000_000,
     witness = None
     exhaustive = True
     for t in range(alpha * m + 1):
-        out = check_order_alpha_t(mats, alpha, t, node_cap=node_cap, zero_pad=zero_pad)
+        out = check_order_alpha_t(mats, alpha, t, node_cap=node_cap)
         if out.status == PASS:
             return NetQualityReport(alpha, m, len(mats), t, exhaustive,
                                     witness if (t > 0 and exhaustive) else None)

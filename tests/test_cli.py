@@ -135,10 +135,17 @@ def test_measure_points_file_count_takes_prefix(tmp_path):
 
 @pytest.mark.parametrize("count", ["0", "17"])
 def test_measure_points_file_count_out_of_range(count, tmp_path, capsys):
+    # -N below one is a parser error; past the file's size, a usage error.
+    message = {"0": "argument -N/--count: must be at least 1, got 0",
+               "17": "-N must lie in [1, 16]"}[count]
     pts = tmp_path / "pts.csv"
     assert main(["points", "-d", "2", "-m", "4", "--out", str(pts)]) == 0
-    assert main(["measure", "--points", str(pts), "-N", count]) == EXIT_USAGE
-    assert "-N must lie in [1, 16]" in capsys.readouterr().err
+    try:
+        code = main(["measure", "--points", str(pts), "-N", count])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_measure_points_file_rejects_precision(tmp_path, capsys):
@@ -373,6 +380,49 @@ def test_tvalue_matrix_file(tmp_path):
 def test_tvalue_range_validation(tmp_path, capsys):
     assert main(["tvalue", "-d", "1", "-m", "3", "--m-max", "9"]) == EXIT_USAGE
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tvalue", "-d", "1", "-m", "3", "--m-max", "-3"],
+    ["study", "--m-max", "-3"],
+])
+def test_m_max_below_one_names_the_flag(argv, capsys):
+    # The refusal names the flag that is out of range, not --m-min.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --m-max: must be at least 1, got -3" in capsys.readouterr().err
+
+
+def _edit_matrix_json(data, case):
+    """One defect per case in a `matrices -d 2 -m 3` JSON dict."""
+    if case == "negative-mask":
+        data["polynomials"][1] = -3
+    elif case == "float-mask":
+        data["polynomials"][1] = 2.5
+    elif case == "bool-mask":
+        data["polynomials"][1] = True
+    elif case == "wrong-count":
+        data["polynomials"] = []
+    elif case == "entry-102":
+        data["matrices"][1][0] = "102"
+    elif case == "ragged-rows":
+        data["matrices"][1][2] = "00"
+    elif case == "number-row":
+        data["matrices"][1][0] = 101
+    return data
+
+
+@pytest.mark.parametrize("case", ["negative-mask", "float-mask", "bool-mask",
+                                  "wrong-count", "entry-102", "ragged-rows",
+                                  "number-row"])
+def test_tvalue_refuses_malformed_matrix_file(case, tmp_path, capsys):
+    path = tmp_path / "mats.json"
+    data = _edit_matrix_json(construct_matrices(2, 1, 3).to_json_dict(), case)
+    path.write_text(json.dumps(data))
+    assert main(["tvalue", "--matrix-file", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

@@ -12,7 +12,6 @@ from dignet.cli import construct_matrices
 from dignet.gf2 import BitMatrix
 from dignet.niederreiter import (
     GeneratingMatrixSet,
-    Poly2,
     build_matrices,
     is_irreducible,
     is_primitive,
@@ -156,30 +155,28 @@ def test_poly_divmod_by_zero():
 
 def test_primitive_polynomials_frozen_prefix():
     # x, x+1, x^2+x+1, x^3+x+1, x^3+x^2+1
-    assert [p.mask for p in primitive_polynomials(5)] == [0b10, 0b11, 0b111, 0b1011, 0b1101]
-    assert [p.mask for p in primitive_polynomials(1)] == [0b10]
+    assert primitive_polynomials(5) == [0b10, 0b11, 0b111, 0b1011, 0b1101]
+    assert primitive_polynomials(1) == [0b10]
 
 
 def test_primitive_polynomials_match_oracle_through_degree_six():
     # 1 + 1 + 1 + 2 + 2 + 6 + 6 polynomials cover degrees up to 6.
     want = _oracle_primitive_list(19)
-    got = [p.mask for p in primitive_polynomials(19)]
+    got = primitive_polynomials(19)
     assert got == want
     assert max(p.bit_length() - 1 for p in got) == 6
 
 
 def test_primitivity_tests_match_oracle_exhaustively():
     for mask in range(2, 1 << 7):
-        p = Poly2(mask)
-        assert is_irreducible(p) == _oracle_is_irreducible(mask), bin(mask)
-        assert is_primitive(p) == _oracle_is_primitive(mask), bin(mask)
+        assert is_irreducible(mask) == _oracle_is_irreducible(mask), bin(mask)
+        assert is_primitive(mask) == _oracle_is_primitive(mask), bin(mask)
 
 
 def test_irreducible_but_not_primitive():
     # x^4 + x^3 + x^2 + x + 1 divides x^5 + 1, so x has order 5 < 15.
-    p = Poly2(0b11111)
-    assert is_irreducible(p)
-    assert not is_primitive(p)
+    assert is_irreducible(0b11111)
+    assert not is_primitive(0b11111)
 
 
 def test_primitive_polynomials_rejects_bad_count():
@@ -192,10 +189,14 @@ def test_primitive_polynomials_rejects_bad_count():
 # ---------------------------------------------------------------------------
 
 
+def _bits(value: int, length: int) -> list[int]:
+    return [(value >> i) & 1 for i in range(length)]
+
+
 def test_laurent_frozen_examples():
-    assert laurent_expand(Poly2(0b10), 3, 0, 5).to_bits() == [0, 0, 1, 0, 0]
-    assert laurent_expand(Poly2(0b11), 1, 0, 4).to_bits() == [1, 1, 1, 1]
-    assert laurent_expand(Poly2(0b111), 1, 1, 6).to_bits() == [0, 1, 1, 0, 1, 1]
+    assert _bits(laurent_expand(0b10, 3, 0, 5), 5) == [0, 0, 1, 0, 0]
+    assert _bits(laurent_expand(0b11, 1, 0, 4), 4) == [1, 1, 1, 1]
+    assert _bits(laurent_expand(0b111, 1, 1, 6), 6) == [0, 1, 1, 0, 1, 1]
 
 
 def test_laurent_matches_oracle_on_grid():
@@ -204,8 +205,9 @@ def test_laurent_matches_oracle_on_grid():
         for power in range(1, 5):
             for offset in range(e):
                 for length in (1, 3, 8, 17):
-                    got = laurent_expand(Poly2(pmask), power, offset, length).to_bits()
-                    assert got == _oracle_laurent(pmask, power, offset, length)
+                    got = laurent_expand(pmask, power, offset, length)
+                    assert got >> length == 0
+                    assert _bits(got, length) == _oracle_laurent(pmask, power, offset, length)
 
 
 def test_laurent_remultiplication_contract():
@@ -216,10 +218,10 @@ def test_laurent_remultiplication_contract():
         for power in range(1, 4):
             for offset in range(e):
                 length = 12
-                bits = laurent_expand(Poly2(pmask), power, offset, length)
+                bits = laurent_expand(pmask, power, offset, length)
                 prefix_poly = 0
                 for l in range(1, length + 1):
-                    prefix_poly |= bits[l - 1] << (length - l)
+                    prefix_poly |= ((bits >> (l - 1)) & 1) << (length - l)
                 back = poly_mul(poly_pow(pmask, power), prefix_poly)
                 num = 1 << (e - offset - 1 + length)
                 assert (back ^ num) >> (e * power) == 0
@@ -227,11 +229,11 @@ def test_laurent_remultiplication_contract():
 
 def test_laurent_validation():
     with pytest.raises(ValueError):
-        laurent_expand(Poly2(1), 1, 0, 4)  # constant polynomial
+        laurent_expand(1, 1, 0, 4)  # constant polynomial
     with pytest.raises(ValueError):
-        laurent_expand(Poly2(0b111), 0, 0, 4)
+        laurent_expand(0b111, 0, 0, 4)
     with pytest.raises(ValueError):
-        laurent_expand(Poly2(0b111), 1, 2, 4)
+        laurent_expand(0b111, 1, 2, 4)
 
 
 # ---------------------------------------------------------------------------

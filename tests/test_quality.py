@@ -204,9 +204,14 @@ def test_zero_leading_row_forces_t_alpha_m():
 
 
 def test_zero_pad_exposes_missing_rows():
+    # Order 2 at m = 2 reaches row 4; with two rows stored, the verifier
+    # refuses instead of reporting t = 0 for the rows it has.
     mat = BitMatrix.identity(2)
-    assert minimal_t([mat], 2).t == 0
-    padded = minimal_t([mat], 2, zero_pad=True)
+    with pytest.raises(ValueError, match="needs 4 rows"):
+        minimal_t([mat], 2)
+    with pytest.raises(ValueError, match="needs 4 rows"):
+        check_order_alpha_t([mat], 2, 1)
+    padded = minimal_t(_padded([mat], 2), 2)
     assert padded.t == 2
     assert padded.witness == ((0, 3),)
 
@@ -326,20 +331,25 @@ def test_input_validation():
 
 
 def _padded(mats, alpha: int) -> list[BitMatrix]:
-    """The matrices with zero rows appended up to alpha*m, as zero_pad sees them."""
+    """The matrices with zero rows appended up to alpha*m."""
     extra = alpha * mats[0].ncols - mats[0].nrows
     if extra <= 0:
         return list(mats)
     return [BitMatrix(list(mat.row_masks) + [0] * extra, mat.ncols) for mat in mats]
 
 
-def _assert_same_as_scan(mats, alpha: int, node_cap: int = 10_000_000,
-                         zero_pad: bool = False) -> None:
-    report = minimal_t(mats, alpha, node_cap=node_cap, zero_pad=zero_pad)
-    assert report == scan_minimal_t(mats, alpha, node_cap=node_cap, zero_pad=zero_pad)
+def _assert_same_as_scan(mats, alpha: int, node_cap: int = 10_000_000) -> None:
+    """minimal_t equals the per-t scan, or both refuse fewer than alpha*m rows."""
+    if mats[0].nrows < alpha * mats[0].ncols:
+        with pytest.raises(ValueError, match="rows"):
+            minimal_t(mats, alpha, node_cap=node_cap)
+        with pytest.raises(ValueError, match="rows"):
+            scan_minimal_t(mats, alpha, node_cap=node_cap)
+        return
+    report = minimal_t(mats, alpha, node_cap=node_cap)
+    assert report == scan_minimal_t(mats, alpha, node_cap=node_cap)
     if report.witness is not None:
-        full = _padded(mats, alpha) if zero_pad else mats
-        _assert_witness_valid(full, alpha, report.t - 1, report.witness)
+        _assert_witness_valid(mats, alpha, report.t - 1, report.witness)
 
 
 def _random_cases():
@@ -349,11 +359,11 @@ def _random_cases():
         for alpha in (1, 2, 3):
             m = 4 if d * alpha <= 2 else 3 if d * alpha <= 4 else 2
             for rows in (alpha * m - 1, alpha * m, alpha * m + 1):
-                for zero_pad in (False, True):
+                for padded in (False, True):
                     mats = _random_matrices(rng, d, rows, m)
                     cases.append(
-                        pytest.param(mats, alpha, zero_pad,
-                                     id=f"random-d{d}-a{alpha}-r{rows}-pad{int(zero_pad)}")
+                        pytest.param(mats, alpha, padded,
+                                     id=f"random-d{d}-a{alpha}-r{rows}-pad{int(padded)}")
                     )
     return cases
 
@@ -377,9 +387,9 @@ _CONSTRUCTED = (
 )
 
 
-@pytest.mark.parametrize("mats, alpha, zero_pad", _random_cases() + _CONSTRUCTED)
-def test_minimal_t_equals_scan(mats, alpha, zero_pad):
-    _assert_same_as_scan(mats, alpha, zero_pad=zero_pad)
+@pytest.mark.parametrize("mats, alpha, padded", _random_cases() + _CONSTRUCTED)
+def test_minimal_t_equals_scan(mats, alpha, padded):
+    _assert_same_as_scan(_padded(mats, alpha) if padded else mats, alpha)
 
 
 def test_minimal_t_equals_scan_at_every_lower_order():
@@ -411,9 +421,10 @@ def test_minimal_t_equals_scan_on_random_matrices(data):
     rows = data.draw(st.integers(max(1, alpha * m - 2), alpha * m + 1), label="rows")
     masks = st.lists(st.integers(0, (1 << m) - 1), min_size=rows, max_size=rows)
     mats = [BitMatrix(data.draw(masks, label=f"rows of C{j}"), m) for j in range(d)]
-    zero_pad = data.draw(st.booleans(), label="zero_pad")
+    padded = data.draw(st.booleans(), label="padded")
     node_cap = data.draw(st.sampled_from([3, 40, 10_000_000]), label="node_cap")
-    _assert_same_as_scan(mats, alpha, node_cap=node_cap, zero_pad=zero_pad)
+    _assert_same_as_scan(_padded(mats, alpha) if padded else mats, alpha,
+                         node_cap=node_cap)
 
 
 @pytest.mark.parametrize("alpha", [0, -1])

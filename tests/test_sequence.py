@@ -31,9 +31,9 @@ from support import digit_vector, pset_from_tuples, values
 
 
 def test_digit_vector_examples():
-    assert digit_vector(6, 4).to_bits() == [0, 1, 1, 0]
-    assert digit_vector(0, 3).to_bits() == [0, 0, 0]
-    assert digit_vector(1, 1).to_bits() == [1]
+    assert digit_vector(6, 4) == 0b0110
+    assert digit_vector(0, 3) == 0
+    assert digit_vector(1, 1) == 1
     with pytest.raises(ValueError):
         digit_vector(8, 3)
 
@@ -76,7 +76,7 @@ def _matvec_numerators(gset, n: int, precision: int) -> tuple[int, ...]:
     out = []
     for mat in gset.matrices:
         y = matvec(mat, digit_vector(n, gset.cols))
-        out.append(sum(y[i] << (precision - 1 - i) for i in range(precision)))
+        out.append(sum(((y >> i) & 1) << (precision - 1 - i) for i in range(precision)))
     return tuple(out)
 
 
@@ -133,6 +133,10 @@ def test_digital_shift_examples():
     pts = pset_from_tuples([(1,)], 1)
     shifted = digital_shift(pts, DyadicPoint((1,), 1))
     assert shifted.points[0].numerators == (0,)
+    # 0.5 XOR 0.25 = 0.75: the coarser side gains a zero digit.
+    half, quarter = pset_from_tuples([(1,)], 1), pset_from_tuples([(1,)], 2)
+    assert digital_shift(half, DyadicPoint((1,), 2)).points == [DyadicPoint((3,), 2)]
+    assert digital_shift(quarter, DyadicPoint((1,), 1)).points == [DyadicPoint((3,), 2)]
 
     gset = build_matrices(2, 4, 4)
     pts = generate_points(gset, 8, 4)
@@ -150,7 +154,13 @@ def test_digital_shift_involution_and_padding():
         )
         sw = rng.randint(1, w)
         sigma = DyadicPoint(tuple(rng.getrandbits(sw) for _ in range(d)), sw)
-        back = digital_shift(digital_shift(pts, sigma), sigma)
+        once = digital_shift(pts, sigma)
+        # Scalar reference: each coordinate XOR the shift padded to w digits.
+        assert once.numerators.tolist() == [
+            [v ^ (s << (w - sw)) for v, s in zip(row, sigma.numerators)]
+            for row in pts.numerators.tolist()
+        ]
+        back = digital_shift(once, sigma)
         assert [p.numerators for p in back.points] == [p.numerators for p in pts.points]
 
 
@@ -158,6 +168,20 @@ def test_digital_shift_dimension_mismatch():
     pts = pset_from_tuples([(0, 0)], 2)
     with pytest.raises(ValueError):
         digital_shift(pts, DyadicPoint((1,), 2))
+
+
+def test_digital_shift_pads_to_64_digits():
+    top = (1 << 64) - 1
+    # A precision-0 set is all zeros; the shift alone sets every digit.
+    zero = pset_from_tuples([(0, 0)] * 3, 0)
+    shifted = digital_shift(zero, DyadicPoint((top, 1), 64))
+    assert shifted.precision == 64
+    assert shifted.numerators.tolist() == [[top, 1]] * 3
+    # A precision-0 shift pads to the set's 64 digits and leaves it unchanged.
+    pts = pset_from_tuples([(top, 5)], 64)
+    assert digital_shift(pts, DyadicPoint((0, 0), 0)).numerators.tolist() == [[top, 5]]
+    with pytest.raises(PrecisionError):
+        digital_shift(pts, DyadicPoint((1, 0), 65))
 
 
 def test_net_prefix_is_xor_subgroup():
@@ -358,7 +382,9 @@ def test_points_csv_round_trip_property(pset):
 def test_dyadic_point_validation():
     with pytest.raises(ValueError):
         DyadicPoint((4,), 2)
-    p = DyadicPoint((3,), 2)
-    assert p.at_precision(4).numerators == (12,)
     with pytest.raises(ValueError):
-        p.at_precision(1)
+        DyadicPoint((-1,), 2)
+    with pytest.raises(ValueError):
+        DyadicPoint((0,), -1)
+    p = DyadicPoint((3, 0), 2)
+    assert p.dimension == 2
