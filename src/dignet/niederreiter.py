@@ -238,17 +238,20 @@ class GeneratingMatrixSet:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeneratingMatrixSet":
         try:
+            sizes = {k: data[k] for k in ("dimension", "alpha", "t", "rows", "cols")}
             matrices = [BitMatrix.from_strings(rows) for rows in data["matrices"]]
-            gset = cls(
-                dimension=int(data["dimension"]),
-                alpha=int(data["alpha"]),
-                t=int(data["t"]),
-                matrices=matrices,
-                polynomials=list(data["polynomials"]),
-            )
+            polynomials = list(data["polynomials"])
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed matrix-set JSON: {exc}") from exc
-        if (gset.rows, gset.cols) != (int(data["rows"]), int(data["cols"])):
+        for key, value in sizes.items():
+            if type(value) is not int or value < 0:
+                raise ValueError(
+                    f"matrix-set JSON field {key!r} must be a nonnegative integer, "
+                    f"got {value!r}"
+                )
+        shape = sizes.pop("rows"), sizes.pop("cols")
+        gset = cls(**sizes, matrices=matrices, polynomials=polynomials)
+        if (gset.rows, gset.cols) != shape:
             raise ValueError("matrix-set JSON shape fields disagree with row data")
         if any(type(p) is not int or p < 0 for p in gset.polynomials):
             raise ValueError("polynomial masks must be nonnegative integers")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, islice, repeat
 from operator import xor
 from pathlib import Path
 from typing import IO
@@ -238,8 +239,16 @@ def sum_of_digits(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Rows formatted per write call; bounds the temporary strings and lists.
+# Lines per chunk in both CSV directions: the writer formats this many rows
+# with one string operation, and the reader takes this many lines at a time
+# and hands their data rows to numpy's C tokenizer, so neither direction
+# ever holds the whole file.
 _CSV_CHUNK = 1 << 14
+
+# Byte width of a hex field as the reader parses it.  The writer's longest
+# field, 0x<16 digits>/64, has 21 bytes; numpy cuts a longer field to this
+# width without a word, so a field that fills it is refused as too long.
+_HEX_BYTES = 32
 
 
 def write_points_csv(
@@ -248,7 +257,8 @@ def write_points_csv(
     """Write points with columns n, then per coordinate hex and float values.
 
     The single leading comment line names the generator and carries the only
-    timestamp in the file.
+    timestamp in the file.  Rows are written in chunks of ``_CSV_CHUNK``,
+    each formatted by one ``%`` over its columns as Python ints and floats.
     """
     if isinstance(out, (str, Path)):
         with open(out, "w", newline="") as fh:
@@ -259,84 +269,169 @@ def write_points_csv(
     out.write(f"# generator: {pset.provenance}; written: {timestamp}\n")
     d, w = pset.dimension, pset.precision
     out.write(",".join(["n"] + [f"x{j}_hex,x{j}" for j in range(1, d + 1)]) + "\n")
-    row_format = "{}" + f",0x{{:X}}/{w},{{:.17g}}" * d + "\n"
+    row_format = "%d" + f",0x%X/{w},%.17g" * d + "\n"
     for start in range(0, pset.size, _CSV_CHUNK):
         nums = pset.numerators[start : start + _CSV_CHUNK]
         values = nums.astype(np.float64) * 2.0**-w
-        columns = []
+        columns = [range(start, start + len(nums))]
         for j in range(d):
             columns += [nums[:, j].tolist(), values[:, j].tolist()]
-        out.write(
-            "".join(
-                row_format.format(n, *fields)
-                for n, fields in enumerate(zip(*columns), start)
-            )
+        out.write((row_format * len(nums)) % tuple(chain.from_iterable(zip(*columns))))
+
+
+def _is_data(line: str) -> bool:
+    """Whether a line is a data row: not a comment, blank or header line."""
+    return not line.startswith("#") and (
+        line.split(",", 1)[0].rstrip("\r\n") not in ("", "n")
+    )
+
+
+def _row_dtype(line: str) -> np.dtype:
+    """Fields of a data row as numpy parses them, counted on the first row."""
+    width = line.count(",") + 1
+    if width < 3 or width % 2 == 0:
+        raise ValueError(
+            f"points rows need an odd field count of at least 3, got {width}"
         )
+    fields = [("n", "S20")]
+    for j in range(1, (width - 1) // 2 + 1):
+        fields += [(f"x{j}_hex", f"S{_HEX_BYTES}"), (f"x{j}", "f8")]
+    return np.dtype(fields)
+
+
+def _load_rows(lines: list[str], dtype: np.dtype, first_row: int) -> np.ndarray:
+    """Parse data lines with numpy's tokenizer, naming the file row on error.
+
+    numpy drops trailing NUL bytes from a bytes field, so lines that hold a
+    NUL are refused before it sees them.
+    """
+    def load(rows: list[str]) -> np.ndarray:
+        if "\0" in "".join(rows):
+            raise ValueError("NUL byte")
+        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+    try:
+        return load(lines)
+    except ValueError:
+        for row, line in enumerate(lines, first_row):
+            try:
+                load([line])
+            except ValueError:
+                text = line.rstrip("\r\n")
+                raise ValueError(
+                    f"row {row} is not an index and {(len(dtype) - 1) // 2} "
+                    f"hex,float pairs: {text!r}"
+                ) from None
+        raise
+
+
+def _dyadic_column(hexes: np.ndarray, first_row: int) -> tuple[list[int], set[int]]:
+    """Numerators and distinct precisions of one column of 0x<hex>/<w> fields.
+
+    When every field has one slash, one split of the joined column yields
+    numerator and precision strings in turn.  Otherwise, or if one of them
+    is not an int, the first bad field is found and named.
+    """
+    fields = hexes.tolist()
+    if (np.strings.count(hexes, b"/") == 1).all():
+        parts = b"/".join(fields).split(b"/")
+        try:
+            return (
+                list(map(int, parts[::2], repeat(16))),
+                {int(prec) for prec in set(parts[1::2])},
+            )
+        except ValueError:
+            pass
+    for row, field in enumerate(fields, first_row):
+        num, _, prec = field.partition(b"/")
+        try:
+            int(num, 16), int(prec)
+        except ValueError:
+            break
+    raise ValueError(
+        f"row {row} has a malformed dyadic field {field.decode('latin-1')!r}"
+    )
 
 
 def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     """Rebuild a point set from the CSV form; the hex fields are authoritative.
 
-    Lines are parsed as they stream in, into a flat list of numerators and
-    one of float fields; a row whose index is not its row number 0, 1, ...
-    is refused there.  The row width, the precision and the numerators'
-    range are checked once at the end, and then every float field must
-    equal float64(numerator) * 2^-precision, the value the writer emits.
+    The file streams through in blocks of ``_CSV_CHUNK`` lines and is never
+    held whole.  Lines starting with ``#`` are comments (the last
+    ``generator:`` one sets the provenance); blank lines and lines whose
+    first field is ``n`` are skipped.  The first data row fixes the field
+    count, which must be odd and at least 3, and numpy's tokenizer parses
+    the data rows of each block into an index and, per coordinate, a hex
+    field of at most ``_HEX_BYTES`` bytes and a float.  A row is
+    refused if it does not parse, if its index is not its row number 0, 1,
+    ..., or if a hex field fills ``_HEX_BYTES`` (numpy would have cut it).
+    Every hex field must carry the same precision; ``PointSet`` checks it
+    and the numerators' range, and then every float field must equal
+    float64(numerator) * 2^-precision, the value the writer emits.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
             return read_points_csv(fh)
+    lines = iter(source)
     provenance = ""
-    flat: list[int] = []
-    floats: list[str] = []
-    precisions: set[str] = set()
-    widths: set[int] = set()
+    dtype = None
+    precisions: set[int] = set()
+    numerators: list[np.ndarray] = []
+    floats: list[np.ndarray] = []
     row = 0
-    for line in source:
-        line = line.rstrip("\r\n")
-        if line.startswith("#"):
-            text = line.lstrip("# ")
-            if text.startswith("generator:"):
-                provenance = text[len("generator:"):].split("; written:")[0].strip()
+    while block := list(islice(lines, _CSV_CHUNK)):
+        # Most lines are data rows, which the first test keeps.
+        batch = [ln for ln in block if ln[:1] not in "#n\r\n" or _is_data(ln)]
+        if len(batch) < len(block):
+            for line in block:
+                if line.startswith("#"):
+                    text = line.rstrip("\r\n").lstrip("# ")
+                    if text.startswith("generator:"):
+                        text = text.removeprefix("generator:")
+                        provenance = text.split("; written:")[0].strip()
+        if not batch:
             continue
-        fields = line.split(",")
-        if not line or fields[0] == "n":
-            continue
-        if fields[0] != str(row):
-            raise ValueError(f"row {row} has index {fields[0]!r}")
-        row += 1
-        widths.add(len(fields))
-        for field in fields[1::2]:
+        if dtype is None:
+            dtype = _row_dtype(batch[0])
+            d = (len(dtype) - 1) // 2
+        table = _load_rows(batch, dtype, row)
+        # The index is compared as text, so it must read exactly as the row
+        # number; 20 bytes hold every uint64, and a cut field never matches.
+        indices = np.arange(row, row + len(batch)).astype("S20")
+        wrong = np.flatnonzero(table["n"] != indices)
+        if wrong.size:
+            index = table["n"][wrong[0]].decode("latin-1")
+            raise ValueError(f"row {row + wrong[0]} has index {index!r}")
+        chunk = np.empty((len(batch), d), dtype=np.uint64)
+        for j in range(d):
+            hexes = table[f"x{j + 1}_hex"]
+            full = np.flatnonzero(np.strings.str_len(hexes) == _HEX_BYTES)
+            if full.size:
+                raise ValueError(
+                    f"row {row + full[0]} has a hex field of {_HEX_BYTES} or more bytes"
+                )
+            nums, found = _dyadic_column(hexes, row)
+            precisions |= found
+            if len(precisions) != 1:
+                raise ValueError(
+                    f"inconsistent precisions {sorted(precisions)} in points CSV"
+                )
+            (precision,) = precisions
+            _check_precision(precision)
             try:
-                num, prec = field.split("/")
-                flat.append(int(num, 16))
-            except ValueError:
-                raise ValueError(f"malformed dyadic field {field!r}") from None
-            precisions.add(prec)
-        floats += fields[2::2]
-    if not widths:
+                chunk[:, j] = np.array(nums, dtype=np.uint64)
+            except OverflowError:
+                raise ValueError(
+                    f"numerator out of range for precision {precision}"
+                ) from None
+        numerators.append(chunk)
+        floats.append(np.column_stack([table[f"x{j}"] for j in range(1, d + 1)]))
+        row += len(batch)
+    if not numerators:
         raise ValueError("no data rows in points CSV")
-    if len(widths) != 1 or min(widths) < 3 or min(widths) % 2 == 0:
-        raise ValueError(
-            f"points rows need one odd field count of at least 3, got {sorted(widths)}"
-        )
-    width = widths.pop()
-    try:
-        found = {int(p) for p in precisions}
-    except ValueError:
-        raise ValueError(f"malformed precision among {sorted(precisions)}") from None
-    if len(found) != 1:
-        raise ValueError(f"inconsistent precisions {sorted(found)} in points CSV")
-    # An object array keeps the Python ints, so PointSet sees any value that
-    # does not fit its precision.
-    rows = np.array(flat, dtype=object).reshape(-1, (width - 1) // 2)
-    pset = PointSet(rows, found.pop(), provenance=provenance)
-    expected = pset.numerators.astype(np.float64) * 2.0**-pset.precision
-    try:
-        values = np.array(floats, dtype=np.float64).reshape(expected.shape)
-    except ValueError:
-        raise ValueError("malformed float field in points CSV") from None
-    wrong = np.flatnonzero((values != expected).any(axis=1))
+    pset = PointSet(np.concatenate(numerators), precision, provenance=provenance)
+    expected = pset.numerators.astype(np.float64) * 2.0**-precision
+    wrong = np.flatnonzero((np.concatenate(floats) != expected).any(axis=1))
     if wrong.size:
         raise ValueError(f"row {wrong[0]} has a float field other than its hex value")
     return pset

@@ -180,6 +180,11 @@ _GOOD_POINTS_ROW = "0,0x1/4,0.0625,0x2/4,0.125\n"
         pytest.param("0\n", EXIT_USAGE, id="index-only-row"),
         pytest.param("foo,0x1/4,0.0625,0x2/4,0.125\n", EXIT_USAGE, id="bad-index"),
         pytest.param(
+            _GOOD_POINTS_ROW + "01,0x1/4,0.0625,0x2/4,0.125\n",
+            EXIT_USAGE,
+            id="zero-padded-index",
+        ),
+        pytest.param(
             _GOOD_POINTS_ROW + "2,0x1/4,0.0625,0x2/4,0.125\n",
             EXIT_USAGE,
             id="out-of-order-index",
@@ -187,6 +192,13 @@ _GOOD_POINTS_ROW = "0,0x1/4,0.0625,0x2/4,0.125\n"
         pytest.param("0,0x1/4,0.5,0x2/4,0.125\n", EXIT_USAGE, id="float-not-hex"),
         pytest.param("0,0x1/4,abc,0x2/4,0.125\n", EXIT_USAGE, id="malformed-float"),
         pytest.param("0,0x1/65,0.0,0x2/65,0.0\n", EXIT_REFUSED, id="precision-65"),
+        pytest.param(
+            # Cut to 32 bytes, both fields would read as 0x0/0.
+            "0,0x0/" + "0" * 50 + "4,0,0x0/" + "0" * 50 + "4,0\n",
+            EXIT_USAGE,
+            id="zero-padded-hex",
+        ),
+        pytest.param("0,0x1/4\0,0.0625,0x2/4,0.125\n", EXIT_USAGE, id="nul-in-hex"),
     ],
 )
 def test_measure_points_file_refuses_bad_input(rows, code, tmp_path, capsys):
@@ -196,6 +208,27 @@ def test_measure_points_file_refuses_bad_input(rows, code, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("refused: " if code == EXIT_REFUSED else "error: ")
+
+
+@pytest.mark.parametrize("edit, row", [
+    pytest.param(lambda f: f.replace("9,", "10,", 1), "row 9", id="index-gap"),
+    pytest.param(lambda f: f.replace("/4,", "/5,", 1), "precisions", id="precision"),
+    pytest.param(lambda f: f[: f.rindex(",") + 1] + "0.5\n", "row 9", id="float"),
+])
+def test_measure_points_file_refuses_bad_row_past_a_chunk(
+    edit, row, tmp_path, capsys, monkeypatch
+):
+    # Chunks of 7 lines put data row 9 (file line 11) in the second chunk.
+    monkeypatch.setattr("dignet.sequence._CSV_CHUNK", 7)
+    path = tmp_path / "pts.csv"
+    assert main(["points", "-d", "2", "-m", "4", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines(keepends=True)
+    lines[11] = edit(lines[11])
+    path.write_text("".join(lines))
+    assert main(["measure", "--points", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert row in err
 
 
 def test_measure_cross_check(tmp_path):
@@ -410,12 +443,26 @@ def _edit_matrix_json(data, case):
         data["matrices"][1][2] = "00"
     elif case == "number-row":
         data["matrices"][1][0] = 101
+    elif case == "float-t":
+        data["t"] = 2.5
+    elif case == "bool-alpha":
+        data["alpha"] = True
+    elif case == "string-dimension":
+        data["dimension"] = "2"
+    elif case == "null-rows":
+        data["rows"] = None
+    elif case == "missing-cols":
+        del data["cols"]
+    elif case == "negative-t":
+        data["t"] = -1
     return data
 
 
 @pytest.mark.parametrize("case", ["negative-mask", "float-mask", "bool-mask",
                                   "wrong-count", "entry-102", "ragged-rows",
-                                  "number-row"])
+                                  "number-row", "float-t", "bool-alpha",
+                                  "string-dimension", "null-rows",
+                                  "missing-cols", "negative-t"])
 def test_tvalue_refuses_malformed_matrix_file(case, tmp_path, capsys):
     path = tmp_path / "mats.json"
     data = _edit_matrix_json(construct_matrices(2, 1, 3).to_json_dict(), case)

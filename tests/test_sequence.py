@@ -371,9 +371,13 @@ def _csv_point_sets(draw):
 @given(_csv_point_sets())
 @example(pset_from_tuples([(1, 2)], 4, "niederreiter(d=2, alpha=2, t=8)"))
 def test_points_csv_round_trip_property(pset):
-    buf = io.StringIO()
-    write_points_csv(pset, buf, timestamp="t")
-    back = read_points_csv(io.StringIO(buf.getvalue()))
+    # A small chunk makes sets of more than 7 rows cross chunk boundaries
+    # in both the writer and the reader.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequence, "_CSV_CHUNK", 7)
+        buf = io.StringIO()
+        write_points_csv(pset, buf, timestamp="t")
+        back = read_points_csv(io.StringIO(buf.getvalue()))
     assert back.numerators.tolist() == pset.numerators.tolist()
     assert back.precision == pset.precision
     assert back.provenance == pset.provenance
@@ -388,3 +392,80 @@ def test_dyadic_point_validation():
         DyadicPoint((0,), -1)
     p = DyadicPoint((3, 0), 2)
     assert p.dimension == 2
+
+
+def _written(pset: PointSet) -> str:
+    buf = io.StringIO()
+    write_points_csv(pset, buf, timestamp="t")
+    return buf.getvalue()
+
+
+def test_points_csv_crlf_reads_back(tmp_path):
+    pset = _csv_cases()["d2-w36"]
+    text = _written(pset).replace("\n", "\r\n")
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text.encode())
+    for source in (io.StringIO(text), path):
+        back = read_points_csv(source)
+        assert back.numerators.tolist() == pset.numerators.tolist()
+        assert back.precision == pset.precision
+        assert back.provenance == pset.provenance
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 14])
+def test_points_csv_skips_comments_and_blanks_between_rows(chunk, monkeypatch):
+    monkeypatch.setattr(sequence, "_CSV_CHUNK", chunk)
+    pset = _csv_cases()["d3"]
+    lines = _written(pset).splitlines(keepends=True)
+    # Between data rows 4|5, 9|10 and 30|31: a comment, a blank line, a
+    # repeated header and a later generator comment, which wins.
+    lines[33:33] = ["# generator: edited\n", "\r\n"]
+    lines[12:12] = ["n,x1_hex,x1,x2_hex,x2,x3_hex,x3\n", "\n"]
+    lines[7:7] = ["# a note, with a comma\n"]
+    back = read_points_csv(io.StringIO("".join(lines)))
+    assert back.numerators.tolist() == pset.numerators.tolist()
+    assert back.provenance == "edited"
+
+
+@pytest.mark.parametrize("row", [
+    "0,0x1/4,0.0625 # note,0x2/4,0.125\n",
+    "0,0x1/4#,0.0625,0x2/4,0.125\n",
+    "0#,0x1/4,0.0625,0x2/4,0.125\n",
+])
+def test_points_csv_refuses_hash_inside_a_row(row):
+    with pytest.raises(ValueError, match="row 0"):
+        read_points_csv(io.StringIO("n,x1_hex,x1,x2_hex,x2\n" + row))
+
+
+@pytest.mark.parametrize("field", [
+    "0x" + "0" * 50 + "1/4",
+    # Cut to its first 32 bytes this reads as 0x0/0, a valid point at
+    # precision 0 that the float 0 matches.
+    "0x0/" + "0" * 50 + "4",
+])
+def test_points_csv_refuses_hex_field_that_fills_its_width(field):
+    with pytest.raises(ValueError, match="row 1 has a hex field of 32 or more bytes"):
+        read_points_csv(io.StringIO(f"0,0x0/4,0\n1,{field},0\n"))
+    with pytest.raises(ValueError, match="row 0 has a hex field of 32 or more bytes"):
+        read_points_csv(io.StringIO(f"0,{field},0\n"))
+    # One byte short of the width is read in full.
+    short = "0x" + "0" * (sequence._HEX_BYTES - 6) + "1/4"
+    back = read_points_csv(io.StringIO(f"0,{short},0.0625\n"))
+    assert back.numerators.tolist() == [[1]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda f: f.replace("9,", "10,", 1), "row 9 has index '10'"),
+    (lambda f: f.replace("/6,", "/7,", 1), r"inconsistent precisions \[6, 7\]"),
+    (lambda f: f[: f.rindex(",") + 1] + "0.5\n", "row 9 has a float field"),
+    (lambda f: f[: f.rindex(",") + 1] + "x\n", "row 9 is not an index"),
+    (lambda f: f.replace("/6", "/6/6", 1), "row 9 has a malformed dyadic field"),
+])
+def test_points_csv_names_the_file_row_past_a_chunk(edit, message, monkeypatch):
+    # Row 9 lies in the second chunk of 7 lines; the header and comment lines
+    # take two lines of the first.
+    monkeypatch.setattr(sequence, "_CSV_CHUNK", 7)
+    lines = _written(generate_points(build_matrices(2, 6, 6), 12, 6)).splitlines(True)
+    lines[11] = edit(lines[11])
+    with pytest.raises(ValueError, match=message):
+        read_points_csv(io.StringIO("".join(lines)))
