@@ -30,10 +30,11 @@ from .interlace import interlace_matrices
 from .measures import (
     DIAPHONY,
     PERIODIC_L2,
-    both_kernel_measures,
+    both_kernel_measures,  # wrapped by name in the perfbench tracer
     diaphony,
     fourier_truncated,
     periodic_l2,
+    prefix_kernel_measures,
 )
 from .niederreiter import (
     GeneratingMatrixSet,
@@ -103,8 +104,9 @@ class StudyRow:
     ``ratio`` is N * per_l2 / ((log N)^((d-1)/2) * sqrt(S)), where S is the
     binary digit sum of N; a bounded ratio across N is the scaling the
     interlaced construction is built to achieve.  ``wall_seconds`` is the
-    time of the row's measures, not of generating its points; it is
-    informational and exempt from byte-identical reproducibility.
+    time of the row's measures, not of generating its points; a row that
+    extends the one before it by one point reports only that extension.
+    It is informational and exempt from byte-identical reproducibility.
     """
 
     n: int
@@ -145,9 +147,10 @@ def study_rows(dimension: int, alpha: int, counts: Sequence[int]) -> list[StudyR
     """Both kernel measures and the normalized ratio for each point count.
 
     All counts are served by one interlaced sequence whose column extent
-    covers the largest requested N: its points are generated once and each
-    row takes the first N.  Rows come back sorted by N with duplicates
-    dropped.
+    covers the largest requested N: its points are generated once and the
+    rows are its prefixes, measured in one pass (``prefix_kernel_measures``)
+    in which N = 2^m extends the row for 2^m - 1 by one point.  Rows come
+    back sorted by N with duplicates dropped.
     """
     wanted = sorted(set(int(n) for n in counts))
     if not wanted:
@@ -157,10 +160,8 @@ def study_rows(dimension: int, alpha: int, counts: Sequence[int]) -> list[StudyR
     cols = max(2, (wanted[-1] - 1).bit_length())
     full = generate_points(construct_matrices(dimension, alpha, cols), wanted[-1])
     rows = []
-    for n in wanted:
-        start = time.perf_counter()
-        pset = PointSet(full.numerators[:n], full.precision, full.provenance)
-        rep_l2, rep_dia = both_kernel_measures(pset)
+    start = time.perf_counter()
+    for n, (rep_l2, rep_dia) in zip(wanted, prefix_kernel_measures(full, wanted)):
         wall = time.perf_counter() - start
         s = sum_of_digits(n)
         ratio = (
@@ -170,6 +171,7 @@ def study_rows(dimension: int, alpha: int, counts: Sequence[int]) -> list[StudyR
         rows.append(
             StudyRow(n, dimension, alpha, s, rep_l2.value, rep_dia.value, ratio, wall)
         )
+        start = time.perf_counter()
     return rows
 
 
@@ -387,16 +389,15 @@ def _cmd_tvalue(args, parser) -> int:
 
 def _cmd_study(args, parser) -> int:
     dims = [args.dimension] if args.dimension is not None else [1, 2]
-    if args.m_min > args.m_max:
-        raise ValueError(
-            f"--m-min must lie in [1, {args.m_max}], got {args.m_min}"
-        )
+    m_min = args.m_min if args.m_min is not None else min(6, args.m_max)
+    if m_min > args.m_max:
+        raise ValueError(f"--m-min must lie in [1, {args.m_max}], got {m_min}")
     alpha = args.alpha
     if alpha is None:
         alpha = max(1, min(5, MAX_PRECISION // args.m_max))
     rng = random.Random(args.seed)
     counts = []
-    for m in range(args.m_min, args.m_max + 1):
+    for m in range(m_min, args.m_max + 1):
         counts.append(1 << m)
         if args.include_non_powers:
             if (1 << m) - 1 >= 2:
@@ -504,8 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict to one dimension (default: both 1 and 2)")
     ps.add_argument("-a", "--alpha", type=_positive_int, default=None,
                     help="interlacing factor (default: largest feasible <= 5)")
-    ps.add_argument("--m-min", type=_positive_int, default=6)
-    ps.add_argument("--m-max", type=_positive_int, default=13)
+    ps.add_argument("--m-min", type=_positive_int, default=None,
+                    help="smallest m of N = 2^m (default: 6, or --m-max if "
+                         "that is smaller)")
+    ps.add_argument("--m-max", type=_positive_int, default=13,
+                    help="largest m of N = 2^m (default 13)")
     ps.add_argument("--include-non-powers", action="store_true",
                     help="also sample N = 2^m - 1 and one random N per m")
     ps.add_argument("--self-test", action="store_true",

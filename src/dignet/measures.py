@@ -17,7 +17,10 @@ moments, sorted running sums and one Fenwick tree over the numerators
 (Heinrich, Math. Comp. 65, 1996).  The squared measure over its prefactor
 is then a polynomial in c, c*A for d = 1 and c*A + c^2*B for d = 2, whose
 coefficients are exact non-negative rationals rounded once, so the
-cancellation in T/N^2 - 1 never happens in floats.
+cancellation in T/N^2 - 1 never happens in floats.  The prefixes of one set
+share one pass (``prefix_kernel_measures``): each coordinate is sorted once
+for all of them, and a count one more than the previous one (2^m after
+2^m - 1) extends the previous pair totals by its new point in O(N).
 
 The other pairwise sums, the d >= 3 kernel and the Fourier oracle, run
 through one float engine, ``_pair_sum``, on one fixed grid of ``_STRIP``-row
@@ -37,7 +40,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,18 +52,13 @@ __all__ = [
     "WeightScheme",
     "PERIODIC_L2",
     "DIAPHONY",
-    "bernoulli2",
     "periodic_l2",
     "diaphony",
     "both_kernel_measures",
+    "prefix_kernel_measures",
     "fourier_truncated",
     "FOURIER_BUDGET_BYTES",
 ]
-
-
-def bernoulli2(t: float) -> float:
-    """Periodically extended second Bernoulli polynomial, t^2 - t + 1/6 on [0,1)."""
-    return t * t - t + 1.0 / 6.0
 
 
 @dataclass(frozen=True)
@@ -220,7 +218,9 @@ def _float_kernel_squared(
 # Exact pair sums for d <= 2.  With integer numerators x, y at precision w
 # and U = x - y, B2({U / 2^w}) = 1/6 + g(U) / 4^w where
 # g(U) = U^2 - 2^w * |U|.  Every sum below runs over all N^2 ordered pairs
-# and is an exact Python integer.
+# and is an exact Python integer.  The sums that need an order take their
+# points already in it; ties give zero products in each of them, so any
+# order of tied values is exact.
 # ---------------------------------------------------------------------------
 
 
@@ -230,9 +230,9 @@ def _square_pair_sum(xs: Sequence[int]) -> int:
 
 
 def _abs_pair_sum(xs: Sequence[int]) -> int:
-    """Sum of |x_i - x_k|: each sorted value weighted by its rank."""
+    """Sum of |x_i - x_k| over ascending xs: each value weighted by its rank."""
     n = len(xs)
-    return 2 * sum(x * (2 * r - n + 1) for r, x in enumerate(sorted(xs)))
+    return 2 * sum(x * (2 * r - n + 1) for r, x in enumerate(xs))
 
 
 def _square_square_pair_sum(xs: Sequence[int], ys: Sequence[int]) -> int:
@@ -253,10 +253,11 @@ def _square_square_pair_sum(xs: Sequence[int], ys: Sequence[int]) -> int:
 
 
 def _square_abs_pair_sum(xs: Sequence[int], ys: Sequence[int]) -> int:
-    """Sum of (x_i - x_k)^2 |y_i - y_k|: one sort on y and six running sums."""
+    """Sum of (x_i - x_k)^2 |y_i - y_k| over pairs listed in ascending y
+    order: one pass with six running sums."""
     c0 = sy = sx = sxy = sx2 = sx2y = 0
     total = 0
-    for y, x in sorted(zip(ys, xs)):
+    for x, y in zip(xs, ys):
         x2 = x * x
         total += x2 * (y * c0 - sy) - 2 * x * (y * sx - sxy) + y * sx2 - sx2y
         c0 += 1
@@ -268,29 +269,28 @@ def _square_abs_pair_sum(xs: Sequence[int], ys: Sequence[int]) -> int:
     return 2 * total
 
 
-def _abs_abs_pair_sum(xs: Sequence[int], ys: Sequence[int], precision: int) -> int:
+def _abs_abs_pair_sum(
+    xs: Sequence[int], ys: Sequence[int], ranks: Sequence[int], precision: int
+) -> int:
     """Sum of |x_i - x_k| |y_i - y_k| as the signed sum minus twice the
     discordant pairs' share.
 
-    The discordant sum is a 2-D dominance sum: points enter in x order and a
-    Fenwick tree over the y ranks (largest y first) holds four non-negative
-    accumulators (count, sum x, sum y, sum xy), packed into one integer: the
-    lower three fields hold at most N * (2^w - 1) < 2^width, so they never
-    carry into each other, and sum xy sits on top.  Ties in x or y give
-    zero products, so their order does not matter.
+    The pairs are listed in ascending x order, and ``ranks`` holds each
+    one's place in descending y order.  The discordant sum is a 2-D
+    dominance sum: points enter in x order and a Fenwick tree over the y
+    ranks holds four non-negative accumulators (count, sum x, sum y,
+    sum xy), packed into one integer: the lower three fields hold at most
+    N * (2^w - 1) < 2^width, so they never carry into each other, and
+    sum xy sits on top.
     """
     n = len(xs)
     signed = 2 * (n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys))
-    levels = sorted(set(ys), reverse=True)
-    rank = {y: r for r, y in enumerate(levels)}
-    size = len(levels)
     width = precision + n.bit_length()
     field = (1 << width) - 1
-    tree = [0] * (size + 1)
+    tree = [0] * (n + 1)
     discordant = 0
-    for x, y in sorted(zip(xs, ys)):
-        r = rank[y]
-        # Earlier points (x_k <= x) with y_k > y hold the ranks below r.
+    for x, y, r in zip(xs, ys, ranks):
+        # Earlier points (x_k <= x) with y_k >= y hold the ranks below r.
         acc = 0
         j = r
         while j:
@@ -304,64 +304,146 @@ def _abs_abs_pair_sum(xs: Sequence[int], ys: Sequence[int], precision: int) -> i
             discordant += x * y * cnt - x * sy - y * sx + sxy
         packed = 1 | x << width | y << 2 * width | x * y << 3 * width
         j = r + 1
-        while j <= size:
+        while j <= n:
             tree[j] += packed
             j += j & -j
     return signed - 4 * discordant
 
 
-def _kernel_coefficients(pset: PointSet) -> list[Fraction]:
-    """Exact coefficients of c^k, k = 1..d, in T/N^2 - 1 for d <= 2.
+def _recount_totals(
+    columns: np.ndarray, orders: Sequence[np.ndarray], n: int, precision: int
+) -> list[int]:
+    """Pair totals of the first n points in O(N log N).
+
+    Each coordinate's order over the first n points is filtered from the
+    whole set's ``orders`` (one argsort per coordinate) in place of a sort.
+    """
+    period = 1 << precision
+    picks = [order[order < n] for order in orders]
+    own = [col[pick].tolist() for col, pick in zip(columns, picks)]
+    totals = [_square_pair_sum(xs) - period * _abs_pair_sum(xs) for xs in own]
+    if len(own) == 2:
+        (by_x, by_y), (xs, ys) = picks, own
+        ys_by_x = columns[1][by_x].tolist()
+        xs_by_y = columns[0][by_y].tolist()
+        rank = np.empty(n, dtype=np.intp)
+        rank[by_y] = np.arange(n - 1, -1, -1)
+        totals.append(
+            _square_square_pair_sum(xs, ys_by_x)
+            - period
+            * (_square_abs_pair_sum(xs_by_y, ys) + _square_abs_pair_sum(ys_by_x, xs))
+            + period**2 * _abs_abs_pair_sum(xs, ys_by_x, rank[by_x].tolist(), precision)
+        )
+    return totals
+
+
+def _extend_totals(
+    totals: Sequence[int], columns: np.ndarray, q: int, precision: int
+) -> list[int]:
+    """Pair totals of the first q + 1 points from those of the first q.
+
+    Point q pairs with itself at g(0) = 0 and, g being even, with each
+    earlier point twice: 2 * g(U) against each, O(q), as |U| (|U| - 2^w).
+    """
+    period = 1 << precision
+    gs = []
+    for col in columns:
+        a = int(col[q])
+        gs.append([u * (u - period) for u in [abs(a - x) for x in col[:q].tolist()]])
+    out = [t + 2 * sum(g) for t, g in zip(totals, gs)]
+    if len(gs) == 2:
+        out.append(totals[2] + 2 * sum(u * v for u, v in zip(*gs)))
+    return out
+
+
+def _pair_totals(pset: PointSet, counts: Sequence[int]) -> Iterator[list[int]]:
+    """Exact pair totals of each prefix pset[:n], counts rising (d <= 2).
+
+    The totals are sum g(U_j) for each coordinate j and, for d = 2, then
+    sum g(U_1) g(U_2).  A count one more than the previous one extends that
+    count's totals by one point (``_extend_totals``); any other count
+    recomputes them (``_recount_totals``) from one argsort per coordinate
+    of the whole set, made once per pass.
+    """
+    w = pset.precision
+    columns = pset.numerators.T
+    orders = [np.argsort(col, kind="stable") for col in columns]
+    totals = [0] * (2 * len(columns) - 1)
+    done = 0
+    for n in counts:
+        if n == done + 1:
+            totals = _extend_totals(totals, columns, done, w)
+        else:
+            totals = _recount_totals(columns, orders, n, w)
+        done = n
+        yield totals
+
+
+def _kernel_coefficients(
+    pset: PointSet, counts: Sequence[int]
+) -> Iterator[list[Fraction]]:
+    """Exact coefficients of c^k, k = 1..d, in T/N^2 - 1 for each prefix
+    pset[:n], counts rising (d <= 2).
 
     T is the kernel pair sum over all ordered pairs, so the coefficient of
     c^k is the mean over pairs of the sum, over k-subsets of coordinates, of
     the product of B2({x_j - y_j}).  Each is non-negative, being a sum of
     squared exponential sums with positive weights.
     """
-    w = pset.precision
-    n = pset.size
-    period = 1 << w
-    columns = pset.numerators.T.tolist()
-    pairs = n * n
-    g = [_square_pair_sum(xs) - period * _abs_pair_sum(xs) for xs in columns]
-    first = Fraction(len(columns), 6) + Fraction(sum(g), period**2 * pairs)
-    if len(columns) < 2:
-        return [first]
-    xs, ys = columns
-    # Sum of g(U1) g(U2) over pairs.
-    gg = (
-        _square_square_pair_sum(xs, ys)
-        - period * (_square_abs_pair_sum(xs, ys) + _square_abs_pair_sum(ys, xs))
-        + period**2 * _abs_abs_pair_sum(xs, ys, w)
-    )
-    second = Fraction(
-        period**4 * pairs + 6 * period**2 * sum(g) + 36 * gg,
-        36 * period**4 * pairs,
-    )
-    return [first, second]
-
-
-def _exact_kernel_squared(
-    pset: PointSet, schemes: Sequence[WeightScheme]
-) -> list[float]:
-    """Squared kernel measures from the exact pair sums (d <= 2)."""
-    coeffs = [float(a) for a in _kernel_coefficients(pset)]
     d = pset.dimension
-    out = []
-    for scheme in schemes:
-        c = scheme.kernel_coeff
-        poly = sum(a * c ** (k + 1) for k, a in enumerate(coeffs))
-        out.append(scheme.prefactor(d) * poly)
-    return out
+    period = 1 << pset.precision
+    for n, totals in zip(counts, _pair_totals(pset, counts)):
+        pairs = n * n
+        g = sum(totals[:d])
+        first = Fraction(d, 6) + Fraction(g, period**2 * pairs)
+        if d < 2:
+            yield [first]
+            continue
+        second = Fraction(
+            period**4 * pairs + 6 * period**2 * g + 36 * totals[2],
+            36 * period**4 * pairs,
+        )
+        yield [first, second]
+
+
+def _prefix_kernel_squared(
+    pset: PointSet,
+    schemes: Sequence[WeightScheme],
+    counts: Sequence[int],
+    threads: int,
+) -> Iterator[tuple[PointSet, list[float]]]:
+    """Each prefix pset[:n] with its squared kernel measures: exact pair
+    sums for d <= 2, the float engine per prefix above."""
+    counts = list(counts)
+    if any(a >= b for a, b in zip([0, *counts], counts)) or (
+        counts and counts[-1] > pset.size
+    ):
+        raise ValueError(
+            f"counts must rise strictly within [1, {pset.size}], got {counts}"
+        )
+    d = pset.dimension
+    exact = _kernel_coefficients(pset, counts) if d <= 2 else None
+    for n in counts:
+        prefix = pset
+        if n < pset.size:
+            prefix = PointSet(pset.numerators[:n], pset.precision, pset.provenance)
+        if exact is None:
+            yield prefix, _float_kernel_squared(prefix, schemes, threads)
+            continue
+        coeffs = [float(a) for a in next(exact)]
+        out = []
+        for scheme in schemes:
+            c = scheme.kernel_coeff
+            poly = sum(a * c ** (k + 1) for k, a in enumerate(coeffs))
+            out.append(scheme.prefactor(d) * poly)
+        yield prefix, out
 
 
 def _kernel_squared(
     pset: PointSet, schemes: Sequence[WeightScheme], threads: int
 ) -> list[float]:
-    """Squared kernel measures: exact pair sums for d <= 2, floats above."""
-    if pset.dimension <= 2:
-        return _exact_kernel_squared(pset, schemes)
-    return _float_kernel_squared(pset, schemes, threads)
+    """Squared kernel measures of the whole set: the one-count pass."""
+    return next(_prefix_kernel_squared(pset, schemes, [pset.size], threads))[1]
 
 
 def _report(
@@ -399,11 +481,30 @@ def both_kernel_measures(
     pset: PointSet, *, threads: int = 1
 ) -> tuple[MeasureReport, MeasureReport]:
     """Periodic L2 discrepancy and diaphony in one pass over the pairs."""
-    sq_l2, sq_dia = _kernel_squared(pset, [PERIODIC_L2, DIAPHONY], threads)
-    return (
-        _report(pset, PERIODIC_L2, "kernel", sq_l2),
-        _report(pset, DIAPHONY, "kernel", sq_dia),
-    )
+    return next(prefix_kernel_measures(pset, [pset.size], threads=threads))
+
+
+def prefix_kernel_measures(
+    pset: PointSet, counts: Sequence[int], *, threads: int = 1
+) -> Iterator[tuple[MeasureReport, MeasureReport]]:
+    """Periodic L2 discrepancy and diaphony of each prefix pset[:n].
+
+    ``counts`` must rise strictly within [1, N].  The reports come one
+    count at a time, so a caller can time each, and each pair is == to
+    ``both_kernel_measures`` of that prefix.  For d <= 2 the prefixes share
+    one exact pass: each coordinate is sorted once, and a count one more
+    than the previous one extends that prefix's pair totals by its new
+    point in O(N) instead of recomputing them in O(N log N).  For d >= 3
+    each prefix runs the float engine.
+    """
+    schemes = (PERIODIC_L2, DIAPHONY)
+    for prefix, (sq_l2, sq_dia) in _prefix_kernel_squared(
+        pset, schemes, counts, threads
+    ):
+        yield (
+            _report(prefix, PERIODIC_L2, "kernel", sq_l2),
+            _report(prefix, DIAPHONY, "kernel", sq_dia),
+        )
 
 
 def _fourier_bytes(size: int, dimension: int, trunc: int) -> int:

@@ -406,7 +406,8 @@ def test_acceptance_8_scaling_study_bounded_ratio():
         8,
         ok,
         f"d=2 alpha=2 ratio spread: powers {spread_pow:.2f}, worst per-scale "
-        f"mixed {spread_mixed:.2f} (both <= 4), {elapsed:.0f} s (< 300 s)",
+        f"mixed {spread_mixed:.2f} (both <= 4), {elapsed:.0f} s (< 300 s), "
+        f"measures of the rows {sum(r.wall_seconds for r in rows):.2f} s",
     )
 
 

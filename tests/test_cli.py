@@ -526,6 +526,17 @@ def test_study_digit_sum_column(tmp_path):
     assert len(by_n) == 3
 
 
+def test_study_m_min_defaults_below_m_max(tmp_path, capsys):
+    # --m-min defaults to min(6, --m-max): a small --m-max alone is valid,
+    # and the refusal blames --m-min only when both flags were given.
+    data = _run_json(
+        ["study", "-d", "1", "--m-max", "3", "--format", "json"], tmp_path
+    )
+    assert [r["N"] for r in data["rows"]] == [8]
+    assert main(["study", "-d", "1", "--m-min", "4", "--m-max", "3"]) == EXIT_USAGE
+    assert "--m-min must lie in [1, 3], got 4" in capsys.readouterr().err
+
+
 def test_study_precision_refusal(capsys):
     assert main(["study", "-a", "5", "--m-max", "13"]) == EXIT_REFUSED
     assert "precision" in capsys.readouterr().err

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dignet.cli import construct_matrices, study_rows
 from dignet.errors import BudgetError, PrecisionError
 from dignet.interlace import interlace_matrices
 from dignet.measures import (
@@ -23,11 +24,12 @@ from dignet.measures import (
     _float_kernel_squared,
     _fourier_bytes,
     _kernel_coefficients,
-    bernoulli2,
+    _pair_totals,
     both_kernel_measures,
     diaphony,
     fourier_truncated,
     periodic_l2,
+    prefix_kernel_measures,
 )
 from dignet.niederreiter import build_matrices
 from dignet.sequence import PointSet, generate_points
@@ -106,25 +108,6 @@ def _torus_shift(pset: PointSet, offsets: tuple[int, ...]) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# bernoulli2
-# ---------------------------------------------------------------------------
-
-
-def test_bernoulli2_values():
-    assert bernoulli2(0.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
-    assert bernoulli2(0.5) == pytest.approx(-1.0 / 12.0, rel=1e-15)
-
-
-def test_bernoulli2_symmetry():
-    rng = random.Random(3)
-    for _ in range(50):
-        t = rng.getrandbits(20) / 2**20
-        if t == 0.0:
-            continue
-        assert bernoulli2(t) == pytest.approx(bernoulli2(1.0 - t), abs=1e-15)
-
-
-# ---------------------------------------------------------------------------
 # Exact small kernel values.
 # ---------------------------------------------------------------------------
 
@@ -180,7 +163,7 @@ _EXACT_CASES = {
 def test_exact_coefficients_equal_fraction_oracle(case):
     rows, w = _EXACT_CASES[case]
     pset = pset_from_tuples(rows, w)
-    got = _kernel_coefficients(pset)
+    got = next(_kernel_coefficients(pset, [pset.size]))
     assert all(isinstance(a, Fraction) for a in got)
     want = _fraction_coefficients(pset)
     assert got == want
@@ -206,7 +189,83 @@ def _dyadic_sets(draw):
 @settings(max_examples=150, deadline=None)
 @given(_dyadic_sets())
 def test_exact_coefficients_property(pset):
-    assert _kernel_coefficients(pset) == _fraction_coefficients(pset)
+    assert next(_kernel_coefficients(pset, [pset.size])) == _fraction_coefficients(pset)
+
+
+@st.composite
+def _tied_prefix_sets(draw):
+    """A d <= 2 set of 2..300 points whose coordinates repeat: every value
+    comes from a pool of at most 12 per coordinate, the ends included."""
+    d = draw(st.integers(1, 2))
+    w = draw(st.sampled_from([1, 8, 36, 52, 63, 64]))
+    n = draw(st.integers(2, 300))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = (1 << w) - 1
+    pools = [
+        [0, top] + [rng.getrandbits(w) for _ in range(rng.randint(0, 10))]
+        for _ in range(d)
+    ]
+    rows = [tuple(rng.choice(pool) for pool in pools) for _ in range(n)]
+    return pset_from_tuples(rows, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tied_prefix_sets())
+def test_extended_pair_totals_equal_recount(pset):
+    n = pset.size
+    recount = next(_pair_totals(pset, [n]))
+    assert list(_pair_totals(pset, [n - 1, n]))[1] == recount
+    # Every count extends the one before it, from the empty set on.
+    assert list(_pair_totals(pset, range(1, n + 1)))[-1] == recount
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_prefix_pass_equals_fraction_oracle(d):
+    # Consecutive pairs (2, 3), (7, 8) and (100, 101) take the one-point
+    # extension; the rest recount.  w = 8 makes ties likely at 101 points.
+    rng = random.Random(17 + d)
+    pset = _random_pset(rng, 101, d, 8)
+    counts = [2, 3, 7, 8, 100, 101]
+    coeffs = list(_kernel_coefficients(pset, counts))
+    reports = list(prefix_kernel_measures(pset, counts))
+    for n, got, (l2, dia) in zip(counts, coeffs, reports):
+        prefix = PointSet(pset.numerators[:n], pset.precision)
+        want = _fraction_coefficients(prefix)
+        assert got == want
+        assert (l2.size, dia.size) == (n, n)
+        exact = sum(a * 3 ** (k + 1) for k, a in enumerate(want)) / Fraction(3) ** d
+        assert l2.squared == pytest.approx(float(exact), rel=4e-16, abs=0)
+        assert [r.squared for r in (l2, dia)] == [
+            r.squared for r in both_kernel_measures(prefix)
+        ]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_study_rows_equal_per_row_kernel_measures(d):
+    counts = [7, 8, 40, 63, 64, 100, 127, 128]
+    rows = study_rows(d, 2, counts)
+    full = generate_points(construct_matrices(d, 2, 7), 128)
+    assert [r.n for r in rows] == counts
+    for row in rows:
+        prefix = PointSet(full.numerators[: row.n], full.precision, full.provenance)
+        l2, dia = both_kernel_measures(prefix)
+        assert (row.per_l2, row.diaphony) == (l2.value, dia.value)
+
+
+def test_prefix_pass_float_engine_d3():
+    gset = interlace_matrices(build_matrices(6, 6, 6), 2)
+    pset = generate_points(gset, 40)
+    counts = [5, 6, 40]
+    for n, reports in zip(counts, prefix_kernel_measures(pset, counts)):
+        prefix = PointSet(pset.numerators[:n], pset.precision, pset.provenance)
+        assert reports == both_kernel_measures(prefix)
+
+
+@pytest.mark.parametrize("counts", [[3, 3], [4, 2], [0, 2], [2, 9]])
+def test_prefix_pass_refuses_counts_that_do_not_rise_within_n(counts):
+    pset = _random_pset(random.Random(5), 8, 2, 6)
+    with pytest.raises(ValueError, match="rise strictly"):
+        list(prefix_kernel_measures(pset, counts))
 
 
 def test_float_engine_agrees_with_exact_path_d2():
