@@ -47,7 +47,6 @@ from .sequence import (
     PointSet,
     generate_points,
     read_points_csv,
-    sum_of_digits,
     write_points_csv,
 )
 from .walshlab import walsh_series_l2
@@ -163,7 +162,7 @@ def study_rows(dimension: int, alpha: int, counts: Sequence[int]) -> list[StudyR
     start = time.perf_counter()
     for n, (rep_l2, rep_dia) in zip(wanted, prefix_kernel_measures(full, wanted)):
         wall = time.perf_counter() - start
-        s = sum_of_digits(n)
+        s = n.bit_count()
         ratio = (
             n * rep_l2.value
             / (math.log(n) ** ((dimension - 1) / 2) * math.sqrt(s))

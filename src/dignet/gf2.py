@@ -11,8 +11,6 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "BitMatrix",
-    "matvec",
-    "rank",
     "nullspace_basis",
     "echelon_insert",
 ]
@@ -38,14 +36,6 @@ class BitMatrix:
         self.ncols = ncols
 
     @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls([1 << i for i in range(n)], n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls([0] * nrows, ncols)
-
-    @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
         """Build from row lists of 0/1 entries (all rows the same length)."""
         rows = [list(r) for r in rows]
@@ -67,11 +57,6 @@ class BitMatrix:
             "".join("1" if (r >> j) & 1 else "0" for j in range(self.ncols))
             for r in self.row_masks
         ]
-
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= j < self.ncols:
-            raise IndexError(f"column {j} out of range for {self.ncols} columns")
-        return (self.row_masks[i] >> j) & 1
 
     def column_mask(self, j: int) -> int:
         """Column j packed into an integer (bit i = entry in row i)."""
@@ -104,27 +89,6 @@ class BitMatrix:
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.nrows}x{self.ncols})"
-
-
-def matvec(m: BitMatrix, bits: int) -> int:
-    """Matrix-vector product over Z2 of a vector packed into ``bits``.
-
-    Bit i of the result is the parity of ``row_i AND bits``.
-    """
-    if bits < 0 or bits >> m.ncols:
-        raise ValueError(f"vector 0x{bits:x} does not fit in {m.ncols} columns")
-    out = 0
-    for i, r in enumerate(m.row_masks):
-        out |= ((r & bits).bit_count() & 1) << i
-    return out
-
-
-def rank(m: BitMatrix) -> int:
-    """Rank over Z2 by Gaussian elimination on bit-packed rows."""
-    pivots: dict[int, int] = {}
-    for r in m.row_masks:
-        echelon_insert(pivots, r)
-    return len(pivots)
 
 
 def nullspace_basis(m: BitMatrix) -> list[int]:

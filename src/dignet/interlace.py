@@ -1,4 +1,4 @@
-"""Digit interlacing of points and generating matrices.
+"""Digit interlacing of generating matrices.
 
 Interlacing with factor alpha turns an (alpha*d)-dimensional input into a
 d-dimensional output by weaving binary digits: output digit r + (a-1)*alpha
@@ -9,66 +9,11 @@ matrix rows produces the generating matrices of the interlaced sequence.
 from __future__ import annotations
 
 from math import comb
-from typing import Sequence
 
 from .gf2 import BitMatrix
 from .niederreiter import GeneratingMatrixSet
-from .sequence import DyadicPoint, PointSet
 
-__all__ = [
-    "interlace_digits",
-    "interlace_vector",
-    "interlace_pointset",
-    "interlace_matrices",
-]
-
-
-def interlace_digits(numerators: Sequence[int], precision: int) -> int:
-    """Weave len(numerators) digit streams of the given precision into one.
-
-    Returns the numerator of the interlaced value at precision
-    len(numerators) * precision.
-    """
-    alpha = len(numerators)
-    if alpha < 1:
-        raise ValueError("need at least one input stream")
-    for v in numerators:
-        if v < 0 or v >> precision:
-            raise ValueError(f"numerator {v} out of range for precision {precision}")
-    out = 0
-    width = alpha * precision
-    for a in range(1, precision + 1):
-        for r, num in enumerate(numerators, start=1):
-            bit = (num >> (precision - a)) & 1
-            out |= bit << (width - (r + (a - 1) * alpha))
-    return out
-
-
-def interlace_vector(point: DyadicPoint, alpha: int) -> DyadicPoint:
-    """Blockwise interlacing: coordinate j comes from input block j."""
-    if alpha < 1:
-        raise ValueError(f"interlacing factor must be positive, got {alpha}")
-    if point.dimension % alpha:
-        raise ValueError(
-            f"dimension {point.dimension} is not a multiple of alpha={alpha}"
-        )
-    d_out = point.dimension // alpha
-    nums = tuple(
-        interlace_digits(
-            point.numerators[j * alpha : (j + 1) * alpha], point.precision
-        )
-        for j in range(d_out)
-    )
-    return DyadicPoint(nums, alpha * point.precision)
-
-
-def interlace_pointset(pset: PointSet, alpha: int) -> PointSet:
-    rows = [interlace_vector(p, alpha).numerators for p in pset.points]
-    return PointSet(
-        rows,
-        alpha * pset.precision,
-        provenance=f"{pset.provenance} interlaced alpha={alpha}",
-    )
+__all__ = ["interlace_matrices"]
 
 
 def interlace_matrices(

@@ -25,7 +25,6 @@ __all__ = [
     "primitive_polynomials",
     "laurent_expand",
     "build_matrices",
-    "save_matrix_set",
     "load_matrix_set",
 ]
 
@@ -287,10 +286,6 @@ def build_matrices(dimension: int, rows: int, cols: int) -> GeneratingMatrixSet:
     return GeneratingMatrixSet(
         dimension=dimension, alpha=1, t=t, matrices=matrices, polynomials=polys
     )
-
-
-def save_matrix_set(gset: GeneratingMatrixSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(gset.to_json_dict(), indent=2) + "\n")
 
 
 def load_matrix_set(path: str | Path) -> GeneratingMatrixSet:

@@ -7,16 +7,15 @@ operation here is exact and floats only appear when a caller asks for them.
 The map n -> x_n is linear over Z2, so for n < 2^b point n + 2^b is point n
 XOR the image of digit b; ``generate_points`` fills the array by these XOR
 doublings, one array operation per input digit.  ``DyadicPoint`` is the
-scalar type of single points such as digital shifts.
+scalar type of the rows that ``PointSet.points`` derives.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import re
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, islice, repeat
-from operator import xor
 from pathlib import Path
 from typing import IO
 
@@ -29,10 +28,6 @@ __all__ = [
     "DyadicPoint",
     "PointSet",
     "generate_points",
-    "digital_shift",
-    "tail_shift_vector",
-    "block_decomposition",
-    "sum_of_digits",
     "write_points_csv",
     "read_points_csv",
 ]
@@ -167,72 +162,6 @@ def generate_points(
     return PointSet(nums, precision, provenance=gset.describe())
 
 
-def digital_shift(pset: PointSet, shift: DyadicPoint) -> PointSet:
-    """XOR every point with the shift, both zero-padded to the larger precision."""
-    if shift.dimension != pset.dimension:
-        raise ValueError(
-            f"shift dimension {shift.dimension} does not match point set {pset.dimension}"
-        )
-    w = max(pset.precision, shift.precision)
-    _check_precision(w)
-    sigma = np.array(
-        [v << (w - shift.precision) for v in shift.numerators], dtype=np.uint64
-    )
-    shifted = (pset.numerators << np.uint64(w - pset.precision)) ^ sigma
-    return PointSet(shifted, w, provenance=f"{pset.provenance} + digital shift")
-
-
-def block_decomposition(total: int) -> list[int]:
-    """Exponents m_1 > m_2 > ... with total = sum of 2^{m_i}."""
-    if total < 1:
-        raise ValueError(f"need a positive total, got {total}")
-    return [b for b in range(total.bit_length() - 1, -1, -1) if (total >> b) & 1]
-
-
-def tail_shift_vector(
-    gset: GeneratingMatrixSet,
-    block_index: int,
-    total: int,
-    precision: int | None = None,
-) -> DyadicPoint:
-    """Digital shift carried by block ``block_index`` of an N-point prefix.
-
-    Splitting N = 2^{m_1} + ... + 2^{m_r} (m_1 > ... > m_r) cuts the first N
-    sequence points into consecutive blocks of those sizes.  Block i equals
-    the 2^{m_i}-point net shifted by the image of the high digits shared by
-    all its indices, which is exactly the sequence point at index
-    2^{m_1} + ... + 2^{m_{i-1}}.  Blocks are numbered from 1.
-    """
-    exponents = block_decomposition(total)
-    if not 1 <= block_index <= len(exponents):
-        raise ValueError(
-            f"block index {block_index} out of range for {len(exponents)} blocks"
-        )
-    if precision is None:
-        precision = gset.rows
-    _check_precision(precision)
-    base = sum(1 << e for e in exponents[: block_index - 1])
-    if base >> gset.cols:
-        raise ValueError(
-            f"block base index {base} does not fit in {gset.cols} matrix columns"
-        )
-    digits = [b for b in range(base.bit_length()) if base >> b & 1]
-    return DyadicPoint(
-        tuple(
-            reduce(xor, (vals[b] for b in digits), 0)
-            for vals in _column_numerators(gset, precision)
-        ),
-        precision,
-    )
-
-
-def sum_of_digits(n: int) -> int:
-    """Number of ones in the binary expansion of n (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"need a positive integer, got {n}")
-    return n.bit_count()
-
-
 # ---------------------------------------------------------------------------
 # CSV export / import.  Hex numerators are authoritative; the float column is
 # a convenience for spreadsheets, which the reader checks against them.
@@ -325,31 +254,32 @@ def _load_rows(lines: list[str], dtype: np.dtype, first_row: int) -> np.ndarray:
         raise
 
 
+# Well-formed dyadic fields, each followed by a comma: 0x, hex digits, a
+# slash and decimal digits, nothing else (no sign, space or underscore).
+_DYADIC_FIELDS = re.compile(rb"(?:0x[0-9A-Fa-f]+/[0-9]+,)*")
+
+
 def _dyadic_column(hexes: np.ndarray, first_row: int) -> tuple[list[int], set[int]]:
     """Numerators and distinct precisions of one column of 0x<hex>/<w> fields.
 
-    When every field has one slash, one split of the joined column yields
-    numerator and precision strings in turn.  Otherwise, or if one of them
-    is not an int, the first bad field is found and named.
+    The column is joined with commas, which no field holds, and one regular
+    expression match over the joined bytes checks every field; the first
+    field outside the form ends the match and is named.  One split of the
+    checked bytes then yields numerator and precision strings in turn.
     """
     fields = hexes.tolist()
-    if (np.strings.count(hexes, b"/") == 1).all():
-        parts = b"/".join(fields).split(b"/")
-        try:
-            return (
-                list(map(int, parts[::2], repeat(16))),
-                {int(prec) for prec in set(parts[1::2])},
-            )
-        except ValueError:
-            pass
-    for row, field in enumerate(fields, first_row):
-        num, _, prec = field.partition(b"/")
-        try:
-            int(num, 16), int(prec)
-        except ValueError:
-            break
-    raise ValueError(
-        f"row {row} has a malformed dyadic field {field.decode('latin-1')!r}"
+    joined = b",".join(fields) + b","
+    good = _DYADIC_FIELDS.match(joined).end()
+    if good < len(joined):
+        bad = joined.count(b",", 0, good)
+        raise ValueError(
+            f"row {first_row + bad} has a malformed dyadic field "
+            f"{fields[bad].decode('latin-1')!r}"
+        )
+    parts = joined[:-1].replace(b",", b"/").split(b"/")
+    return (
+        list(map(int, parts[::2], repeat(16))),
+        {int(prec) for prec in set(parts[1::2])},
     )
 
 
@@ -365,7 +295,8 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     field of at most ``_HEX_BYTES`` bytes and a float.  A row is
     refused if it does not parse, if its index is not its row number 0, 1,
     ..., or if a hex field fills ``_HEX_BYTES`` (numpy would have cut it).
-    Every hex field must carry the same precision; ``PointSet`` checks it
+    Every hex field must read 0x<hex digits>/<decimal digits> and carry
+    the same precision; ``PointSet`` checks it
     and the numerators' range, and then every float field must equal
     float64(numerator) * 2^-precision, the value the writer emits.
     """

@@ -1,13 +1,13 @@
-"""Walsh-function analysis of digital nets.
+"""Walsh-series evaluation of the squared periodic L2 discrepancy of digital nets.
 
-Dyadic Walsh characters, closed-form Walsh correlation coefficients for
-the periodic-L2 Fourier weights, dual-net enumeration over Z2, and a
-truncated Walsh-series evaluator for the squared periodic L2 discrepancy
-of digital nets.  The series' double sum over the M dual members is not
-taken pair by pair: rho(k, l) is nonzero only on four relations between
-the bit structures of k and l, each a product f(k) g(l), so the sum splits
-into grouped joins over the 4^d relation vectors, O(4^d M log M) at most,
-accumulated as an exact rational and rounded once.
+The series sums rho(k, l), the Walsh correlation coefficients of the
+periodic-L2 Fourier weights, over ordered pairs of members of the dual net
+below a digit bound; the members come from a nullspace over Z2.  The double
+sum over the M members is not taken pair by pair: rho(k, l) is nonzero only
+on four relations between the bit structures of k and l, each a product
+f(k) g(l), so the sum splits into grouped joins over the 4^d relation
+vectors, O(4^d M log M) at most, accumulated as an exact rational and
+rounded once.
 """
 
 from __future__ import annotations
@@ -22,84 +22,6 @@ from .errors import BudgetError
 from .gf2 import BitMatrix, nullspace_basis
 from .measures import PERIODIC_L2, MeasureReport
 from .niederreiter import GeneratingMatrixSet
-from .sequence import DyadicPoint
-
-
-def reverse_bits(value: int, width: int) -> int:
-    """Reverse the low `width` bits of `value`."""
-    if value < 0 or width < 0:
-        raise ValueError("value and width must be nonnegative")
-    if value >> width:
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
-
-
-def walsh_eval(k: int, numerator: int, precision: int) -> int:
-    """Evaluate the k-th dyadic Walsh function at numerator / 2**precision.
-
-    Returns +1 or -1: the sign is the parity of the pairing between the
-    binary digits of the coordinate and the binary digits of k.  Digits
-    of the argument beyond its stated precision are zero, so any k is
-    accepted.
-    """
-    if k < 0:
-        raise ValueError("index must be nonnegative")
-    if numerator < 0 or numerator >> precision:
-        raise ValueError("numerator out of range for precision")
-    width = max(precision, k.bit_length())
-    scaled = numerator << (width - precision)
-    return -1 if (scaled & reverse_bits(k, width)).bit_count() & 1 else 1
-
-
-def rho_coefficient(k: int, l: int) -> float:
-    """Walsh correlation coefficient of the periodic-L2 kernel weights.
-
-    rho(k, l) = sum over h in Z of beta(h,k) * conj(beta(h,l)) / r(h)^2
-    with beta(h,k) the Fourier coefficient of the k-th Walsh function
-    and 1/r(h)^2 = 6/(4 pi^2 h^2) for h != 0.  Closed form by bit
-    structure, writing a1 > a2 for the two leading bit positions of k
-    (1-based), k' = k - 2^(a1-1), k'' = k' - 2^(a2-1), and b1, b2, l',
-    l'' likewise for l:
-
-      1                    if k = l = 0
-      0                    if exactly one of k, l is 0
-      2^(-2*a1 - 1)        if k = l with a single one bit
-      2^(1 - 2*a1)         if k = l with two or more one bits
-      3 * 2^(-a1 - b1 - 1) if k' = l' > 0 and k != l
-      -3 * 2^(-a1 - a2 - 1) if k'' = l
-      -3 * 2^(-b1 - b2 - 1) if k = l''
-      0                    otherwise
-
-    All values are exact dyadic rationals; the result is symmetric in
-    (k, l).
-    """
-    if k < 0 or l < 0:
-        raise ValueError("indices must be nonnegative")
-    if k == 0 and l == 0:
-        return 1.0
-    if k == 0 or l == 0:
-        return 0.0
-    a1 = k.bit_length()
-    b1 = l.bit_length()
-    kp = k - (1 << (a1 - 1))
-    lp = l - (1 << (b1 - 1))
-    if k == l:
-        return math.ldexp(1.0, -2 * a1 - 1) if kp == 0 else math.ldexp(1.0, 1 - 2 * a1)
-    if kp == lp and kp > 0:
-        return math.ldexp(3.0, -a1 - b1 - 1)
-    if kp > 0:
-        a2 = kp.bit_length()
-        if kp - (1 << (a2 - 1)) == l:
-            return math.ldexp(-3.0, -a1 - a2 - 1)
-    if lp > 0:
-        b2 = lp.bit_length()
-        if lp - (1 << (b2 - 1)) == k:
-            return math.ldexp(-3.0, -b1 - b2 - 1)
-    return 0.0
 
 
 MAX_DUAL_BITS = 24
@@ -154,27 +76,6 @@ def _dual_member_coords(
     ]
 
 
-def dual_net_members(
-    gset: GeneratingMatrixSet,
-    bound_bits: int | None = None,
-    *,
-    max_members: int = 8192,
-) -> list[tuple[int, ...]]:
-    """All index vectors below 2**bound_bits annihilated by the net.
-
-    A vector (k_1, ..., k_d) is a member when the XOR over coordinates
-    of the transposed generating matrix applied to the digit vector of
-    k_j is zero.  Digits beyond the matrices' row count are
-    unconstrained.  `bound_bits` defaults to the row count.  Raises
-    BudgetError when the enumeration would exceed MAX_DUAL_BITS digit
-    positions or `max_members` members.
-    """
-    if bound_bits is None:
-        bound_bits = gset.rows
-    coords = _dual_member_coords(gset, bound_bits, max_members)
-    return sorted(zip(*(c.tolist() for c in coords)))
-
-
 def _bit_lengths(values: np.ndarray) -> np.ndarray:
     """int.bit_length of each entry of a nonnegative int64 array below 2^53."""
     return np.frexp(values.astype(np.float64))[1].astype(np.int64)
@@ -186,8 +87,9 @@ def _relation_patterns(ks: np.ndarray) -> list[tuple]:
     Each is (c, row keys, row exponents, column keys, column exponents) over
     the members' indices ks: on the pairs whose row key of k equals the
     column key of l (-1 marks an index outside), it contributes
-    c * 2^-(row exponent of k) * 2^-(column exponent of l).  In the notation
-    of ``rho_coefficient``:
+    c * 2^-(row exponent of k) * 2^-(column exponent of l).  Here a1 > a2
+    are the two leading one-bit positions of k (1-based), k' = k - 2^(a1-1)
+    and k'' = k' - 2^(a2-1), and b1, b2, l', l'' likewise for l:
 
       EQ    k = l          2^(-2*a1 - 1), and 1 at k = 0
       TAIL  k' = l' > 0    3 * 2^(-a1 - 1) * 2^(-b1)
@@ -214,21 +116,21 @@ def _relation_patterns(ks: np.ndarray) -> list[tuple]:
     ]
 
 
-def _key_sums(side: tuple, signs: np.ndarray) -> tuple[list[int], int]:
-    """Sums of s * 2^-e per packed key, in key order, as ints over 2^-scale.
+def _key_sums(side: tuple) -> tuple[list[int], int]:
+    """Sums of 2^-e per packed key, in key order, as ints over 2^-scale.
 
-    The weights s * 2^(scale - e) are Python ints, so no sum can wrap.
+    The weights 2^(scale - e) are Python ints, so no sum can wrap.
     """
-    ids, packed, exps = side
+    _, packed, exps = side
     _, groups = np.unique(packed, return_inverse=True)
     scale = int(exps.max())
     sums = np.zeros(int(groups.max()) + 1, dtype=object)
-    np.add.at(sums, groups, signs[ids].astype(object) << (scale - exps).astype(object))
+    np.add.at(sums, groups, 1 << (scale - exps).astype(object))
     return sums.tolist(), scale
 
 
-def _relation_sum(coords: list[np.ndarray], signs: np.ndarray, bits: int) -> Fraction:
-    """Exact sum over ordered member pairs (k, l) of prod_j rho(k_j, l_j) s_k s_l.
+def _relation_sum(coords: list[np.ndarray], bits: int) -> Fraction:
+    """Exact sum over ordered member pairs (k, l) of prod_j rho(k_j, l_j).
 
     The product of the coordinates' four-term sums (``_relation_patterns``)
     expands into one grouped join per vector of relations: the sum over
@@ -248,7 +150,7 @@ def _relation_sum(coords: list[np.ndarray], signs: np.ndarray, bits: int) -> Fra
 
     def join(j: int, const: int, rows: tuple, cols: tuple) -> Fraction:
         if j == len(relations):  # both sides now hold the same keys
-            (rs, r_scale), (cs, c_scale) = _key_sums(rows, signs), _key_sums(cols, signs)
+            (rs, r_scale), (cs, c_scale) = _key_sums(rows), _key_sums(cols)
             pairs = sum(map(operator.mul, rs, cs))
             return Fraction(const * pairs, 1 << (r_scale + c_scale))
         total = Fraction(0)
@@ -270,19 +172,17 @@ def walsh_series_l2(
     gset: GeneratingMatrixSet,
     *,
     bound_bits: int | None = None,
-    shift: DyadicPoint | None = None,
     max_members: int = 8192,
 ) -> MeasureReport:
     """Squared periodic L2 discrepancy of a digital net by Walsh series.
 
     Evaluates the truncated double sum of rho over the dual net
     (excluding the zero vector), scaled by the weight-scheme prefactor.
-    With a digital shift sigma, every term is multiplied by the Walsh
-    signs of sigma at both index vectors.  Per coordinate rho(k, l) is
-    nonzero on four key relations only (k = l, k' = l', l = k'', k = l''),
-    each a product f(k) g(l); the double sum is therefore a signed sum of
-    grouped joins over the 4^d relation vectors, at most O(4^d M log M)
-    for M members, and the branches that no pair reaches are skipped.
+    Per coordinate rho(k, l) is nonzero on four key relations only (k = l,
+    k' = l', l = k'', k = l''; see ``_relation_patterns``), each a product
+    f(k) g(l); the double sum is therefore a signed sum of grouped joins
+    over the 4^d relation vectors, at most O(4^d M log M) for M members,
+    and the branches that no pair reaches are skipped.
     Every term is +-3^c * 2^-e, so the sum is an exact rational and the
     result is rounded once: the value is exact over the enumerated members.
     The report's truncation metadata carries the member count and a crude
@@ -294,19 +194,9 @@ def walsh_series_l2(
     if bound_bits is None:
         bound_bits = gset.rows
     d = gset.dimension
-    if shift is not None and len(shift.numerators) != d:
-        raise ValueError(
-            f"shift has {len(shift.numerators)} coordinates, net has {d}"
-        )
     coords = _dual_member_coords(gset, bound_bits, max_members)
     count = len(coords[0])
-
-    signs = np.ones(count, dtype=np.int64)
-    if shift is not None:
-        for ks, numerator in zip(coords, shift.numerators):
-            signs *= _member_shift_signs(ks, numerator, shift.precision)
-
-    total = _relation_sum(coords, signs, bound_bits)
+    total = _relation_sum(coords, bound_bits)
     squared = float(Fraction(1, 3**d) * (total - 1))
 
     prefactor = PERIODIC_L2.prefactor(d)
@@ -338,15 +228,3 @@ def walsh_series_l2(
         generator=gset.describe(),
     )
 
-
-def _member_shift_signs(ks: np.ndarray, numerator: int, precision: int) -> np.ndarray:
-    """Walsh signs wal_k(sigma_j), +1 or -1, for indices at one coordinate.
-
-    Digit i of k pairs with digit i + 1 of sigma_j, which is bit i of the
-    numerator reversed over its precision; digits of k beyond the precision
-    pair with zeros.
-    """
-    if precision > 64:
-        raise ValueError(f"shift precision {precision} exceeds 64")
-    mask = np.uint64(reverse_bits(numerator, precision))
-    return 1 - 2 * (np.bitwise_count(ks.astype(np.uint64) & mask) & 1).astype(np.int64)

@@ -2,22 +2,27 @@
 
 ``pset_from_tuples`` is the one way the tests build point sets by hand.  The
 helpers below left the package because no shipped path calls them; they stay
-here as small oracles: the scalar ones for the array code, the dense rho
-arrays as a vector form of ``rho_coefficient`` that shares no code with it,
-the pairwise-cosine Fourier sum as the oracle of the Gram form in
+here as small oracles and share no code with the paths they check: the
+scalar GF(2), interlacing, digital-shift and block-splitting ones for the
+array code, the scalar Walsh characters and the closed-form
+``rho_coefficient`` with the direct dual-net scan for the Walsh series, the
+dense rho arrays as a vector form of ``rho_coefficient``, the
+pairwise-cosine Fourier sum as the oracle of the Gram form in
 ``fourier_truncated``, and the per-t scan and per-block sequence check as
 the oracles of the one-search ``minimal_t``.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from collections import defaultdict
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from dignet.gf2 import rank
-from dignet.interlace import interlace_digits
+from dignet.gf2 import BitMatrix
 from dignet.measures import WeightScheme
 from dignet.niederreiter import GeneratingMatrixSet
 from dignet.quality import (
@@ -29,12 +34,7 @@ from dignet.quality import (
     check_order_alpha_t,
 )
 from dignet.sequence import DyadicPoint, PointSet
-from dignet.walshlab import (
-    _stacked_transpose,
-    reverse_bits,
-    rho_coefficient,
-    walsh_eval,
-)
+from dignet.walshlab import _stacked_transpose
 
 
 def pset_from_tuples(
@@ -50,6 +50,69 @@ def values(pset: PointSet) -> list[tuple[float, ...]]:
     return [tuple(v * scale for v in row) for row in pset.numerators.tolist()]
 
 
+# ---------------------------------------------------------------------------
+# GF(2) matrices and matrix files.
+# ---------------------------------------------------------------------------
+
+
+def identity(n: int) -> BitMatrix:
+    """The n x n identity matrix over Z2."""
+    return BitMatrix([1 << i for i in range(n)], n)
+
+
+def zeros(nrows: int, ncols: int) -> BitMatrix:
+    """The all-zero matrix of the given shape."""
+    return BitMatrix([0] * nrows, ncols)
+
+
+def entry(m: BitMatrix, i: int, j: int) -> int:
+    """Row i, column j of m, 0 or 1."""
+    if not 0 <= j < m.ncols:
+        raise IndexError(f"column {j} out of range for {m.ncols} columns")
+    return (m.row_masks[i] >> j) & 1
+
+
+def matvec(m: BitMatrix, bits: int) -> int:
+    """Matrix-vector product over Z2 of a vector packed into ``bits``.
+
+    Bit i of the result is the parity of ``row_i AND bits``.
+    """
+    if bits < 0 or bits >> m.ncols:
+        raise ValueError(f"vector 0x{bits:x} does not fit in {m.ncols} columns")
+    out = 0
+    for i, r in enumerate(m.row_masks):
+        out |= ((r & bits).bit_count() & 1) << i
+    return out
+
+
+def rank(m: BitMatrix) -> int:
+    """Rank over Z2 by plain Gauss-Jordan column sweeps."""
+    rows = list(m.row_masks)
+    found = 0
+    for col in range(m.ncols - 1, -1, -1):
+        pivot = next(
+            (k for k in range(found, len(rows)) if (rows[k] >> col) & 1), None
+        )
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        for k in range(len(rows)):
+            if k != found and (rows[k] >> col) & 1:
+                rows[k] ^= rows[found]
+        found += 1
+    return found
+
+
+def save_matrix_set(gset: GeneratingMatrixSet, path: str | Path) -> None:
+    """Write a matrix set as the JSON that ``load_matrix_set`` reads."""
+    Path(path).write_text(json.dumps(gset.to_json_dict(), indent=2) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Points: digits, interlacing, digital shifts and prefix blocks.
+# ---------------------------------------------------------------------------
+
+
 def digit_vector(n: int, m: int) -> int:
     """Least-significant-first binary digits of n as an m-bit vector: n itself."""
     if n < 0:
@@ -59,12 +122,220 @@ def digit_vector(n: int, m: int) -> int:
     return n
 
 
+def interlace_digits(numerators: Sequence[int], precision: int) -> int:
+    """Weave len(numerators) digit streams of the given precision into one.
+
+    Returns the numerator of the interlaced value at precision
+    len(numerators) * precision: output digit r + (a-1)*alpha is digit a of
+    stream r.
+    """
+    alpha = len(numerators)
+    if alpha < 1:
+        raise ValueError("need at least one input stream")
+    for v in numerators:
+        if v < 0 or v >> precision:
+            raise ValueError(f"numerator {v} out of range for precision {precision}")
+    out = 0
+    width = alpha * precision
+    for a in range(1, precision + 1):
+        for r, num in enumerate(numerators, start=1):
+            bit = (num >> (precision - a)) & 1
+            out |= bit << (width - (r + (a - 1) * alpha))
+    return out
+
+
+def interlace_vector(point: DyadicPoint, alpha: int) -> DyadicPoint:
+    """Blockwise interlacing: coordinate j comes from input block j."""
+    if alpha < 1:
+        raise ValueError(f"interlacing factor must be positive, got {alpha}")
+    if point.dimension % alpha:
+        raise ValueError(
+            f"dimension {point.dimension} is not a multiple of alpha={alpha}"
+        )
+    nums = tuple(
+        interlace_digits(point.numerators[j : j + alpha], point.precision)
+        for j in range(0, point.dimension, alpha)
+    )
+    return DyadicPoint(nums, alpha * point.precision)
+
+
+def interlace_pointset(pset: PointSet, alpha: int) -> PointSet:
+    """Every point interlaced with ``interlace_vector``."""
+    rows = [interlace_vector(p, alpha).numerators for p in pset.points]
+    return PointSet(
+        rows,
+        alpha * pset.precision,
+        provenance=f"{pset.provenance} interlaced alpha={alpha}",
+    )
+
+
 def interlace_point(point: DyadicPoint) -> DyadicPoint:
     """Interlace all coordinates of a point into a single coordinate."""
     return DyadicPoint(
         (interlace_digits(point.numerators, point.precision),),
         point.dimension * point.precision,
     )
+
+
+def digital_shift(pset: PointSet, shift: DyadicPoint) -> PointSet:
+    """XOR every point with the shift, both zero-padded to the larger precision."""
+    if shift.dimension != pset.dimension:
+        raise ValueError(
+            f"shift dimension {shift.dimension} does not match point set {pset.dimension}"
+        )
+    w = max(pset.precision, shift.precision)
+    sigma = [s << (w - shift.precision) for s in shift.numerators]
+    rows = [
+        [(v << (w - pset.precision)) ^ s for v, s in zip(row, sigma)]
+        for row in pset.numerators.tolist()
+    ]
+    return PointSet(rows, w, provenance=f"{pset.provenance} + digital shift")
+
+
+def block_decomposition(total: int) -> list[int]:
+    """Exponents m_1 > m_2 > ... with total = sum of 2^{m_i}."""
+    if total < 1:
+        raise ValueError(f"need a positive total, got {total}")
+    return [b for b in range(total.bit_length() - 1, -1, -1) if (total >> b) & 1]
+
+
+def tail_shift_vector(
+    gset: GeneratingMatrixSet, block_index: int, total: int, precision: int
+) -> DyadicPoint:
+    """Digital shift carried by block ``block_index`` of an N-point prefix.
+
+    Splitting N = 2^{m_1} + ... + 2^{m_r} (m_1 > ... > m_r) cuts the first N
+    sequence points into consecutive blocks of those sizes.  Block i equals
+    the 2^{m_i}-point net shifted by the image of the high digits shared by
+    all its indices, which is exactly the sequence point at index
+    2^{m_1} + ... + 2^{m_{i-1}}: C_j times its digit vector, one ``matvec``
+    per coordinate.  Blocks are numbered from 1.
+    """
+    exponents = block_decomposition(total)
+    if not 1 <= block_index <= len(exponents):
+        raise ValueError(
+            f"block index {block_index} out of range for {len(exponents)} blocks"
+        )
+    base = sum(1 << e for e in exponents[: block_index - 1])
+    return DyadicPoint(
+        tuple(
+            reverse_bits(matvec(mat.submatrix(precision, mat.ncols), base), precision)
+            for mat in gset.matrices
+        ),
+        precision,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Walsh characters, correlation coefficients and dual nets.
+# ---------------------------------------------------------------------------
+
+
+def reverse_bits(value: int, width: int) -> int:
+    """Reverse the low `width` bits of `value`."""
+    if value < 0 or width < 0:
+        raise ValueError("value and width must be nonnegative")
+    if value >> width:
+        raise ValueError(f"value {value} does not fit in {width} bits")
+    out = 0
+    for _ in range(width):
+        out = (out << 1) | (value & 1)
+        value >>= 1
+    return out
+
+
+def walsh_eval(k: int, numerator: int, precision: int) -> int:
+    """Evaluate the k-th dyadic Walsh function at numerator / 2**precision.
+
+    Returns +1 or -1: the sign is the parity of the pairing between the
+    binary digits of the coordinate and the binary digits of k.  Digits
+    of the argument beyond its stated precision are zero, so any k is
+    accepted.
+    """
+    if k < 0:
+        raise ValueError("index must be nonnegative")
+    if numerator < 0 or numerator >> precision:
+        raise ValueError("numerator out of range for precision")
+    width = max(precision, k.bit_length())
+    scaled = numerator << (width - precision)
+    return -1 if (scaled & reverse_bits(k, width)).bit_count() & 1 else 1
+
+
+def rho_coefficient(k: int, l: int) -> float:
+    """Walsh correlation coefficient of the periodic-L2 kernel weights.
+
+    rho(k, l) = sum over h in Z of beta(h,k) * conj(beta(h,l)) / r(h)^2
+    with beta(h,k) the Fourier coefficient of the k-th Walsh function
+    and 1/r(h)^2 = 6/(4 pi^2 h^2) for h != 0.  Closed form by bit
+    structure, writing a1 > a2 for the two leading bit positions of k
+    (1-based), k' = k - 2^(a1-1), k'' = k' - 2^(a2-1), and b1, b2, l',
+    l'' likewise for l:
+
+      1                    if k = l = 0
+      0                    if exactly one of k, l is 0
+      2^(-2*a1 - 1)        if k = l with a single one bit
+      2^(1 - 2*a1)         if k = l with two or more one bits
+      3 * 2^(-a1 - b1 - 1) if k' = l' > 0 and k != l
+      -3 * 2^(-a1 - a2 - 1) if k'' = l
+      -3 * 2^(-b1 - b2 - 1) if k = l''
+      0                    otherwise
+
+    All values are exact dyadic rationals; the result is symmetric in
+    (k, l).
+    """
+    if k < 0 or l < 0:
+        raise ValueError("indices must be nonnegative")
+    if k == 0 and l == 0:
+        return 1.0
+    if k == 0 or l == 0:
+        return 0.0
+    a1 = k.bit_length()
+    b1 = l.bit_length()
+    kp = k - (1 << (a1 - 1))
+    lp = l - (1 << (b1 - 1))
+    if k == l:
+        return math.ldexp(1.0, -2 * a1 - 1) if kp == 0 else math.ldexp(1.0, 1 - 2 * a1)
+    if kp == lp and kp > 0:
+        return math.ldexp(3.0, -a1 - b1 - 1)
+    if kp > 0:
+        a2 = kp.bit_length()
+        if kp - (1 << (a2 - 1)) == l:
+            return math.ldexp(-3.0, -a1 - a2 - 1)
+    if lp > 0:
+        b2 = lp.bit_length()
+        if lp - (1 << (b2 - 1)) == k:
+            return math.ldexp(-3.0, -b1 - b2 - 1)
+    return 0.0
+
+
+def dual_net_members(
+    gset: GeneratingMatrixSet, bound_bits: int | None = None
+) -> list[tuple[int, ...]]:
+    """All index vectors below 2**bound_bits annihilated by the net, sorted.
+
+    A direct scan: (k_1, ..., k_d) is a member when the XOR of the matrix
+    rows selected by the digits of every k_j is zero (digit a of k_j picks
+    row a of C_j; rows past the matrix are zero).  Each coordinate's XOR
+    images of all its indices are tabulated, the first d - 1 coordinates
+    are combined exhaustively, and the last is looked up by image.
+    `bound_bits` defaults to the row count.
+    """
+    if bound_bits is None:
+        bound_bits = gset.rows
+    images = []
+    for mat in gset.matrices:
+        image = [0]
+        for a in range(bound_bits):
+            row = mat.row_masks[a] if a < mat.nrows else 0
+            image += [x ^ row for x in image]
+        images.append(image)
+    partial = [((), 0)]
+    for image in images[:-1]:
+        partial = [(ks + (k,), acc ^ x) for ks, acc in partial for k, x in enumerate(image)]
+    last = defaultdict(list)
+    for k, x in enumerate(images[-1]):
+        last[x].append(k)
+    return sorted(ks + (k,) for ks, acc in partial for k in last[acc])
 
 
 def rho_array(k: np.ndarray, l: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from dignet.cli import construct_matrices, study_rows
-from dignet.interlace import interlace_matrices, interlace_pointset
+from dignet.interlace import interlace_matrices
 from dignet.measures import (
     DIAPHONY,
     PERIODIC_L2,
@@ -24,20 +24,19 @@ from dignet.measures import (
 )
 from dignet.niederreiter import build_matrices
 from dignet.quality import minimal_t
-from dignet.sequence import (
-    PointSet,
+from dignet.sequence import PointSet, generate_points
+from dignet.walshlab import walsh_series_l2
+
+from support import (
     block_decomposition,
-    generate_points,
-    tail_shift_vector,
-)
-from dignet.walshlab import (
     dual_net_members,
+    interlace_pointset,
+    pset_from_tuples,
     reverse_bits,
     rho_coefficient,
-    walsh_series_l2,
+    tail_shift_vector,
+    walsh_signs,
 )
-
-from support import pset_from_tuples, walsh_signs
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -10,10 +10,10 @@ import pytest
 from dignet.cli import EXIT_IO, EXIT_REFUSED, EXIT_USAGE, build_parser, main, study_rows
 from dignet.errors import PrecisionError
 from dignet.measures import periodic_l2
-from dignet.gf2 import BitMatrix
-from dignet.niederreiter import GeneratingMatrixSet, load_matrix_set, save_matrix_set
+from dignet.niederreiter import GeneratingMatrixSet, load_matrix_set
 from dignet.sequence import generate_points, read_points_csv
 from dignet.cli import construct_matrices
+from support import entry, identity, save_matrix_set
 
 
 def _run_json(args, tmp_path, name="out.json"):
@@ -26,7 +26,7 @@ def _run_json(args, tmp_path, name="out.json"):
 def test_matrices_identity(tmp_path):
     data = _run_json(["matrices", "-d", "1", "-m", "4"], tmp_path)
     gset = GeneratingMatrixSet.from_json_dict(data)
-    assert gset.matrices[0] == BitMatrix.identity(4)
+    assert gset.matrices[0] == identity(4)
     assert gset.t == 0
 
 
@@ -45,7 +45,7 @@ def test_matrices_interlaced_zero_pattern(tmp_path):
     for k in range(1, 7):
         for l in range(1, 4):
             if k > 2 * l:
-                assert mat.entry(k - 1, l - 1) == 0, (k, l)
+                assert entry(mat, k - 1, l - 1) == 0, (k, l)
 
 
 def test_points_roundtrip(tmp_path):
@@ -208,6 +208,18 @@ def test_measure_points_file_refuses_bad_input(rows, code, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("refused: " if code == EXIT_REFUSED else "error: ")
+
+
+@pytest.mark.parametrize(
+    "field", ["1/4", "+0x1/4", "0x_1/4", " 0x1/4", "0x1/ 4", "0x1/+4", "0x1/0_4"]
+)
+def test_measure_points_file_refuses_malformed_dyadic_field(field, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(_BAD_POINTS_HEAD + _GOOD_POINTS_ROW + f"1,{field},0.0625,0x2/4,0.125\n")
+    assert main(["measure", "--points", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 1 has a malformed dyadic field")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("edit, row", [

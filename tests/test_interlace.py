@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dignet.interlace import (
-    interlace_digits,
-    interlace_matrices,
-    interlace_pointset,
-    interlace_vector,
-)
+from dignet.interlace import interlace_matrices
 from dignet.gf2 import BitMatrix
 from dignet.niederreiter import GeneratingMatrixSet, build_matrices
 from dignet.sequence import DyadicPoint, generate_points
-from support import interlace_point
+from support import (
+    entry,
+    identity,
+    interlace_digits,
+    interlace_point,
+    interlace_pointset,
+    interlace_vector,
+)
 
 
 def test_interlace_digits_frozen_examples():
@@ -79,7 +81,7 @@ def test_interlace_matrices_identity_example():
         dimension=2,
         alpha=1,
         t=0,
-        matrices=[BitMatrix.identity(3), BitMatrix.identity(3)],
+        matrices=[identity(3), identity(3)],
         polynomials=base.polynomials,
     )
     out = interlace_matrices(eye, 2)
@@ -118,7 +120,7 @@ def test_interlaced_matrices_keep_zero_tail():
         for k in range(1, mat.nrows + 1):
             for l in range(1, mat.ncols + 1):
                 if k > 3 * l:
-                    assert mat.entry(k - 1, l - 1) == 0
+                    assert entry(mat, k - 1, l - 1) == 0
 
 
 def test_commuting_square_points_vs_matrices():

@@ -21,8 +21,8 @@ from dignet.niederreiter import (
     poly_mul,
     poly_pow,
     primitive_polynomials,
-    save_matrix_set,
 )
+from support import entry, identity, save_matrix_set
 
 # ---------------------------------------------------------------------------
 # Independent oracles.  These work on coefficient lists (index = degree) and
@@ -243,14 +243,14 @@ def test_laurent_validation():
 
 def test_build_matrices_one_dimension_is_identity():
     gset = build_matrices(1, 5, 5)
-    assert gset.matrices[0] == BitMatrix.identity(5)
+    assert gset.matrices[0] == identity(5)
     assert gset.t == 0
     assert gset.alpha == 1
 
 
 def test_build_matrices_two_dimensions_frozen():
     gset = build_matrices(2, 3, 3)
-    assert gset.matrices[0] == BitMatrix.identity(3)
+    assert gset.matrices[0] == identity(3)
     assert gset.matrices[1] == BitMatrix.from_rows([[1, 1, 1], [0, 1, 0], [0, 0, 1]])
     assert gset.t == 0
 
@@ -267,9 +267,9 @@ def test_build_matrices_upper_triangular_with_unit_diagonal():
         for k in range(m.nrows):
             for l in range(m.ncols):
                 if k > l:
-                    assert m.entry(k, l) == 0
+                    assert entry(m, k, l) == 0
                 elif k == l:
-                    assert m.entry(k, l) == 1
+                    assert entry(m, k, l) == 1
 
 
 def test_build_matrices_rectangular_extent():
@@ -338,6 +338,6 @@ def test_matrix_set_shape_consistency():
             dimension=2,
             alpha=1,
             t=0,
-            matrices=[gset.matrices[0], BitMatrix.identity(4)],
+            matrices=[gset.matrices[0], identity(4)],
             polynomials=gset.polynomials,
         )

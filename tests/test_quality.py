@@ -30,26 +30,13 @@ from dignet.quality import (
     check_order_alpha_t,
     minimal_t,
 )
-from support import scan_minimal_t, verify_sequence_property
-
-
-def _gauss_rank(masks) -> int:
-    """Rank over Z2 by plain Gauss-Jordan column sweeps."""
-    rows = list(masks)
-    rank = 0
-    width = max((r.bit_length() for r in rows), default=0)
-    for col in range(width - 1, -1, -1):
-        pivot = next(
-            (k for k in range(rank, len(rows)) if (rows[k] >> col) & 1), None
-        )
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for k in range(len(rows)):
-            if k != rank and (rows[k] >> col) & 1:
-                rows[k] ^= rows[rank]
-        rank += 1
-    return rank
+from support import (
+    identity,
+    rank,
+    scan_minimal_t,
+    verify_sequence_property,
+    zeros,
+)
 
 
 def _oracle_min_t(mats, alpha: int) -> int:
@@ -76,7 +63,7 @@ def _oracle_min_t(mats, alpha: int) -> int:
         rows = []
         for j, (_, idx) in enumerate(combo):
             rows.extend(mats[j].row_masks[i - 1] for i in idx)
-        if _gauss_rank(rows) < len(rows):
+        if rank(BitMatrix(rows, m)) < len(rows):
             best = cost
     if best is None or best > alpha * m:
         return 0
@@ -97,7 +84,7 @@ def _assert_witness_valid(mats, alpha: int, t: int, witness) -> None:
         weight += sum(sorted(idx, reverse=True)[:alpha])
     assert weight <= alpha * m - t
     rows = [mats[j].row_masks[i - 1] for j, i in witness]
-    assert _gauss_rank(rows) < len(rows)
+    assert rank(BitMatrix(rows, m)) < len(rows)
 
 
 def _random_matrices(rng, d: int, rows: int, cols: int) -> list[BitMatrix]:
@@ -109,10 +96,10 @@ def _random_matrices(rng, d: int, rows: int, cols: int) -> list[BitMatrix]:
 
 def test_identity_passes_at_zero():
     for m in (1, 2, 4, 8):
-        out = check_order_alpha_t([BitMatrix.identity(m)], 1, 0)
+        out = check_order_alpha_t([identity(m)], 1, 0)
         assert out.status == PASS
         assert bool(out)
-        report = minimal_t([BitMatrix.identity(m)], 1)
+        report = minimal_t([identity(m)], 1)
         assert report == NetQualityReport(1, m, 1, 0, True, None)
 
 
@@ -124,7 +111,7 @@ def test_sobol_pair_passes_at_zero():
 
 
 def test_t_equal_alpha_m_passes_vacuously():
-    mats = [BitMatrix.zeros(4, 2), BitMatrix.zeros(4, 2)]
+    mats = [zeros(4, 2), zeros(4, 2)]
     out = check_order_alpha_t(mats, 2, 4)
     assert out.status == PASS
     assert out.nodes == 0
@@ -206,7 +193,7 @@ def test_zero_leading_row_forces_t_alpha_m():
 def test_zero_pad_exposes_missing_rows():
     # Order 2 at m = 2 reaches row 4; with two rows stored, the verifier
     # refuses instead of reporting t = 0 for the rows it has.
-    mat = BitMatrix.identity(2)
+    mat = identity(2)
     with pytest.raises(ValueError, match="needs 4 rows"):
         minimal_t([mat], 2)
     with pytest.raises(ValueError, match="needs 4 rows"):
@@ -264,7 +251,7 @@ def test_node_cap_yields_inconclusive():
 
 
 def test_minimal_t_under_node_cap_is_upper_bound():
-    mats = [BitMatrix.identity(4)]
+    mats = [identity(4)]
     report = minimal_t(mats, 1, node_cap=2)
     assert report.t == 3
     assert not report.exhaustive
@@ -311,21 +298,21 @@ def test_report_json_shape():
     data = report.to_json_dict()
     assert set(data) == {"alpha", "m", "d", "t", "exhaustive", "witness"}
     assert data["witness"] == [[0, 2], [0, 1]]
-    assert minimal_t([BitMatrix.identity(2)], 1).to_json_dict()["witness"] is None
+    assert minimal_t([identity(2)], 1).to_json_dict()["witness"] is None
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
         check_order_alpha_t([], 1, 0)
     with pytest.raises(ValueError):
-        check_order_alpha_t([BitMatrix.identity(2)], 0, 0)
+        check_order_alpha_t([identity(2)], 0, 0)
     with pytest.raises(ValueError):
-        check_order_alpha_t([BitMatrix.identity(2)], 1, 3)
+        check_order_alpha_t([identity(2)], 1, 3)
     with pytest.raises(ValueError):
-        check_order_alpha_t([BitMatrix.identity(2)], 1, -1)
+        check_order_alpha_t([identity(2)], 1, -1)
     with pytest.raises(ValueError):
         check_order_alpha_t(
-            [BitMatrix.identity(2), BitMatrix.identity(3)], 1, 0
+            [identity(2), identity(3)], 1, 0
         )
     assert isinstance(check_order_alpha_t(build_matrices(1, 2, 2), 1, 0), CheckOutcome)
 
@@ -430,4 +417,4 @@ def test_minimal_t_equals_scan_on_random_matrices(data):
 @pytest.mark.parametrize("alpha", [0, -1])
 def test_minimal_t_refuses_alpha_below_one(alpha):
     with pytest.raises(ValueError, match="alpha must be positive"):
-        minimal_t([BitMatrix.identity(2)], alpha)
+        minimal_t([identity(2)], alpha)

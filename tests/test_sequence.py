@@ -13,21 +13,24 @@ from hypothesis import strategies as st
 from dignet import sequence
 
 from dignet.errors import PrecisionError
-from dignet.gf2 import matvec
 from dignet.interlace import interlace_matrices
 from dignet.niederreiter import build_matrices
 from dignet.sequence import (
     DyadicPoint,
     PointSet,
-    block_decomposition,
-    digital_shift,
     generate_points,
     read_points_csv,
-    sum_of_digits,
-    tail_shift_vector,
     write_points_csv,
 )
-from support import digit_vector, pset_from_tuples, values
+from support import (
+    block_decomposition,
+    digit_vector,
+    digital_shift,
+    matvec,
+    pset_from_tuples,
+    tail_shift_vector,
+    values,
+)
 
 
 def test_digit_vector_examples():
@@ -262,15 +265,6 @@ def test_block_splitting_reproduces_prefixes():
                 base += 1 << mi
 
 
-def test_sum_of_digits():
-    assert sum_of_digits(13) == 3
-    for m in (1, 5, 9):
-        assert sum_of_digits((1 << m) - 1) == m
-        assert sum_of_digits(1 << m) == 1
-    with pytest.raises(ValueError):
-        sum_of_digits(0)
-
-
 def test_points_csv_round_trip():
     gset = build_matrices(2, 6, 6)
     pts = generate_points(gset, 10, 6)
@@ -452,6 +446,26 @@ def test_points_csv_refuses_hex_field_that_fills_its_width(field):
     short = "0x" + "0" * (sequence._HEX_BYTES - 6) + "1/4"
     back = read_points_csv(io.StringIO(f"0,{short},0.0625\n"))
     assert back.numerators.tolist() == [[1]]
+
+
+# Each of these read as 1/16 while numerator and precision went through int().
+MALFORMED_DYADIC = [
+    "1/4", "+0x1/4", "0x_1/4", " 0x1/4", "0x1/ 4", "0x1/+4", "0x1/0_4",
+    "0X1/4", "0x1/4 ", "0x/4", "0x1/", "0x1/4/4", "0x1/-4", "0xg/4",
+]
+
+
+@pytest.mark.parametrize("field", MALFORMED_DYADIC)
+def test_points_csv_refuses_malformed_dyadic_field(field):
+    text = f"0,0x0/4,0,0x0/4,0\n1,0x1/4,0.0625,{field},0.0625\n"
+    with pytest.raises(ValueError, match=r"^row 1 has a malformed dyadic field"):
+        read_points_csv(io.StringIO(text))
+
+
+def test_points_csv_accepts_leading_zeros_and_either_hex_case():
+    back = read_points_csv(io.StringIO("0,0x00/04,0\n1,0x0a/4,0.625\n2,0xB/004,0.6875\n"))
+    assert back.precision == 4
+    assert back.numerators.tolist() == [[0], [10], [11]]
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -11,25 +11,24 @@ from hypothesis import strategies as st
 
 from dignet.cli import construct_matrices
 from dignet.errors import BudgetError
-from dignet.gf2 import BitMatrix, rank
+from dignet.gf2 import BitMatrix
 from dignet.interlace import interlace_matrices
 from dignet.measures import periodic_l2
 from dignet.niederreiter import GeneratingMatrixSet, build_matrices
-from dignet.sequence import DyadicPoint, digital_shift, generate_points
-from dignet.walshlab import (
-    _key_sums,
-    dual_net_members,
-    reverse_bits,
-    rho_coefficient,
-    walsh_eval,
-    walsh_series_l2,
-)
+from dignet.sequence import DyadicPoint, generate_points
+from dignet.walshlab import _dual_member_coords, _key_sums, walsh_series_l2
 from support import (
+    dual_net_members,
     dual_rank,
+    entry,
     mu,
     pset_from_tuples,
+    rank,
+    reverse_bits,
+    rho_coefficient,
     rho_table,
     rho_vector,
+    walsh_eval,
     walsh_eval_vector,
     walsh_signs,
 )
@@ -204,29 +203,15 @@ def test_rho_vector():
 # ---------------------------------------------------------------------------
 
 
-def _brute_dual(gset, bound_bits):
-    """Direct scan: XOR of generating-matrix rows selected by index digits."""
-    d = gset.dimension
-    members = []
-    for combo in range(1 << (d * bound_bits)):
-        acc = 0
-        ks = []
-        for j in range(d):
-            k = (combo >> (j * bound_bits)) & ((1 << bound_bits) - 1)
-            ks.append(k)
-            masks = gset.matrices[j].row_masks
-            for a in range(min(bound_bits, len(masks))):
-                if (k >> a) & 1:
-                    acc ^= masks[a]
-        if acc == 0:
-            members.append(tuple(ks))
-    members.sort()
-    return members
+def _members(gset, bound_bits):
+    """The series' own enumeration, as sorted index vectors."""
+    coords = _dual_member_coords(gset, bound_bits, max_members=1 << 16)
+    return sorted(zip(*(c.tolist() for c in coords)))
 
 
 def test_dual_identity_example():
     gset = build_matrices(1, 2, 2)
-    assert dual_net_members(gset, 2) == [(0,)]
+    assert _members(gset, 2) == dual_net_members(gset, 2) == [(0,)]
 
 
 def test_dual_members_match_brute_scan():
@@ -238,8 +223,7 @@ def test_dual_members_match_brute_scan():
         (interlace_matrices(build_matrices(4, 2, 2), 2), 5),
     ]
     for gset, bound in cases:
-        got = dual_net_members(gset, bound, max_members=1 << 12)
-        assert got == _brute_dual(gset, bound)
+        assert _members(gset, bound) == dual_net_members(gset, bound)
 
 
 def test_dual_member_count_matches_rank():
@@ -251,13 +235,13 @@ def test_dual_member_count_matches_rank():
     ]
     for gset in cases:
         bound = gset.rows
-        members = dual_net_members(gset, bound, max_members=1 << 13)
+        members = _members(gset, bound)
         nullity = gset.dimension * bound - dual_rank(gset, bound)
         assert len(members) == 1 << nullity
         stacked = BitMatrix.from_rows(
             [
                 [
-                    gset.matrices[j].entry(a, r)
+                    entry(gset.matrices[j], a, r)
                     for j in range(gset.dimension)
                     for a in range(bound)
                 ]
@@ -268,12 +252,12 @@ def test_dual_member_count_matches_rank():
 
 
 def test_dual_budget_errors():
-    with pytest.raises(BudgetError):
-        dual_net_members(build_matrices(3, 9, 9), 9)
-    with pytest.raises(BudgetError):
-        dual_net_members(build_matrices(2, 2, 2), 12)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="digit positions"):
+        walsh_series_l2(build_matrices(3, 9, 9), bound_bits=9)
+    with pytest.raises(BudgetError, match="more than the cap"):
         walsh_series_l2(build_matrices(2, 2, 2), bound_bits=12)
+    with pytest.raises(BudgetError, match="more than the cap"):
+        walsh_series_l2(build_matrices(2, 2, 2), bound_bits=6, max_members=8)
 
 
 def test_character_property_exhaustive():
@@ -291,7 +275,7 @@ def test_character_property_exhaustive():
         bound = gset.rows
         assert d * bound <= 16
         pset = generate_points(gset, 1 << gset.cols)
-        members = set(dual_net_members(gset, bound, max_members=1 << 16))
+        members = set(_members(gset, bound))
         box_mask = (1 << bound) - 1
         sign_tables = []
         for j in range(d):
@@ -334,40 +318,15 @@ def test_series_matches_kernel_on_nets():
         assert report.size == 1 << gset.cols
 
 
-def test_series_zero_shift_is_identity():
-    gset = build_matrices(2, 3, 3)
-    plain = walsh_series_l2(gset, bound_bits=7)
-    shifted = walsh_series_l2(gset, bound_bits=7, shift=DyadicPoint((0, 0), 3))
-    assert shifted.squared == plain.squared
-
-
-def test_series_with_shift_matches_kernel_of_shifted_net():
-    rng = random.Random(17)
-    for dim, m in ((1, 3), (2, 3), (2, 4)):
-        gset = build_matrices(dim, m, m)
-        pset = generate_points(gset, 1 << m)
-        for _ in range(3):
-            sigma = DyadicPoint(
-                tuple(rng.getrandbits(m) for _ in range(dim)), m
-            )
-            report = walsh_series_l2(gset, bound_bits=m + 4, shift=sigma)
-            kernel = periodic_l2(digital_shift(pset, sigma))
-            err = abs(report.squared - kernel.squared)
-            assert err <= report.truncation["tail_estimate"]
-            assert err <= 0.25 * 2.0 ** -(m + 4)
-
-
-@pytest.mark.parametrize("shift", [None, (5, 3)], ids=["plain", "shifted"])
-def test_series_matches_scalar_double_sum(shift):
+def test_series_matches_scalar_double_sum():
     """The series against an independent double sum over the dual members.
 
     The oracle takes rho from a table of scalar ``rho_coefficient`` values
-    and the shift signs from scalar ``walsh_eval``, and sums every ordered
-    pair; 1,024 members cross the series' block boundary.
+    and sums every ordered pair of the directly scanned members; 1,024
+    members cross the series' block boundary.
     """
     gset = construct_matrices(2, 2, 4)
     bound = 7
-    sigma = None if shift is None else DyadicPoint(shift, 3)
     members = dual_net_members(gset, bound)
     assert len(members) == 1024
     indices = range(1 << bound)
@@ -376,40 +335,22 @@ def test_series_matches_scalar_double_sum(shift):
     for column in zip(*members):
         ks = np.array(column)
         terms *= table[ks[:, None], ks[None, :]]
-    if sigma is not None:
-        signs = np.array(
-            [
-                math.prod(walsh_eval(k, s, 3) for k, s in zip(ks, sigma.numerators))
-                for ks in members
-            ],
-            dtype=np.float64,
-        )
-        terms *= signs[:, None] * signs[None, :]
     expected = (math.fsum(terms.ravel().tolist()) - 1.0) / 9.0
-    got = walsh_series_l2(gset, bound_bits=bound, shift=sigma).squared
+    got = walsh_series_l2(gset, bound_bits=bound).squared
     assert abs(got - expected) <= 1e-14 * abs(expected)
 
 
-def _fraction_series(gset, bound, sigma):
+def _fraction_series(gset, bound):
     """The series rounded once from a brute-force ``Fraction`` double sum.
 
-    Every ordered pair of dual members contributes prod_j rho(k_j, l_j)
-    times the Walsh signs of the shift at both members, all from scalar
-    ``rho_coefficient`` and ``walsh_eval``.
+    Every ordered pair of directly scanned dual members contributes
+    prod_j rho(k_j, l_j), from the scalar ``rho_coefficient``.
     """
-    members = dual_net_members(gset, bound, max_members=1 << 10)
-    signs = [
-        1
-        if sigma is None
-        else math.prod(
-            walsh_eval(k, s, sigma.precision) for k, s in zip(ks, sigma.numerators)
-        )
-        for ks in members
-    ]
+    members = dual_net_members(gset, bound)
     total = Fraction(0)
-    for ks, sign_k in zip(members, signs):
-        for ls, sign_l in zip(members, signs):
-            term = sign_k * sign_l
+    for ks in members:
+        for ls in members:
+            term = Fraction(1)
             for k, l in zip(ks, ls):
                 rho = rho_coefficient(k, l)
                 if rho == 0.0:
@@ -421,49 +362,39 @@ def _fraction_series(gset, bound, sigma):
 
 
 @pytest.mark.parametrize(
-    "dim, alpha, m, bound, shift",
+    "dim, alpha, m, bound",
     [
-        (1, 1, 3, 6, None),
-        (1, 2, 4, 8, (101,)),
-        (1, 3, 3, 9, None),
-        (1, 2, 8, 16, None),
-        (1, 2, 8, 16, (77,)),
-        (2, 1, 3, 5, (99, 45)),
-        (2, 2, 4, 6, None),
-        (2, 2, 4, 6, (118, 23)),
-        (2, 3, 3, 5, (70, 51)),
-        (3, 1, 3, 3, None),
-        (3, 2, 2, 3, (96, 33, 80)),
-        (3, 3, 2, 3, (127, 64, 40)),
+        (1, 1, 3, 6),
+        (1, 3, 3, 9),
+        (1, 2, 8, 16),
+        (2, 2, 4, 6),
+        (3, 1, 3, 3),
     ],
 )
-def test_series_equals_fraction_oracle(dim, alpha, m, bound, shift):
+def test_series_equals_fraction_oracle(dim, alpha, m, bound):
     gset = construct_matrices(dim, alpha, m)
-    sigma = None if shift is None else DyadicPoint(shift, 7)
-    got = walsh_series_l2(gset, bound_bits=bound, shift=sigma).squared
-    assert got == _fraction_series(gset, bound, sigma)
+    got = walsh_series_l2(gset, bound_bits=bound).squared
+    assert got == _fraction_series(gset, bound)
 
 
 @st.composite
 def _small_nets(draw):
-    """Random generating matrices with d * bound <= 8 and a random shift."""
+    """Random generating matrices with d * bound <= 8."""
     dim = draw(st.integers(1, 3))
     cols = draw(st.integers(1, 4))
     rows = draw(st.integers(1, 6))
     bound = draw(st.integers(1, 8 // dim))
     masks = st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)
     matrices = [BitMatrix(draw(masks), cols) for _ in range(dim)]
-    gset = GeneratingMatrixSet(dim, 1, 0, matrices, [])
-    shift = draw(st.none() | st.lists(st.integers(0, 63), min_size=dim, max_size=dim))
-    return gset, bound, None if shift is None else DyadicPoint(tuple(shift), 6)
+    return GeneratingMatrixSet(dim, 1, 0, matrices, []), bound
 
 
 @settings(max_examples=60, deadline=None)
 @given(_small_nets())
 def test_series_equals_fraction_oracle_on_random_nets(case):
-    gset, bound, sigma = case
-    got = walsh_series_l2(gset, bound_bits=bound, shift=sigma).squared
-    assert got == _fraction_series(gset, bound, sigma)
+    gset, bound = case
+    got = walsh_series_l2(gset, bound_bits=bound).squared
+    assert got == _fraction_series(gset, bound)
 
 
 def test_key_sums_exact_past_int64():
@@ -471,22 +402,9 @@ def test_key_sums_exact_past_int64():
     ids = np.arange(5)
     keys = np.array([0, 0, 0, 0, 1])
     exps = np.array([0, 0, 0, 62, 1])
-    signs = np.array([1, 1, 1, 1, -1])
-    sums, scale = _key_sums((ids, keys, exps), signs)
+    sums, scale = _key_sums((ids, keys, exps))
     assert scale == 62
-    assert sums == [3 * 2**62 + 1, -(2**61)]
-
-
-def test_series_shift_dimension_mismatch():
-    gset = build_matrices(2, 3, 3)
-    with pytest.raises(ValueError):
-        walsh_series_l2(gset, shift=DyadicPoint((0,), 3))
-
-
-def test_series_shift_precision_limit():
-    gset = build_matrices(2, 3, 3)
-    with pytest.raises(ValueError, match="exceeds 64"):
-        walsh_series_l2(gset, shift=DyadicPoint((1, 1 << 64), 65))
+    assert sums == [3 * 2**62 + 1, 2**61]
 
 
 # ---------------------------------------------------------------------------
