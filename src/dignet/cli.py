@@ -256,11 +256,16 @@ def _dump_json(out: str | None, obj) -> None:
 
 
 def _inline_gset(args, parser: argparse.ArgumentParser) -> GeneratingMatrixSet:
+    """The --matrix-file matrices, or the inline construction.
+
+    ``tvalue`` leaves -a/--alpha unset to check a file at its own order; an
+    inline construction then uses alpha 1.
+    """
     if args.matrix_file:
         return load_matrix_set(args.matrix_file)
     if args.size is None:
         parser.error("need --matrix-file or -m/--size to define the matrices")
-    return construct_matrices(args.dimension, args.alpha, args.size)
+    return construct_matrices(args.dimension, args.alpha or 1, args.size)
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +293,22 @@ def _cmd_points(args, parser) -> int:
 
 def _cmd_measure(args, parser) -> int:
     scheme = PERIODIC_L2 if args.measure == "per-l2" else DIAPHONY
-    walsh_opts = {"max_members": args.max_members} if args.max_members else {}
-    if args.method != "walsh" and (args.bound_bits is not None or walsh_opts):
-        parser.error("--bound-bits and --max-members apply to the walsh method only")
+    if args.method != "walsh" and args.bound_bits is not None:
+        parser.error("--bound-bits applies to the walsh method only")
     if args.method == "walsh" and args.cross_check:
         parser.error("--cross-check runs kernel and fourier, not the walsh method")
     if args.trunc is not None and args.method != "fourier" and not args.cross_check:
         parser.error("--trunc applies to the fourier method and --cross-check only")
     trunc = args.trunc if args.trunc is not None else 256
     if args.method == "walsh" or args.cross_check:
-        if args.points:
+        if args.points_file:
             parser.error("the walsh method and --cross-check need generating "
                          "matrices, not a points file")
-    if args.points:
+    if args.points_file:
         if args.precision is not None:
             parser.error("-W/--precision applies to generated points, not a "
                          "points file")
-        pset = read_points_csv(args.points)
+        pset = read_points_csv(args.points_file)
         if args.count is not None:
             if args.count > pset.size:
                 raise ValueError(
@@ -347,20 +351,13 @@ def _cmd_measure(args, parser) -> int:
                 f"the walsh method sums the whole net of 2^{gset.cols} points; "
                 "drop -N or pass the full size"
             )
-        report = walsh_series_l2(gset, bound_bits=args.bound_bits, **walsh_opts)
+        report = walsh_series_l2(gset, bound_bits=args.bound_bits)
     _dump_json(args.out, report.to_json_dict())
     return EXIT_OK
 
 
 def _cmd_tvalue(args, parser) -> int:
-    if args.matrix_file:
-        gset = load_matrix_set(args.matrix_file)
-    else:
-        if args.size is None:
-            parser.error("need --matrix-file or -m/--size to define the matrices")
-        gset = construct_matrices(
-            args.dimension, args.alpha if args.alpha is not None else 1, args.size
-        )
+    gset = _inline_gset(args, parser)
     alpha = args.alpha if args.alpha is not None else gset.alpha
     m_max = args.m_max if args.m_max is not None else gset.cols
     if m_max > gset.cols:
@@ -463,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("measure", help="evaluate one measure, emit JSON")
     add_generator_flags(pe, with_count=True)
-    pe.add_argument("--points", type=_path,
+    pe.add_argument("--points", type=_path, dest="points_file",
                     help="read points from a CSV file instead")
     pe.add_argument("--measure", choices=["per-l2", "diaphony"], default="per-l2")
     pe.add_argument("--method", choices=["kernel", "fourier", "walsh"],
@@ -473,9 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "--cross-check (default 256)")
     pe.add_argument("--bound-bits", type=_positive_int,
                     help="digit bound for the walsh method")
-    pe.add_argument("--max-members", type=_positive_int,
-                    help="dual enumeration budget for the walsh method "
-                         "(default 8192)")
     pe.add_argument("--cross-check", action="store_true",
                     help="run kernel and fourier, report the gap")
     pe.add_argument("--threads", type=_positive_int, default=1,

@@ -1,6 +1,10 @@
-"""Shared exception types."""
+"""Shared exception types and the memory budget of the oracles."""
 
-__all__ = ["PrecisionError", "BudgetError"]
+__all__ = ["PrecisionError", "BudgetError", "BUDGET_BYTES"]
+
+# Bytes the Fourier oracle or the Walsh series may hold at once; a request
+# whose bound exceeds it is refused with BudgetError before it allocates.
+BUDGET_BYTES = 1 << 30
 
 
 class PrecisionError(ValueError):
@@ -8,4 +12,4 @@ class PrecisionError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """Raised when an enumeration would exceed its configured size budget."""
+    """Raised when an evaluation would exceed its memory or size budget."""

@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BUDGET_BYTES, BudgetError
 from .sequence import PointSet
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "both_kernel_measures",
     "prefix_kernel_measures",
     "fourier_truncated",
-    "FOURIER_BUDGET_BYTES",
 ]
 
 
@@ -128,9 +127,6 @@ class MeasureReport:
 # call's shape and an entry's place in it, and on this grid each Gram entry
 # comes from the one GEMM of its strip.
 _STRIP = 64
-
-# Bytes the Fourier oracle may allocate at once (see ``_fourier_bytes``).
-FOURIER_BUDGET_BYTES = 1 << 30
 
 
 def _pair_sum(
@@ -558,7 +554,7 @@ def fourier_truncated(
     runs on one worker, since the GEMMs already use the BLAS threads.
     Memory: the features' N*2*trunc*d*8 bytes plus one strip's (_STRIP, N)
     product and Gram.  A request whose bound (``_fourier_bytes``) exceeds
-    ``FOURIER_BUDGET_BYTES`` (1 GiB) is refused with ``BudgetError`` before
+    ``errors.BUDGET_BYTES`` (1 GiB) is refused with ``BudgetError`` before
     anything is allocated.
     """
     if trunc < 1:
@@ -566,10 +562,10 @@ def fourier_truncated(
     n = pset.size
     d = pset.dimension
     need = _fourier_bytes(n, d, trunc)
-    if need > FOURIER_BUDGET_BYTES:
+    if need > BUDGET_BYTES:
         raise BudgetError(
             f"the Fourier oracle at N={n}, d={d}, trunc={trunc} needs about "
-            f"{need} bytes, over its budget of {FOURIER_BUDGET_BYTES}"
+            f"{need} bytes, over its budget of {BUDGET_BYTES}"
         )
     hs = np.arange(1, trunc + 1, dtype=np.uint64)
     weights = scheme.inverse_weight_sq(hs)

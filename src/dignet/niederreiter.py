@@ -20,7 +20,6 @@ __all__ = [
     "poly_mul",
     "poly_divmod",
     "poly_pow",
-    "is_irreducible",
     "is_primitive",
     "primitive_polynomials",
     "laurent_expand",
@@ -97,39 +96,16 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
-def is_irreducible(p: int) -> bool:
-    """Irreducibility over Z2 via the x^(2^k) Frobenius criterion."""
-    e = p.bit_length() - 1
-    if e <= 0:
-        return False
-    if e == 1:
-        return True
-    # x^(2^e) must reduce to x, and x^(2^(e/q)) - x must be coprime to p
-    # for every prime divisor q of e.
-    if _poly_powmod(2, 1 << e, p) != 2:
-        return False
-    for q in _prime_factors(e):
-        g = _poly_gcd(_poly_powmod(2, 1 << (e // q), p) ^ 2, p)
-        if g.bit_length() - 1 > 0:
-            return False
-    return True
-
-
-def _poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return a
-
-
 def is_primitive(p: int) -> bool:
     """True when p is irreducible and x generates the full multiplicative group.
 
     Requires x to be a unit mod p, so the constant coefficient must be 1.
+    The order test alone proves irreducibility: if x has order 2^e - 1 mod
+    p, every nonzero residue is a power of x, hence a unit, so F2[x]/(p) is
+    a field.
     """
     e = p.bit_length() - 1
     if e < 1 or not p & 1:
-        return False
-    if not is_irreducible(p):
         return False
     order = (1 << e) - 1
     if _poly_powmod(2, order, p) != 1:

@@ -61,10 +61,6 @@ class DyadicPoint:
                     f"numerator {v} out of range for precision {self.precision}"
                 )
 
-    @property
-    def dimension(self) -> int:
-        return len(self.numerators)
-
 
 @dataclass(frozen=True, eq=False)
 class PointSet:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BUDGET_BYTES, BudgetError
 from .gf2 import BitMatrix, nullspace_basis
 from .measures import PERIODIC_L2, MeasureReport
 from .niederreiter import GeneratingMatrixSet
@@ -45,9 +45,27 @@ def _stacked_transpose(gset: GeneratingMatrixSet, bound_bits: int) -> BitMatrix:
     return BitMatrix(masks, gset.dimension * bound_bits)
 
 
-def _dual_member_coords(
-    gset: GeneratingMatrixSet, bound_bits: int, max_members: int
-) -> list[np.ndarray]:
+def _walsh_bytes(members: int, dimension: int) -> int:
+    """Upper bound on the bytes ``walsh_series_l2`` holds at once for M members.
+
+    Per member and coordinate, 170 bytes: the int64 member index and the
+    eight int64 arrays of ``_relation_patterns`` (72), and one level of the
+    join in ``_relation_sum``: a refined row side and column side of three
+    int64 arrays each, their kept subsets and two bool masks (98).
+    Per member once, 280 bytes: the join's start side (24) and the deepest
+    level's scratch (256).  Of that scratch at most 180 bytes are traced:
+    the leaf keeps the row side of ``_key_sums`` as a list of Python ints
+    below 2^97 (48) while it builds the column side's unique, inverse and
+    object arrays (132), and np.isin's sort scratch elsewhere is at most 80.
+    64 more cover the sort buffers and hash sets that numpy allocates
+    outside Python's tracer.  The enumeration before the sum and the tail
+    estimate after it hold less.  64 KiB covers the objects whose count
+    does not grow with M.
+    """
+    return members * (170 * dimension + 280) + (64 << 10)
+
+
+def _dual_member_coords(gset: GeneratingMatrixSet, bound_bits: int) -> list[np.ndarray]:
     """Members of the truncated dual net as one int64 index array per coordinate."""
     d = gset.dimension
     total_bits = d * bound_bits
@@ -60,10 +78,11 @@ def _dual_member_coords(
         )
     stacked = _stacked_transpose(gset, bound_bits)
     basis = nullspace_basis(stacked)
-    if 1 << len(basis) > max_members:
+    need = _walsh_bytes(1 << len(basis), d)
+    if need > BUDGET_BYTES:
         raise BudgetError(
-            f"dual net has 2^{len(basis)} members within the bound, "
-            f"more than the cap of {max_members}"
+            f"the Walsh series over 2^{len(basis)} dual-net members at d={d} "
+            f"needs about {need} bytes, over its budget of {BUDGET_BYTES}"
         )
     combos = [0]
     for vec in basis:
@@ -172,7 +191,6 @@ def walsh_series_l2(
     gset: GeneratingMatrixSet,
     *,
     bound_bits: int | None = None,
-    max_members: int = 8192,
 ) -> MeasureReport:
     """Squared periodic L2 discrepancy of a digital net by Walsh series.
 
@@ -190,11 +208,14 @@ def walsh_series_l2(
     of an index vector, over enumerated pairs whose combined weight exceeds
     the cap level, bound_bits plus the smallest nonzero member weight,
     scaled by the prefactor.
+    The member count M = 2^rank is known from the nullspace basis; when its
+    bound ``_walsh_bytes`` exceeds ``BUDGET_BYTES`` (1 GiB) the request is
+    refused with ``BudgetError`` before any member is enumerated.
     """
     if bound_bits is None:
         bound_bits = gset.rows
     d = gset.dimension
-    coords = _dual_member_coords(gset, bound_bits, max_members)
+    coords = _dual_member_coords(gset, bound_bits)
     count = len(coords[0])
     total = _relation_sum(coords, bound_bits)
     squared = float(Fraction(1, 3**d) * (total - 1))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -48,6 +49,16 @@ def values(pset: PointSet) -> list[tuple[float, ...]]:
     """Coordinates as floats, one tuple per point."""
     scale = 2.0**-pset.precision
     return [tuple(v * scale for v in row) for row in pset.numerators.tolist()]
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that Python's tracer sees allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +159,12 @@ def interlace_vector(point: DyadicPoint, alpha: int) -> DyadicPoint:
     """Blockwise interlacing: coordinate j comes from input block j."""
     if alpha < 1:
         raise ValueError(f"interlacing factor must be positive, got {alpha}")
-    if point.dimension % alpha:
-        raise ValueError(
-            f"dimension {point.dimension} is not a multiple of alpha={alpha}"
-        )
+    d = len(point.numerators)
+    if d % alpha:
+        raise ValueError(f"dimension {d} is not a multiple of alpha={alpha}")
     nums = tuple(
         interlace_digits(point.numerators[j : j + alpha], point.precision)
-        for j in range(0, point.dimension, alpha)
+        for j in range(0, d, alpha)
     )
     return DyadicPoint(nums, alpha * point.precision)
 
@@ -173,15 +183,16 @@ def interlace_point(point: DyadicPoint) -> DyadicPoint:
     """Interlace all coordinates of a point into a single coordinate."""
     return DyadicPoint(
         (interlace_digits(point.numerators, point.precision),),
-        point.dimension * point.precision,
+        len(point.numerators) * point.precision,
     )
 
 
 def digital_shift(pset: PointSet, shift: DyadicPoint) -> PointSet:
     """XOR every point with the shift, both zero-padded to the larger precision."""
-    if shift.dimension != pset.dimension:
+    if len(shift.numerators) != pset.dimension:
         raise ValueError(
-            f"shift dimension {shift.dimension} does not match point set {pset.dimension}"
+            f"shift dimension {len(shift.numerators)} does not match point set "
+            f"{pset.dimension}"
         )
     w = max(pset.precision, shift.precision)
     sigma = [s << (w - shift.precision) for s in shift.numerators]

@@ -267,12 +267,15 @@ def test_measure_walsh_matches_kernel(tmp_path):
 
 
 def test_measure_walsh_budget_refusal(capsys):
+    # 2^22 dual members at d=2: refused by bytes, before any is enumerated.
     code = main(
-        ["measure", "-d", "2", "-m", "3", "--method", "walsh",
-         "--bound-bits", "9"]
+        ["measure", "-d", "2", "-m", "2", "--method", "walsh",
+         "--bound-bits", "12"]
     )
     assert code == EXIT_REFUSED
-    assert "refused" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("refused:") and "bytes" in err and "budget" in err
+    assert "Traceback" not in err
 
 
 def test_measure_walsh_usage_errors(tmp_path):
@@ -297,9 +300,9 @@ def test_measure_walsh_usage_errors(tmp_path):
     "flags",
     [
         ["--method", "kernel", "--bound-bits", "3"],
-        ["--method", "fourier", "--max-members", "64"],
+        ["--method", "fourier", "--bound-bits", "9"],
         ["--cross-check", "--bound-bits", "5"],
-        ["--max-members", "8192"],
+        ["--bound-bits", "8"],
     ],
 )
 def test_measure_rejects_walsh_flags_without_walsh(flags, capsys):
@@ -311,20 +314,11 @@ def test_measure_rejects_walsh_flags_without_walsh(flags, capsys):
     assert "usage: dignet measure" in err
 
 
-@pytest.mark.parametrize("cap", ["0", "-2"])
-def test_measure_rejects_max_members_below_one(cap, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["measure", "-d", "2", "-m", "3", "--method", "walsh",
-              "--bound-bits", "7", "--max-members", cap])
-    assert exc.value.code == EXIT_USAGE
-    assert "--max-members: must be at least 1" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "flags",
     [
         ["--method", "walsh", "--bound-bits", "7"],
-        ["--method", "walsh", "--bound-bits", "7", "--max-members", "4096"],
+        ["--method", "walsh"],
         ["--cross-check", "--trunc", "16", "--threads", "2"],
     ],
 )

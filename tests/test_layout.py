@@ -20,6 +20,9 @@ USED_OUTSIDE = {
     "measures.both_kernel_measures": (
         "perfbench binding: the benchmark tracer wraps it by name in dignet.cli"
     ),
+    "sequence.PointSet.points": (
+        "perfbench/child.py digests the points CSV read-back through it"
+    ),
 }
 
 

@@ -4,7 +4,6 @@ import cmath
 import itertools
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dignet.cli import construct_matrices, study_rows
-from dignet.errors import BudgetError, PrecisionError
+from dignet.errors import BUDGET_BYTES, BudgetError, PrecisionError
 from dignet.interlace import interlace_matrices
 from dignet.measures import (
     DIAPHONY,
-    FOURIER_BUDGET_BYTES,
     PERIODIC_L2,
     _STRIP,
     MeasureReport,
@@ -33,7 +31,7 @@ from dignet.measures import (
 )
 from dignet.niederreiter import build_matrices
 from dignet.sequence import PointSet, generate_points
-from support import fourier_pairwise_squared, pset_from_tuples, values
+from support import fourier_pairwise_squared, pset_from_tuples, traced_peak, values
 
 # ---------------------------------------------------------------------------
 # Independent oracle: literal sum over the frequency box, one h vector at a
@@ -403,15 +401,6 @@ def test_fourier_exact_under_precision_refinement():
             assert fourier_truncated(finer, DIAPHONY, 128).squared == base
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_fourier_refuses_over_budget_before_allocating():
     # Features of 3 points at trunc 2e7 take 960 MB, over the 1 GiB budget
     # with the phase scratch; the frequency array alone would be 160 MB.
@@ -421,14 +410,14 @@ def test_fourier_refuses_over_budget_before_allocating():
         with pytest.raises(BudgetError):
             fourier_truncated(pset, DIAPHONY, 2 * 10**7)
 
-    assert _traced_peak(refuse) < 1 << 20
+    assert traced_peak(refuse) < 1 << 20
 
 
 def test_fourier_budget_covers_features_and_block():
-    assert _fourier_bytes(512, 2, 128) < FOURIER_BUDGET_BYTES // 100
+    assert _fourier_bytes(512, 2, 128) < BUDGET_BYTES // 100
     # The features alone, N * 2H * d * 8 bytes, count against the budget.
     assert _fourier_bytes(16384, 4, 512) > 16384 * 2 * 512 * 4 * 8
-    assert _fourier_bytes(16384, 4, 1024) > FOURIER_BUDGET_BYTES
+    assert _fourier_bytes(16384, 4, 1024) > BUDGET_BYTES
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -437,14 +426,14 @@ def test_kernel_memory_is_strips_per_worker(threads):
     # N is: at most 8 of them, 8 bytes an entry.
     n = 4096
     pset = _random_pset(random.Random(83), n, 3, 30)
-    peak = _traced_peak(lambda: both_kernel_measures(pset, threads=threads))
+    peak = traced_peak(lambda: both_kernel_measures(pset, threads=threads))
     assert peak <= threads * 8 * _STRIP * n * 8
 
 
 def test_fourier_memory_within_its_bound():
     n, d, trunc = 4096, 2, 64
     pset = _random_pset(random.Random(89), n, d, 40)
-    peak = _traced_peak(lambda: fourier_truncated(pset, DIAPHONY, trunc))
+    peak = traced_peak(lambda: fourier_truncated(pset, DIAPHONY, trunc))
     assert peak <= _fourier_bytes(n, d, trunc)
 
 

@@ -13,7 +13,6 @@ from dignet.gf2 import BitMatrix
 from dignet.niederreiter import (
     GeneratingMatrixSet,
     build_matrices,
-    is_irreducible,
     is_primitive,
     laurent_expand,
     load_matrix_set,
@@ -169,13 +168,12 @@ def test_primitive_polynomials_match_oracle_through_degree_six():
 
 def test_primitivity_tests_match_oracle_exhaustively():
     for mask in range(2, 1 << 7):
-        assert is_irreducible(mask) == _oracle_is_irreducible(mask), bin(mask)
         assert is_primitive(mask) == _oracle_is_primitive(mask), bin(mask)
 
 
 def test_irreducible_but_not_primitive():
     # x^4 + x^3 + x^2 + x + 1 divides x^5 + 1, so x has order 5 < 15.
-    assert is_irreducible(0b11111)
+    assert _oracle_is_irreducible(0b11111)
     assert not is_primitive(0b11111)
 
 

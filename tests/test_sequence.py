@@ -385,7 +385,7 @@ def test_dyadic_point_validation():
     with pytest.raises(ValueError):
         DyadicPoint((0,), -1)
     p = DyadicPoint((3, 0), 2)
-    assert p.dimension == 2
+    assert len(p.numerators) == 2
 
 
 def _written(pset: PointSet) -> str:

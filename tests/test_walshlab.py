@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dignet.cli import construct_matrices
-from dignet.errors import BudgetError
+from dignet.errors import BUDGET_BYTES, BudgetError
 from dignet.gf2 import BitMatrix
 from dignet.interlace import interlace_matrices
 from dignet.measures import periodic_l2
 from dignet.niederreiter import GeneratingMatrixSet, build_matrices
 from dignet.sequence import DyadicPoint, generate_points
-from dignet.walshlab import _dual_member_coords, _key_sums, walsh_series_l2
+from dignet.walshlab import _dual_member_coords, _key_sums, _walsh_bytes, walsh_series_l2
 from support import (
     dual_net_members,
     dual_rank,
@@ -28,6 +28,7 @@ from support import (
     rho_coefficient,
     rho_table,
     rho_vector,
+    traced_peak,
     walsh_eval,
     walsh_eval_vector,
     walsh_signs,
@@ -205,7 +206,7 @@ def test_rho_vector():
 
 def _members(gset, bound_bits):
     """The series' own enumeration, as sorted index vectors."""
-    coords = _dual_member_coords(gset, bound_bits, max_members=1 << 16)
+    coords = _dual_member_coords(gset, bound_bits)
     return sorted(zip(*(c.tolist() for c in coords)))
 
 
@@ -254,10 +255,32 @@ def test_dual_member_count_matches_rank():
 def test_dual_budget_errors():
     with pytest.raises(BudgetError, match="digit positions"):
         walsh_series_l2(build_matrices(3, 9, 9), bound_bits=9)
-    with pytest.raises(BudgetError, match="more than the cap"):
-        walsh_series_l2(build_matrices(2, 2, 2), bound_bits=12)
-    with pytest.raises(BudgetError, match="more than the cap"):
-        walsh_series_l2(build_matrices(2, 2, 2), bound_bits=6, max_members=8)
+
+    def refuse():
+        # 2^22 members at d=2 need about 2.6 GB, over the 1 GiB budget; the
+        # refusal comes before any member is enumerated.
+        with pytest.raises(BudgetError, match=f"2\\^22 .* over its budget of {BUDGET_BYTES}"):
+            walsh_series_l2(build_matrices(2, 2, 2), bound_bits=12)
+
+    assert traced_peak(refuse) < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "gset, bound, members",
+    [
+        (build_matrices(1, 1, 1), 14, 8192),
+        (build_matrices(2, 3, 3), 3, 8),
+        (interlace_matrices(build_matrices(4, 5, 5), 2), 9, 8192),
+        (build_matrices(3, 2, 2), 4, 1024),
+        (build_matrices(3, 3, 3), 6, 32768),
+    ],
+    ids=["d1", "d2-tiny", "d2-bench", "d3-small", "d3"],
+)
+def test_walsh_bytes_bounds_the_traced_peak(gset, bound, members):
+    # The untraced first call also runs numpy's lazy imports.
+    assert walsh_series_l2(gset, bound_bits=bound).truncation["members"] == members
+    peak = traced_peak(lambda: walsh_series_l2(gset, bound_bits=bound))
+    assert peak <= _walsh_bytes(members, gset.dimension)
 
 
 def test_character_property_exhaustive():
