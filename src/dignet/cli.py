@@ -20,36 +20,54 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
 from typing import IO, Sequence
 
-import numpy as np
-
 from .errors import BudgetError, PrecisionError
 from .interlace import interlace_matrices
-from .measures import (
-    DIAPHONY,
-    PERIODIC_L2,
-    both_kernel_measures,  # wrapped by name in the perfbench tracer
-    diaphony,
-    fourier_truncated,
-    periodic_l2,
-    prefix_kernel_measures,
-)
 from .niederreiter import (
     GeneratingMatrixSet,
     build_matrices,
     load_matrix_set,
 )
 from .quality import minimal_t
-from .sequence import (
-    MAX_PRECISION,
-    PointSet,
-    generate_points,
-    read_points_csv,
-    write_points_csv,
-)
-from .walshlab import walsh_series_l2
+
+# Callees of the numpy-backed modules, bound into this module on first use,
+# so that `matrices` and `tvalue` start without numpy.  They stay attributes
+# of this module: the perfbench tracer reads and replaces them here by name.
+_DEFERRED = {
+    "measures": ("DIAPHONY", "PERIODIC_L2", "both_kernel_measures", "diaphony",
+                 "fourier_truncated", "periodic_l2", "prefix_kernel_measures"),
+    "sequence": ("MAX_PRECISION", "PointSet", "generate_points",
+                 "read_points_csv", "write_points_csv"),
+    "walshlab": ("walsh_series_l2",),
+}
+_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def _bind(*names: str) -> None:
+    """Bind each deferred name this module does not hold yet.
+
+    A binding already there, such as a wrapper set from outside, is kept.
+    The names go into the globals of the running module, which is
+    ``__main__`` under ``python -m dignet.cli``, so that run never imports
+    a second copy of this module.
+    """
+    space = globals()
+    for name in names:
+        if name not in space:
+            home = import_module(f".{_HOME[name]}", __package__)
+            space[name] = getattr(home, name)
+
+
+def __getattr__(name: str):
+    """Bind a deferred name when it is first read from outside (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
+
 
 __all__ = [
     "EXIT_OK",
@@ -89,7 +107,17 @@ def _path(text: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that exits with code 1 on usage errors."""
+    """Argument parser that exits with code 1 on usage errors.
+
+    It refuses unknown arguments itself, so that one given to a subcommand
+    is reported under that subcommand's usage line, not the top-level one.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -151,6 +179,7 @@ def study_rows(dimension: int, alpha: int, counts: Sequence[int]) -> list[StudyR
     in which N = 2^m extends the row for 2^m - 1 by one point.  Rows come
     back sorted by N with duplicates dropped.
     """
+    _bind("generate_points", "prefix_kernel_measures")
     wanted = sorted(set(int(n) for n in counts))
     if not wanted:
         raise ValueError("need at least one point count")
@@ -210,6 +239,9 @@ def _self_test(rows_by_dim: dict[int, list[StudyRow]]) -> str | None:
     a fixed torus shift, which must leave both measures unchanged to 1e-12
     relative.
     """
+    import numpy as np
+
+    _bind("PointSet", "generate_points", "periodic_l2")
     coeff = 2.0 * math.pi**2
     for row in rows_by_dim.get(1, []):
         sq_dia = row.diaphony**2
@@ -281,6 +313,7 @@ def _cmd_matrices(args, parser) -> int:
 
 
 def _cmd_points(args, parser) -> int:
+    _bind("generate_points", "write_points_csv")
     gset = _inline_gset(args, parser)
     count = args.count if args.count is not None else 1 << gset.cols
     pset = generate_points(gset, count, args.precision)
@@ -292,6 +325,8 @@ def _cmd_points(args, parser) -> int:
 
 
 def _cmd_measure(args, parser) -> int:
+    _bind("DIAPHONY", "PERIODIC_L2", "PointSet", "diaphony", "fourier_truncated",
+          "generate_points", "periodic_l2", "read_points_csv")
     scheme = PERIODIC_L2 if args.measure == "per-l2" else DIAPHONY
     if args.method != "walsh" and args.bound_bits is not None:
         parser.error("--bound-bits applies to the walsh method only")
@@ -351,6 +386,7 @@ def _cmd_measure(args, parser) -> int:
                 f"the walsh method sums the whole net of 2^{gset.cols} points; "
                 "drop -N or pass the full size"
             )
+        _bind("walsh_series_l2")
         report = walsh_series_l2(gset, bound_bits=args.bound_bits)
     _dump_json(args.out, report.to_json_dict())
     return EXIT_OK
@@ -384,6 +420,7 @@ def _cmd_tvalue(args, parser) -> int:
 
 
 def _cmd_study(args, parser) -> int:
+    _bind("MAX_PRECISION")
     dims = [args.dimension] if args.dimension is not None else [1, 2]
     m_min = args.m_min if args.m_min is not None else min(6, args.m_max)
     if m_min > args.m_max:
@@ -517,8 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, args.parser)
     except (BudgetError, PrecisionError) as exc:

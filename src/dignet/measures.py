@@ -37,7 +37,6 @@ features.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -151,6 +150,8 @@ def _pair_sum(
 
     starts = range(0, count, _STRIP)
     if threads > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             strip_rows = list(pool.map(run_strip, starts))
     else:

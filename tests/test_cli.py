@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dignet.cli import EXIT_IO, EXIT_REFUSED, EXIT_USAGE, build_parser, main, study_rows
 from dignet.errors import PrecisionError
-from dignet.measures import periodic_l2
+from dignet.measures import diaphony, periodic_l2
 from dignet.niederreiter import GeneratingMatrixSet, load_matrix_set
-from dignet.sequence import generate_points, read_points_csv
-from dignet.cli import construct_matrices
+from dignet.sequence import generate_points, read_points_csv, write_points_csv
+from dignet.cli import construct_matrices, write_study_csv
+from dignet.walshlab import walsh_series_l2
 from support import entry, identity, save_matrix_set
 
 
@@ -691,3 +697,135 @@ def test_dimension_below_one_names_the_flag(command, capsys):
         main([command, "-m", "3", "-a", "2", "-d", "-3"])
     assert exc.value.code == EXIT_USAGE
     assert "argument -d/--dimension: must be at least 1, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, usage, unknown", [
+    (["measure", "-d", "2", "-m", "2", "--bogus", "3"], "usage: dignet measure",
+     "--bogus 3"),
+    (["tvalue", "-d", "1", "-m", "3", "extra"], "usage: dignet tvalue", "extra"),
+    (["--bogus", "measure", "-d", "1", "-m", "2"], "usage: dignet [-h]", "--bogus"),
+])
+def test_unknown_argument_prints_the_usage_it_was_given_to(argv, usage, unknown, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(usage), err
+    assert err.endswith(f"error: unrecognized arguments: {unknown}\n"), err
+
+
+# ---------------------------------------------------------------------------
+# Fresh interpreters: what a command imports, and which bindings it calls.
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(code: str, *argv: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports dignet from src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_NUMPY_FREE = """
+import json, sys
+from dignet.cli import main
+assert main(["matrices", "-d", "2", "-a", "2", "-m", "5", "--out", sys.argv[1]]) == 0
+assert main(["tvalue", "-d", "1", "-a", "2", "-m", "6", "--out", sys.argv[2]]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "dignet"))))
+"""
+
+
+def test_matrices_and_tvalue_start_without_numpy(tmp_path):
+    files = [tmp_path / "mats.json", tmp_path / "t.json"]
+    loaded = json.loads(_fresh(_NUMPY_FREE, *map(str, files)))
+    assert "numpy" not in loaded
+    assert not {"dignet.measures", "dignet.sequence", "dignet.walshlab"} & set(loaded)
+    assert json.loads(files[0].read_text()) == construct_matrices(2, 2, 5).to_json_dict()
+    assert json.loads(files[1].read_text()) == _run_json(
+        ["tvalue", "-d", "1", "-a", "2", "-m", "6"], tmp_path, "in-process.json")
+
+
+# Each command runs as ``python -m dignet.cli`` would run it: the module
+# executes as __main__, and must not import a second copy of itself.
+_AS_MAIN = """
+import json, runpy, sys
+for argv in map(json.loads, sys.argv[1:]):
+    sys.argv = ["dignet", *argv]
+    try:
+        runpy.run_module("dignet.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+assert "dignet.cli" not in sys.modules
+"""
+
+
+def _lines(text: str, drop_last_field: bool = False) -> list[str]:
+    """The lines after the timestamped header, without wall_seconds if asked."""
+    rows = text.splitlines()[1:]
+    return [row.rsplit(",", 1)[0] for row in rows] if drop_last_field else rows
+
+
+def test_deferred_commands_print_what_the_library_computes(tmp_path):
+    out = {name: tmp_path / name for name in ("kernel", "walsh", "points", "study")}
+    commands = [
+        ["measure", "-d", "2", "-a", "2", "-m", "6", "--measure", "diaphony"],
+        ["measure", "-d", "2", "-a", "2", "-m", "4", "--method", "walsh"],
+        ["points", "-d", "2", "-a", "2", "-m", "5"],
+        ["study", "-d", "2", "-a", "2", "--m-min", "3", "--m-max", "7",
+         "--include-non-powers", "--self-test"],
+    ]
+    _fresh(_AS_MAIN, *(json.dumps(argv + ["--out", str(path)])
+                       for argv, path in zip(commands, out.values())))
+    pset = generate_points(construct_matrices(2, 2, 6), 64)
+    assert out["kernel"].read_text() == json.dumps(
+        diaphony(pset).to_json_dict(), indent=2) + "\n"
+    assert out["walsh"].read_text() == json.dumps(
+        walsh_series_l2(construct_matrices(2, 2, 4)).to_json_dict(), indent=2) + "\n"
+    buf = io.StringIO()
+    write_points_csv(generate_points(construct_matrices(2, 2, 5), 32), buf)
+    assert _lines(out["points"].read_text()) == _lines(buf.getvalue())
+    counts = [int(row.split(",")[0]) for row in _lines(out["study"].read_text())[1:]]
+    buf = io.StringIO()
+    write_study_csv(study_rows(2, 2, counts), buf)
+    assert _lines(out["study"].read_text(), True) == _lines(buf.getvalue(), True)
+
+
+# Replaced before the first call, as perfbench/run.py's tracer replaces them.
+# `main` never calls both_kernel_measures; the tracer wraps it all the same,
+# so its wrapper must only stay in place.
+_OUTSIDE_BINDINGS = """
+import json, sys
+import dignet.cli as cli
+
+names = ["minimal_t", "generate_points", "periodic_l2", "both_kernel_measures",
+         "walsh_series_l2"]
+calls = dict.fromkeys(names, 0)
+
+def counting(name):
+    original = getattr(cli, name)
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    return wrapper
+
+wrappers = {name: counting(name) for name in names}
+for name, wrapper in wrappers.items():
+    setattr(cli, name, wrapper)
+for argv in (["tvalue", "-d", "1", "-m", "4"], ["measure", "-d", "2", "-m", "4"],
+             ["measure", "-d", "2", "-m", "3", "--method", "walsh"]):
+    assert cli.main(argv + ["--out", sys.argv[1]]) == 0
+print(json.dumps({"calls": calls,
+                  "kept": [n for n in names if getattr(cli, n) is wrappers[n]]}))
+"""
+
+
+def test_bindings_set_from_outside_survive(tmp_path):
+    got = json.loads(_fresh(_OUTSIDE_BINDINGS, str(tmp_path / "out.json")))
+    assert got["kept"] == ["minimal_t", "generate_points", "periodic_l2",
+                           "both_kernel_measures", "walsh_series_l2"]
+    assert got["calls"] == {"minimal_t": 4, "generate_points": 1, "periodic_l2": 1,
+                            "both_kernel_measures": 0, "walsh_series_l2": 1}

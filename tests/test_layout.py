@@ -4,8 +4,9 @@ Code that only the tests call lives in ``tests/support.py`` as an oracle, or
 nowhere.  A top-level function or class of ``src/dignet``, or a method of
 such a class, counts as used when its name is read somewhere in
 ``src/dignet``, as a name or as an attribute, outside its own definition.
-Imports and the strings of ``__all__`` are not reads.  Dunder methods are
-called by the language and are not checked.  The few names that only
+Imports and the strings of ``__all__`` are not reads.  Dunder methods and
+module-level dunder functions, such as a PEP 562 ``__getattr__``, are called
+by the language and are not checked.  The few names that only
 callers outside the package use are listed with their reason.
 """
 
@@ -17,6 +18,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "dignet"
 
 USED_OUTSIDE = {
+    "cli._Parser.parse_known_args": (
+        "argparse override: the top-level parser's parse_args and its "
+        "subcommand action call it"
+    ),
     "measures.both_kernel_measures": (
         "perfbench binding: the benchmark tracer wraps it by name in dignet.cli"
     ),
@@ -26,19 +31,23 @@ USED_OUTSIDE = {
 }
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(trees: dict[str, ast.Module]) -> dict[str, ast.AST]:
     """Qualified name -> node of every checked definition."""
     found = {}
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or (
+                _is_dunder(node.name)
+            ):
                 continue
             found[f"{module}.{node.name}"] = node
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
-                    if isinstance(member, ast.FunctionDef) and not (
-                        member.name.startswith("__") and member.name.endswith("__")
-                    ):
+                    if isinstance(member, ast.FunctionDef) and not _is_dunder(member.name):
                         found[f"{module}.{node.name}.{member.name}"] = member
     return found
 

@@ -430,6 +430,13 @@ def test_kernel_memory_is_strips_per_worker(threads):
     assert peak <= threads * 8 * _STRIP * n * 8
 
 
+def test_kernel_threads_leave_values_unchanged():
+    # More than one strip, so that two workers share them.
+    pset = _random_pset(random.Random(97), 3 * _STRIP + 5, 3, 30)
+    one = both_kernel_measures(pset, threads=1)
+    assert both_kernel_measures(pset, threads=2) == one
+
+
 def test_fourier_memory_within_its_bound():
     n, d, trunc = 4096, 2, 64
     pset = _random_pset(random.Random(89), n, d, 40)
