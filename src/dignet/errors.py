@@ -2,8 +2,9 @@
 
 __all__ = ["PrecisionError", "BudgetError", "BUDGET_BYTES"]
 
-# Bytes the Fourier oracle or the Walsh series may hold at once; a request
-# whose bound exceeds it is refused with BudgetError before it allocates.
+# Bytes the Fourier oracle, the Walsh series or a generated point set may
+# hold at once; a request whose bound exceeds it is refused with BudgetError
+# before it allocates.
 BUDGET_BYTES = 1 << 30
 
 

@@ -6,14 +6,19 @@ of integer numerators at a fixed precision of at most 64 digits, so every
 operation here is exact and floats only appear when a caller asks for them.
 The map n -> x_n is linear over Z2, so for n < 2^b point n + 2^b is point n
 XOR the image of digit b; ``generate_points`` fills the array by these XOR
-doublings, one array operation per input digit.  ``DyadicPoint`` is the
-scalar type of the rows that ``PointSet.points`` derives.
+doublings, one array operation per input digit, and refuses a set whose
+numerators would exceed ``errors.BUDGET_BYTES`` before allocating it.
+``DyadicPoint`` is the scalar type of the rows that ``PointSet.points``, a
+lazy read-only view, derives one chunk at a time; the CSV reader holds the
+numerators plus one chunk of the file.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -21,7 +26,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import PrecisionError
+from .errors import BUDGET_BYTES, BudgetError, PrecisionError
 from .niederreiter import GeneratingMatrixSet
 
 __all__ = [
@@ -100,10 +105,43 @@ class PointSet:
         return self.numerators.shape[1]
 
     @property
-    def points(self) -> list[DyadicPoint]:
-        """The rows as scalar points of Python ints (a derived, read-only view)."""
-        w = self.precision
-        return [DyadicPoint(tuple(row), w) for row in self.numerators.tolist()]
+    def points(self) -> Sequence[DyadicPoint]:
+        """The rows as scalar points of Python ints: a lazy, read-only view.
+
+        Indexing converts the rows it names and iteration ``_CSV_CHUNK`` rows
+        at a time, so no list of all N points is built.  The view equals any
+        sequence of the same points, such as a list or another view.
+        """
+        return _PointsView(self)
+
+
+class _PointsView(Sequence):
+    """Rows of a ``PointSet`` as ``DyadicPoint``s, derived on access."""
+
+    __slots__ = ("_pset",)
+
+    def __init__(self, pset: PointSet) -> None:
+        self._pset = pset
+
+    def __len__(self) -> int:
+        return self._pset.size
+
+    def __getitem__(self, index):
+        nums, w = self._pset.numerators, self._pset.precision
+        if isinstance(index, slice):
+            return [DyadicPoint(tuple(row), w) for row in nums[index].tolist()]
+        return DyadicPoint(tuple(nums[operator.index(index)].tolist()), w)
+
+    def __iter__(self):
+        nums, w = self._pset.numerators, self._pset.precision
+        for start in range(0, len(nums), _CSV_CHUNK):
+            for row in nums[start : start + _CSV_CHUNK].tolist():
+                yield DyadicPoint(tuple(row), w)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def _column_numerators(gset: GeneratingMatrixSet, precision: int) -> list[list[int]]:
@@ -134,7 +172,9 @@ def generate_points(
 
     ``precision`` defaults to the full row extent of the matrices.  Points
     are returned in index order: rows [2^b, 2^(b+1)) are rows [0, 2^b)
-    XOR the image of input digit b.
+    XOR the image of input digit b.  A set whose count * d * 8 bytes of
+    numerators exceed ``errors.BUDGET_BYTES`` is refused with
+    ``BudgetError`` before anything is allocated.
     """
     if precision is None:
         precision = gset.rows
@@ -148,6 +188,12 @@ def generate_points(
     if count > (1 << gset.cols):
         raise ValueError(
             f"cannot index {count} points with {gset.cols} matrix columns"
+        )
+    need = count * gset.dimension * 8
+    if need > BUDGET_BYTES:
+        raise BudgetError(
+            f"{count} points at d={gset.dimension} need {need} bytes of "
+            f"numerators, over the budget of {BUDGET_BYTES}"
         )
     digit_images = np.array(_column_numerators(gset, precision), dtype=np.uint64).T
     nums = np.zeros((count, gset.dimension), dtype=np.uint64)
@@ -282,19 +328,22 @@ def _dyadic_column(hexes: np.ndarray, first_row: int) -> tuple[list[int], set[in
 def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     """Rebuild a point set from the CSV form; the hex fields are authoritative.
 
-    The file streams through in blocks of ``_CSV_CHUNK`` lines and is never
-    held whole.  Lines starting with ``#`` are comments (the last
-    ``generator:`` one sets the provenance); blank lines and lines whose
-    first field is ``n`` are skipped.  The first data row fixes the field
-    count, which must be odd and at least 3, and numpy's tokenizer parses
-    the data rows of each block into an index and, per coordinate, a hex
-    field of at most ``_HEX_BYTES`` bytes and a float.  A row is
-    refused if it does not parse, if its index is not its row number 0, 1,
-    ..., or if a hex field fills ``_HEX_BYTES`` (numpy would have cut it).
-    Every hex field must read 0x<hex digits>/<decimal digits> and carry
-    the same precision; ``PointSet`` checks it
-    and the numerators' range, and then every float field must equal
-    float64(numerator) * 2^-precision, the value the writer emits.
+    The file streams through in blocks of ``_CSV_CHUNK`` lines, and only the
+    numerators outlive their block.  Lines starting with ``#`` are comments
+    (the last ``generator:`` one sets the provenance); blank lines and lines
+    whose first field is ``n`` are skipped.  The first data row fixes the
+    field count, which must be odd and at least 3, and numpy's tokenizer
+    parses the data rows of each block into an index and, per coordinate, a
+    hex field of at most ``_HEX_BYTES`` bytes and a float.  A row is refused
+    if it does not parse, if its index is not its row number 0, 1, ..., or
+    if a hex field fills ``_HEX_BYTES`` (numpy would have cut it).  Every
+    hex field must read 0x<hex digits>/<decimal digits> and carry the same
+    precision; ``PointSet`` checks it and the numerators' range, and then
+    every float field must equal
+    float64(numerator) * 2^-precision, the value the writer emits.  The
+    floats are compared block by block; the first row that disagrees is
+    raised only once ``PointSet`` has accepted the numerators, so a range
+    error anywhere in the file comes first.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
@@ -304,7 +353,7 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     dtype = None
     precisions: set[int] = set()
     numerators: list[np.ndarray] = []
-    floats: list[np.ndarray] = []
+    bad_float = None
     row = 0
     while block := list(islice(lines, _CSV_CHUNK)):
         # Most lines are data rows, which the first test keeps.
@@ -352,13 +401,16 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
                     f"numerator out of range for precision {precision}"
                 ) from None
         numerators.append(chunk)
-        floats.append(np.column_stack([table[f"x{j}"] for j in range(1, d + 1)]))
+        if bad_float is None:
+            given = np.column_stack([table[f"x{j}"] for j in range(1, d + 1)])
+            expected = chunk.astype(np.float64) * 2.0**-precision
+            wrong = np.flatnonzero((given != expected).any(axis=1))
+            if wrong.size:
+                bad_float = row + int(wrong[0])
         row += len(batch)
     if not numerators:
         raise ValueError("no data rows in points CSV")
     pset = PointSet(np.concatenate(numerators), precision, provenance=provenance)
-    expected = pset.numerators.astype(np.float64) * 2.0**-precision
-    wrong = np.flatnonzero((np.concatenate(floats) != expected).any(axis=1))
-    if wrong.size:
-        raise ValueError(f"row {wrong[0]} has a float field other than its hex value")
+    if bad_float is not None:
+        raise ValueError(f"row {bad_float} has a float field other than its hex value")
     return pset

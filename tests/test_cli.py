@@ -284,6 +284,16 @@ def test_measure_walsh_budget_refusal(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["points", "measure"])
+def test_point_count_over_the_budget_is_refused(command, capsys):
+    # 2^44 points at d=1 need 128 TiB of numerators, so an unchecked
+    # allocation fails at once instead of filling memory.
+    assert main([command, "-d", "1", "-m", "44"]) == EXIT_REFUSED
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and "budget" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_measure_walsh_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["measure", "-d", "1", "-m", "2", "--method", "walsh",

@@ -4,6 +4,8 @@ import csv
 import io
 import random
 import string
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from dignet import sequence
 
-from dignet.errors import PrecisionError
+from dignet.errors import BudgetError, PrecisionError
 from dignet.interlace import interlace_matrices
 from dignet.niederreiter import build_matrices
 from dignet.sequence import (
@@ -130,6 +132,64 @@ def test_generate_points_validation():
         generate_points(big, 4, 65)
     with pytest.raises(PrecisionError):
         generate_points(big, 4)  # default precision = rows = 80
+
+
+def test_generate_points_refuses_numerators_over_the_budget(monkeypatch):
+    # 2^44 points at d=1 would take 128 TiB; refused before any allocation.
+    with pytest.raises(BudgetError, match="140737488355328 bytes"):
+        generate_points(build_matrices(1, 44, 44), 1 << 44)
+    # The bound is count * d * 8 bytes, inclusive.
+    monkeypatch.setattr(sequence, "BUDGET_BYTES", 8 * 2 * 8)
+    gset = build_matrices(2, 4, 4)
+    assert generate_points(gset, 8).size == 8
+    with pytest.raises(BudgetError):
+        generate_points(gset, 9)
+
+
+def test_points_view_is_a_lazy_read_only_sequence(monkeypatch):
+    # Chunks of 5 rows put chunk boundaries inside the 16 rows.
+    monkeypatch.setattr(sequence, "_CSV_CHUNK", 5)
+    gset = build_matrices(2, 4, 4)
+    pts = generate_points(gset, 16)
+    rows = [DyadicPoint(tuple(r), 4) for r in pts.numerators.tolist()]
+    view = pts.points
+    assert isinstance(view, Sequence) and not isinstance(view, list)
+    assert len(view) == 16
+    assert view[0] == rows[0] and view[-1] == rows[-1] and view[7] == rows[7]
+    assert view[3:11] == rows[3:11] and view[::-3] == rows[::-3] and view[20:] == []
+    with pytest.raises(IndexError):
+        view[16]
+    with pytest.raises(TypeError):
+        view[0] = rows[0]
+    assert view == rows and rows == view and view == tuple(rows)
+    assert view == generate_points(gset, 16).points
+    assert list(view) == list(view) == rows
+    assert view != rows[:-1] and view != rows[::-1] and view != "points"
+    assert view != generate_points(gset, 16, 3).points
+    assert view != generate_points(gset, 15).points
+
+
+def test_reading_and_iterating_points_hold_numerators_plus_a_chunk(
+    tmp_path, monkeypatch
+):
+    # Reading keeps the numerators (chunks, their concatenation, PointSet's
+    # copy and its range check: at most four arrays) plus one chunk of
+    # lines; iterating ``.points`` adds one chunk of converted rows.
+    # Neither may hold anything per point of the file.
+    chunk = 1 << 10
+    monkeypatch.setattr(sequence, "_CSV_CHUNK", chunk)
+    count = 1 << 16
+    path = tmp_path / "pts.csv"
+    write_points_csv(generate_points(build_matrices(2, 16, 16), count), path)
+    tracemalloc.start()
+    try:
+        back = read_points_csv(path)
+        seen = sum(1 for _ in back.points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen == count
+    assert peak <= 4 * back.numerators.nbytes + 1024 * chunk
 
 
 def test_digital_shift_examples():
@@ -466,6 +526,34 @@ def test_points_csv_accepts_leading_zeros_and_either_hex_case():
     back = read_points_csv(io.StringIO("0,0x00/04,0\n1,0x0a/4,0.625\n2,0xB/004,0.6875\n"))
     assert back.precision == 4
     assert back.numerators.tolist() == [[0], [10], [11]]
+
+
+def test_points_csv_range_error_outranks_an_earlier_float_mismatch(monkeypatch):
+    # Chunks of 7 lines: data rows 0-4 in the first, 5-11 in the second.
+    monkeypatch.setattr(sequence, "_CSV_CHUNK", 7)
+    pts = generate_points(build_matrices(2, 4, 4), 12)
+    lines = _written(pts).splitlines(True)
+
+    def edited(edits: dict) -> io.StringIO:
+        out = list(lines)
+        for row, edit in edits.items():
+            out[row + 2] = edit(out[row + 2])
+        return io.StringIO("".join(out))
+
+    def float_off(line: str) -> str:
+        return line[: line.rindex(",") + 1] + "0.3\n"
+
+    def over_range(line: str) -> str:
+        fields = line.split(",")
+        fields[1] = "0x10/4"
+        return ",".join(fields)
+
+    with pytest.raises(ValueError, match="numerator out of range for precision 4"):
+        read_points_csv(edited({1: float_off, 9: over_range}))
+    with pytest.raises(ValueError, match="^row 1 has a float field"):
+        read_points_csv(edited({1: float_off, 9: float_off}))
+    with pytest.raises(ValueError, match="^row 9 has a float field"):
+        read_points_csv(edited({9: float_off}))
 
 
 @pytest.mark.parametrize("edit, message", [
