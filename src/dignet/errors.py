@@ -2,9 +2,9 @@
 
 __all__ = ["PrecisionError", "BudgetError", "BUDGET_BYTES"]
 
-# Bytes the Fourier oracle, the Walsh series or a generated point set may
-# hold at once; a request whose bound exceeds it is refused with BudgetError
-# before it allocates.
+# Bytes the Fourier oracle, the Walsh series, a generated point set or the
+# numerators of a points file may hold at once; a request whose bound
+# exceeds it is refused with BudgetError before it allocates.
 BUDGET_BYTES = 1 << 30
 
 

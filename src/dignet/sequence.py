@@ -9,8 +9,11 @@ XOR the image of digit b; ``generate_points`` fills the array by these XOR
 doublings, one array operation per input digit, and refuses a set whose
 numerators would exceed ``errors.BUDGET_BYTES`` before allocating it.
 ``DyadicPoint`` is the scalar type of the rows that ``PointSet.points``, a
-lazy read-only view, derives one chunk at a time; the CSV reader holds the
-numerators plus one chunk of the file.
+lazy read-only view, derives one chunk at a time.  A set's numerators are
+held once: ``PointSet`` adopts an owned read-only uint64 array instead of
+copying it, ``generate_points`` hands over the array it fills, and the CSV
+reader of a file fills one array sized by a count of the file's lines, so
+it holds the numerators plus one chunk of the file.
 """
 
 from __future__ import annotations
@@ -74,6 +77,10 @@ class PointSet:
     ``numerators`` may be given as any (N, d) array-like of non-negative
     integers; it is stored as a read-only uint64 array after the precision
     and the range of every entry have been checked, here and only here.
+    An owned (``base is None``), read-only, C-contiguous uint64 ndarray is
+    adopted as it is, so a set is held once; its owner must not make it
+    writeable again.  Anything else, a writeable array or a view included,
+    is copied and the caller's object is left alone.
     """
 
     numerators: np.ndarray
@@ -83,17 +90,26 @@ class PointSet:
     def __post_init__(self) -> None:
         w = self.precision
         _check_precision(w)
-        try:
-            nums = np.array(self.numerators, dtype=np.uint64)
-        except OverflowError:
-            raise ValueError(f"numerator out of range for precision {w}") from None
+        nums = self.numerators
+        if not (
+            type(nums) is np.ndarray
+            and nums.dtype == np.uint64
+            and nums.base is None
+            and not nums.flags.writeable
+            and nums.flags.c_contiguous
+        ):
+            try:
+                nums = np.array(nums, dtype=np.uint64)
+            except OverflowError:
+                raise ValueError(f"numerator out of range for precision {w}") from None
+            nums.flags.writeable = False
         if nums.ndim != 2 or 0 in nums.shape:
             raise ValueError(
                 f"point set needs a non-empty (N, d) array, got shape {nums.shape}"
             )
-        if w < MAX_PRECISION and (nums >> np.uint64(w)).any():
+        # One reduction, not an (N, d) temporary of shifted values.
+        if w < MAX_PRECISION and int(nums.max()) >> w:
             raise ValueError(f"numerator out of range for precision {w}")
-        nums.flags.writeable = False
         object.__setattr__(self, "numerators", nums)
 
     @property
@@ -115,6 +131,22 @@ class PointSet:
         return _PointsView(self)
 
 
+def _checked_points(rows: list[list[int]], precision: int):
+    """``DyadicPoint``s of rows that ``PointSet`` has range-checked already.
+
+    The slots are set directly, so ``__post_init__`` does not check each
+    row again; the public constructor keeps its checks.
+    """
+    new = object.__new__
+    set_numerators = DyadicPoint.numerators.__set__
+    set_precision = DyadicPoint.precision.__set__
+    for row in map(tuple, rows):
+        point = new(DyadicPoint)
+        set_numerators(point, row)
+        set_precision(point, precision)
+        yield point
+
+
 class _PointsView(Sequence):
     """Rows of a ``PointSet`` as ``DyadicPoint``s, derived on access."""
 
@@ -129,14 +161,13 @@ class _PointsView(Sequence):
     def __getitem__(self, index):
         nums, w = self._pset.numerators, self._pset.precision
         if isinstance(index, slice):
-            return [DyadicPoint(tuple(row), w) for row in nums[index].tolist()]
+            return list(_checked_points(nums[index].tolist(), w))
         return DyadicPoint(tuple(nums[operator.index(index)].tolist()), w)
 
     def __iter__(self):
         nums, w = self._pset.numerators, self._pset.precision
         for start in range(0, len(nums), _CSV_CHUNK):
-            for row in nums[start : start + _CSV_CHUNK].tolist():
-                yield DyadicPoint(tuple(row), w)
+            yield from _checked_points(nums[start : start + _CSV_CHUNK].tolist(), w)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -201,6 +232,7 @@ def generate_points(
         h = 1 << b
         tail = min(h, count - h)
         np.bitwise_xor(nums[:tail], digit_images[b], out=nums[h : h + tail])
+    nums.flags.writeable = False
     return PointSet(nums, precision, provenance=gset.describe())
 
 
@@ -213,8 +245,14 @@ def generate_points(
 # Lines per chunk in both CSV directions: the writer formats this many rows
 # with one string operation, and the reader takes this many lines at a time
 # and hands their data rows to numpy's C tokenizer, so neither direction
-# ever holds the whole file.
-_CSV_CHUNK = 1 << 14
+# ever holds the whole file.  It bounds everything either direction holds
+# besides the numerators: the chunk's lines, numpy's parsed table, the
+# decoded fields and the formatted rows (a few hundred KiB at d = 2).
+# ``PointSet.points`` converts this many rows at a time as well.
+_CSV_CHUNK = 1 << 11
+
+# Bytes per read of the binary pass that bounds a points file's rows.
+_COUNT_BLOCK = 1 << 16
 
 # Byte width of a hex field as the reader parses it.  The writer's longest
 # field, 0x<16 digits>/64, has 21 bytes; numpy cuts a longer field to this
@@ -325,34 +363,79 @@ def _dyadic_column(hexes: np.ndarray, first_row: int) -> tuple[list[int], set[in
     )
 
 
+def _line_bound(fh: IO[str]) -> int:
+    """Bound on the data rows of a seekable text file, read from its bytes.
+
+    Text read with ``newline=""`` ends a line at each \\n, \\r or \\r\\n,
+    and the last line may have no end, so the ends plus one bound the rows.
+    One binary pass counts them ``_COUNT_BLOCK`` bytes at a time (\\r\\n
+    pairs only in blocks that hold or follow a \\r) and rewinds the file.
+    """
+    lines, last = 1, b""
+    while block := fh.buffer.read(_COUNT_BLOCK):
+        cr = block.count(b"\r")
+        lines += block.count(b"\n") + cr
+        if cr or last == b"\r":
+            lines -= (last + block).count(b"\r\n")
+        last = block[-1:]
+    fh.seek(0)
+    return lines
+
+
+def _check_budget(rows: int, d: int) -> None:
+    """Refuse, before allocating it, room for ``rows`` rows over the budget."""
+    need = rows * d * 8
+    if need > BUDGET_BYTES:
+        raise BudgetError(
+            f"room for {rows} rows of points CSV at d={d} needs {need} bytes "
+            f"of numerators, over the budget of {BUDGET_BYTES}"
+        )
+
+
 def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     """Rebuild a point set from the CSV form; the hex fields are authoritative.
 
-    The file streams through in blocks of ``_CSV_CHUNK`` lines, and only the
-    numerators outlive their block.  Lines starting with ``#`` are comments
-    (the last ``generator:`` one sets the provenance); blank lines and lines
-    whose first field is ``n`` are skipped.  The first data row fixes the
-    field count, which must be odd and at least 3, and numpy's tokenizer
-    parses the data rows of each block into an index and, per coordinate, a
-    hex field of at most ``_HEX_BYTES`` bytes and a float.  A row is refused
-    if it does not parse, if its index is not its row number 0, 1, ..., or
-    if a hex field fills ``_HEX_BYTES`` (numpy would have cut it).  Every
-    hex field must read 0x<hex digits>/<decimal digits> and carry the same
-    precision; ``PointSet`` checks it and the numerators' range, and then
-    every float field must equal
-    float64(numerator) * 2^-precision, the value the writer emits.  The
-    floats are compared block by block; the first row that disagrees is
-    raised only once ``PointSet`` has accepted the numerators, so a range
-    error anywhere in the file comes first.
+    The file streams through in blocks of ``_CSV_CHUNK`` lines.  A path is
+    first counted in one binary pass (``_line_bound``); one array of that
+    many rows is filled in place block by block, trimmed and adopted by
+    ``PointSet``, so the numerators are held once plus one block.  A text
+    stream cannot be counted ahead, so its blocks are joined at the end and
+    it holds the numerators twice.  ``BudgetError`` refuses a file's line
+    count, or a stream's rows so far, whose d * 8 bytes per row exceed
+    ``errors.BUDGET_BYTES``, before allocating them.
+
+    Lines starting with ``#`` are comments (the last ``generator:`` one sets
+    the provenance); blank lines and lines whose first field is ``n`` are
+    skipped.  The first data row fixes the field count, which must be odd
+    and at least 3, and numpy's tokenizer parses the data rows of each
+    block into an index and, per coordinate, a hex field of at most
+    ``_HEX_BYTES`` bytes and a float.  A row is refused if it does not
+    parse, if its index is not its row number 0, 1, ..., or if a hex field
+    fills ``_HEX_BYTES`` (numpy would have cut it).  Every hex field must
+    read 0x<hex digits>/<decimal digits> and carry the same precision;
+    ``PointSet`` checks it and the numerators' range, and then every float
+    field must equal float64(numerator) * 2^-precision, the value the
+    writer emits.  The floats are compared block by block; the first row
+    that disagrees is raised only once ``PointSet`` has accepted the
+    numerators, so a range error anywhere in the file comes first.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
-            return read_points_csv(fh)
+            return _read_points(fh, _line_bound(fh) if fh.seekable() else None)
+    return _read_points(source, None)
+
+
+def _read_points(source: IO[str], bound: int | None) -> PointSet:
+    """``read_points_csv`` of a text source with at most ``bound`` data rows.
+
+    Without a bound the blocks' numerators are kept in a list and joined.
+    """
     lines = iter(source)
     provenance = ""
     dtype = None
     precisions: set[int] = set()
-    numerators: list[np.ndarray] = []
+    numerators = None
+    chunks: list[np.ndarray] = []
     bad_float = None
     row = 0
     while block := list(islice(lines, _CSV_CHUNK)):
@@ -370,6 +453,9 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
         if dtype is None:
             dtype = _row_dtype(batch[0])
             d = (len(dtype) - 1) // 2
+            if bound is not None:
+                _check_budget(bound, d)
+                numerators = np.empty((bound, d), dtype=np.uint64)
         table = _load_rows(batch, dtype, row)
         # The index is compared as text, so it must read exactly as the row
         # number; 20 bytes hold every uint64, and a cut field never matches.
@@ -378,7 +464,15 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
         if wrong.size:
             index = table["n"][wrong[0]].decode("latin-1")
             raise ValueError(f"row {row + wrong[0]} has index {index!r}")
-        chunk = np.empty((len(batch), d), dtype=np.uint64)
+        end = row + len(batch)
+        if numerators is None:
+            _check_budget(end, d)
+            chunk = np.empty((len(batch), d), dtype=np.uint64)
+            chunks.append(chunk)
+        elif end <= len(numerators):
+            chunk = numerators[row:end]
+        else:
+            raise ValueError("points file grew while it was read")
         for j in range(d):
             hexes = table[f"x{j + 1}_hex"]
             full = np.flatnonzero(np.strings.str_len(hexes) == _HEX_BYTES)
@@ -400,17 +494,23 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
                 raise ValueError(
                     f"numerator out of range for precision {precision}"
                 ) from None
-        numerators.append(chunk)
         if bad_float is None:
             given = np.column_stack([table[f"x{j}"] for j in range(1, d + 1)])
             expected = chunk.astype(np.float64) * 2.0**-precision
             wrong = np.flatnonzero((given != expected).any(axis=1))
             if wrong.size:
                 bad_float = row + int(wrong[0])
-        row += len(batch)
-    if not numerators:
+        row = end
+    if not row:
         raise ValueError("no data rows in points CSV")
-    pset = PointSet(np.concatenate(numerators), precision, provenance=provenance)
+    # No view of the array may outlive this point: resize moves its memory.
+    del chunk
+    if numerators is None:
+        numerators = np.concatenate(chunks)
+    elif row < len(numerators):
+        numerators.resize((row, d), refcheck=False)
+    numerators.flags.writeable = False
+    pset = PointSet(numerators, precision, provenance=provenance)
     if bad_float is not None:
         raise ValueError(f"row {bad_float} has a float field other than its hex value")
     return pset

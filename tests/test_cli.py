@@ -294,6 +294,18 @@ def test_point_count_over_the_budget_is_refused(command, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_points_file_over_the_budget_is_refused(tmp_path, capsys, monkeypatch):
+    # 16 points at d=2 in 18 lines: the reader's line bound of 19 rows needs
+    # 304 bytes of numerators, refused before the array is allocated.
+    path = tmp_path / "pts.csv"
+    assert main(["points", "-d", "2", "-m", "4", "--out", str(path)]) == 0
+    monkeypatch.setattr("dignet.sequence.BUDGET_BYTES", 303)
+    assert main(["measure", "--points", str(path)]) == EXIT_REFUSED
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and "304 bytes" in err and "budget" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_measure_walsh_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["measure", "-d", "1", "-m", "2", "--method", "walsh",

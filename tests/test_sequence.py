@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import random
 import string
+import threading
 import tracemalloc
 from collections.abc import Sequence
 
@@ -172,10 +174,12 @@ def test_points_view_is_a_lazy_read_only_sequence(monkeypatch):
 def test_reading_and_iterating_points_hold_numerators_plus_a_chunk(
     tmp_path, monkeypatch
 ):
-    # Reading keeps the numerators (chunks, their concatenation, PointSet's
-    # copy and its range check: at most four arrays) plus one chunk of
-    # lines; iterating ``.points`` adds one chunk of converted rows.
-    # Neither may hold anything per point of the file.
+    # Reading a file fills one array sized by its line count in place, so it
+    # keeps the numerators plus one chunk of lines; iterating ``.points``
+    # adds one chunk of converted rows.  Neither may hold anything per point
+    # of the file.  The bound allows a second copy for the final trim, a
+    # realloc that may move the rows; about 1.7x is measured here, most of
+    # the excess being the chunk's lines and parsed fields.
     chunk = 1 << 10
     monkeypatch.setattr(sequence, "_CSV_CHUNK", chunk)
     count = 1 << 16
@@ -189,7 +193,123 @@ def test_reading_and_iterating_points_hold_numerators_plus_a_chunk(
     finally:
         tracemalloc.stop()
     assert seen == count
-    assert peak <= 4 * back.numerators.nbytes + 1024 * chunk
+    assert peak <= 2 * back.numerators.nbytes + 1024 * chunk
+
+
+def test_generating_points_holds_the_numerators_once():
+    # One array is filled and adopted: no copy in PointSet, no N-sized
+    # temporary for its range check (about 1.06x here).
+    gset = build_matrices(2, 16, 16)
+    tracemalloc.start()
+    try:
+        pts = generate_points(gset, 1 << 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * pts.numerators.nbytes
+
+
+def test_point_set_adopts_an_owned_read_only_array():
+    arr = np.array([[1, 2], [3, 0]], dtype=np.uint64)
+    arr.flags.writeable = False
+    pset = PointSet(arr, 2)
+    assert pset.numerators is arr
+    assert PointSet(pset.numerators, 2).numerators is arr
+    # Anything else is copied and the caller's object is left as it was.
+    writeable = np.array([[1, 2], [3, 0]], dtype=np.uint64)
+    view = arr[:1]
+    others = [
+        writeable,
+        view,
+        np.asfortranarray(arr),
+        arr.astype(np.int64),
+        arr.tolist(),
+    ]
+    for source in others:
+        pset = PointSet(source, 2)
+        assert pset.numerators is not source
+        assert pset.numerators.base is None and not pset.numerators.flags.writeable
+        assert pset.numerators.tolist() == np.asarray(source).tolist()
+    copied = PointSet(writeable, 2)
+    assert writeable.flags.writeable and writeable.tolist() == [[1, 2], [3, 0]]
+    writeable[0, 0] = 3
+    assert copied.numerators.tolist() == [[1, 2], [3, 0]]
+    # Adoption keeps the range and shape checks.
+    wide = np.array([[4, 0]], dtype=np.uint64)
+    wide.flags.writeable = False
+    with pytest.raises(ValueError, match="numerator out of range for precision 2"):
+        PointSet(wide, 2)
+    flat = np.array([1, 2], dtype=np.uint64)
+    flat.flags.writeable = False
+    with pytest.raises(ValueError, match="non-empty"):
+        PointSet(flat, 2)
+
+
+def test_points_csv_reader_refuses_a_file_over_the_budget(tmp_path, monkeypatch):
+    # 16 points at d=2 in a file of 18 lines: the line bound is 19 rows,
+    # 19 * 2 * 8 = 304 bytes of numerators.
+    path = tmp_path / "pts.csv"
+    pts = generate_points(build_matrices(2, 4, 4), 16)
+    write_points_csv(pts, path)
+    monkeypatch.setattr(sequence, "BUDGET_BYTES", 303)
+    with pytest.raises(BudgetError, match="19 rows of points CSV at d=2 needs 304 bytes"):
+        read_points_csv(path)
+    monkeypatch.setattr(sequence, "BUDGET_BYTES", 304)
+    assert read_points_csv(path).numerators.tolist() == pts.numerators.tolist()
+    # A stream is refused once its rows read so far exceed the budget.
+    monkeypatch.setattr(sequence, "_CSV_CHUNK", 7)
+    monkeypatch.setattr(sequence, "BUDGET_BYTES", 16 * 2 * 8 - 1)
+    with pytest.raises(BudgetError, match="room for 16 rows of points CSV at d=2"):
+        read_points_csv(io.StringIO(path.read_text()))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
+@pytest.mark.parametrize("ends", ["\n", "\r\n", "\r", "mixed", "no-last"])
+def test_points_file_line_bound_counts_text_mode_lines(
+    ends, block, tmp_path, monkeypatch
+):
+    # Text mode with newline="" ends lines at \n, \r and \r\n; blocks of a
+    # few bytes split \r\n pairs across reads.
+    monkeypatch.setattr(sequence, "_COUNT_BLOCK", block)
+    pts = generate_points(build_matrices(2, 4, 4), 12)
+    text = _written(pts)
+    if ends == "mixed":
+        text = text.replace("\n", "\r", 4).replace("\n", "\r\n", 5)
+    elif ends == "no-last":
+        text = text.rstrip("\n")
+    else:
+        text = text.replace("\n", ends)
+    path = tmp_path / "pts.csv"
+    path.write_bytes(text.encode())
+    with open(path, newline="") as fh:
+        bound = sequence._line_bound(fh)
+        lines = fh.readlines()
+    assert bound == len(lines) + (ends != "no-last")
+    assert read_points_csv(path).numerators.tolist() == pts.numerators.tolist()
+
+
+def test_points_csv_reader_refuses_a_file_that_grows(tmp_path, monkeypatch):
+    path = tmp_path / "pts.csv"
+    write_points_csv(generate_points(build_matrices(2, 4, 4), 16), path)
+    monkeypatch.setattr(sequence, "_line_bound", lambda fh: 15)
+    with pytest.raises(ValueError, match="grew while it was read"):
+        read_points_csv(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_points_csv_reads_a_pipe_as_a_stream(tmp_path):
+    # A pipe cannot be counted ahead and rewound, so it is read as a stream.
+    pts = generate_points(build_matrices(2, 4, 4), 16)
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(_written(pts),))
+    writer.start()
+    try:
+        back = read_points_csv(path)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert back.numerators.tolist() == pts.numerators.tolist()
 
 
 def test_digital_shift_examples():
