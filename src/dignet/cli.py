@@ -31,7 +31,7 @@ from .niederreiter import (
     build_matrices,
     load_matrix_set,
 )
-from .quality import minimal_t
+from .quality import DEFAULT_NODE_CAP, minimal_t
 
 # Callees of the numpy-backed modules, bound into this module on first use,
 # so that `matrices` and `tvalue` start without numpy.  They stay attributes
@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="digit columns of the inline construction")
     pt.add_argument("--m-min", type=_positive_int, default=1)
     pt.add_argument("--m-max", type=_positive_int, default=None)
-    pt.add_argument("--node-cap", type=_positive_int, default=10_000_000,
+    pt.add_argument("--node-cap", type=_positive_int, default=DEFAULT_NODE_CAP,
                     help="row insertions per block search; past it the block "
                          "falls back to the per-t scan and may report "
                          "exhaustive false")

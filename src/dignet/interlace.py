@@ -16,9 +16,7 @@ from .niederreiter import GeneratingMatrixSet
 __all__ = ["interlace_matrices"]
 
 
-def interlace_matrices(
-    gset: GeneratingMatrixSet, alpha: int, rows: int | None = None
-) -> GeneratingMatrixSet:
+def interlace_matrices(gset: GeneratingMatrixSet, alpha: int) -> GeneratingMatrixSet:
     """Generating matrices of the interlaced sequence.
 
     Output row u*alpha + v of E_j is row u+1 of source matrix number
@@ -35,18 +33,11 @@ def interlace_matrices(
             f"dimension {gset.dimension} is not a multiple of alpha={alpha}"
         )
     d_out = gset.dimension // alpha
-    if rows is None:
-        rows = alpha * gset.rows
-    needed = (rows + alpha - 1) // alpha
-    if needed > gset.rows:
-        raise ValueError(
-            f"{rows} output rows need {needed} source rows, only {gset.rows} available"
-        )
     matrices = []
     for j in range(d_out):
         sources = gset.matrices[j * alpha : (j + 1) * alpha]
         row_masks = []
-        for k in range(rows):
+        for k in range(alpha * gset.rows):
             u, v = divmod(k, alpha)
             row_masks.append(sources[v].row_masks[u])
         matrices.append(BitMatrix(row_masks, gset.cols))

@@ -376,6 +376,35 @@ def _pair_totals(pset: PointSet, counts: Sequence[int]) -> Iterator[list[int]]:
         yield totals
 
 
+def _exact_kernel_bytes(size: int, dimension: int, precision: int) -> int:
+    """Upper bound on the bytes the exact d <= 2 pass holds at once for N points.
+
+    A list entry holding an int below 2^k takes 8 + 24 + 4 * (k // 30 + 1)
+    bytes (CPython's 30-bit digits); b is the bit length of N.  Per point,
+    held through the pass, 32 * d: this prefix's and the caller's last
+    prefix's numerators, the argsort orders and their picks.  Then the
+    larger of two steps.  A recount (``_recount_totals``) holds a list of
+    w-bit ints per coordinate and 8 bytes of index temporaries; at d = 2
+    also two more such lists, the rank array, and the larger of its two
+    phases: the centred moments, two (w + b + 1)-bit lists, or the ranks
+    as b-bit ints with the Fenwick tree of (5w + 4b)-bit packed sums.  An
+    extension (``_extend_totals``) holds d lists of (2w + 1)-bit g values
+    and one coordinate's list of w-bit differences.  64 KiB covers the
+    objects whose count does not grow with N.
+    """
+    def entry(bits: int) -> int:
+        return 8 + 24 + 4 * (bits // 30 + 1)
+
+    d, w, b = dimension, precision, size.bit_length()
+    recount = d * entry(w) + 8
+    if d == 2:
+        recount += 2 * entry(w) + 8 + max(
+            2 * entry(w + b + 1), entry(b) + entry(5 * w + 4 * b)
+        )
+    extend = d * entry(2 * w + 1) + entry(w)
+    return size * (32 * d + max(recount, extend)) + (64 << 10)
+
+
 def _kernel_coefficients(
     pset: PointSet, counts: Sequence[int]
 ) -> Iterator[list[Fraction]]:
@@ -419,7 +448,15 @@ def _prefix_kernel_squared(
             f"counts must rise strictly within [1, {pset.size}], got {counts}"
         )
     d = pset.dimension
-    exact = _kernel_coefficients(pset, counts) if d <= 2 else None
+    exact = None
+    if d <= 2:
+        need = _exact_kernel_bytes(pset.size, d, pset.precision)
+        if need > BUDGET_BYTES:
+            raise BudgetError(
+                f"the exact kernel at N={pset.size}, d={d}, w={pset.precision} "
+                f"needs about {need} bytes, over its budget of {BUDGET_BYTES}"
+            )
+        exact = _kernel_coefficients(pset, counts)
     for n in counts:
         prefix = pset
         if n < pset.size:
@@ -491,8 +528,10 @@ def prefix_kernel_measures(
     ``both_kernel_measures`` of that prefix.  For d <= 2 the prefixes share
     one exact pass: each coordinate is sorted once, and a count one more
     than the previous one extends that prefix's pair totals by its new
-    point in O(N) instead of recomputing them in O(N log N).  For d >= 3
-    each prefix runs the float engine.
+    point in O(N) instead of recomputing them in O(N log N); a set whose
+    bound ``_exact_kernel_bytes`` exceeds ``errors.BUDGET_BYTES`` is refused
+    with ``BudgetError`` before the pass.  For d >= 3 each prefix runs the
+    float engine.
     """
     schemes = (PERIODIC_L2, DIAPHONY)
     for prefix, (sq_l2, sq_dia) in _prefix_kernel_squared(

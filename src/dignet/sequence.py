@@ -9,7 +9,7 @@ XOR the image of digit b; ``generate_points`` fills the array by these XOR
 doublings, one array operation per input digit, and refuses a set whose
 numerators would exceed ``errors.BUDGET_BYTES`` before allocating it.
 ``DyadicPoint`` is the scalar type of the rows that ``PointSet.points``, a
-lazy read-only view, derives one chunk at a time.  A set's numerators are
+generator, yields one chunk at a time.  A set's numerators are
 held once: ``PointSet`` adopts an owned read-only uint64 array instead of
 copying it, ``generate_points`` hands over the array it fills, and the CSV
 reader of a file fills one array sized by a count of the file's lines, so
@@ -19,9 +19,8 @@ it holds the numerators plus one chunk of the file.
 from __future__ import annotations
 
 import datetime as _dt
-import operator
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -121,58 +120,23 @@ class PointSet:
         return self.numerators.shape[1]
 
     @property
-    def points(self) -> Sequence[DyadicPoint]:
-        """The rows as scalar points of Python ints: a lazy, read-only view.
+    def points(self) -> Iterator[DyadicPoint]:
+        """The rows as scalar points of Python ints, one pass per read.
 
-        Indexing converts the rows it names and iteration ``_CSV_CHUNK`` rows
-        at a time, so no list of all N points is built.  The view equals any
-        sequence of the same points, such as a list or another view.
+        A generator over ``numerators``, ``_CSV_CHUNK`` rows at a time.  The
+        rows are range-checked already, so each point's slots are set
+        directly; the public ``DyadicPoint`` constructor keeps its checks.
         """
-        return _PointsView(self)
-
-
-def _checked_points(rows: list[list[int]], precision: int):
-    """``DyadicPoint``s of rows that ``PointSet`` has range-checked already.
-
-    The slots are set directly, so ``__post_init__`` does not check each
-    row again; the public constructor keeps its checks.
-    """
-    new = object.__new__
-    set_numerators = DyadicPoint.numerators.__set__
-    set_precision = DyadicPoint.precision.__set__
-    for row in map(tuple, rows):
-        point = new(DyadicPoint)
-        set_numerators(point, row)
-        set_precision(point, precision)
-        yield point
-
-
-class _PointsView(Sequence):
-    """Rows of a ``PointSet`` as ``DyadicPoint``s, derived on access."""
-
-    __slots__ = ("_pset",)
-
-    def __init__(self, pset: PointSet) -> None:
-        self._pset = pset
-
-    def __len__(self) -> int:
-        return self._pset.size
-
-    def __getitem__(self, index):
-        nums, w = self._pset.numerators, self._pset.precision
-        if isinstance(index, slice):
-            return list(_checked_points(nums[index].tolist(), w))
-        return DyadicPoint(tuple(nums[operator.index(index)].tolist()), w)
-
-    def __iter__(self):
-        nums, w = self._pset.numerators, self._pset.precision
+        nums, w = self.numerators, self.precision
+        new = object.__new__
+        set_numerators = DyadicPoint.numerators.__set__
+        set_precision = DyadicPoint.precision.__set__
         for start in range(0, len(nums), _CSV_CHUNK):
-            yield from _checked_points(nums[start : start + _CSV_CHUNK].tolist(), w)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+            for row in map(tuple, nums[start : start + _CSV_CHUNK].tolist()):
+                point = new(DyadicPoint)
+                set_numerators(point, row)
+                set_precision(point, w)
+                yield point
 
 
 def _column_numerators(gset: GeneratingMatrixSet, precision: int) -> list[list[int]]:
@@ -220,12 +184,7 @@ def generate_points(
         raise ValueError(
             f"cannot index {count} points with {gset.cols} matrix columns"
         )
-    need = count * gset.dimension * 8
-    if need > BUDGET_BYTES:
-        raise BudgetError(
-            f"{count} points at d={gset.dimension} need {need} bytes of "
-            f"numerators, over the budget of {BUDGET_BYTES}"
-        )
+    _check_budget(count, gset.dimension)
     digit_images = np.array(_column_numerators(gset, precision), dtype=np.uint64).T
     nums = np.zeros((count, gset.dimension), dtype=np.uint64)
     for b in range((count - 1).bit_length()):
@@ -383,11 +342,15 @@ def _line_bound(fh: IO[str]) -> int:
 
 
 def _check_budget(rows: int, d: int) -> None:
-    """Refuse, before allocating it, room for ``rows`` rows over the budget."""
+    """Refuse, before allocating it, room for ``rows`` rows over the budget.
+
+    The one bound on a point set's numerators, ``rows * d * 8`` bytes
+    against ``errors.BUDGET_BYTES``, for generated sets and read files.
+    """
     need = rows * d * 8
     if need > BUDGET_BYTES:
         raise BudgetError(
-            f"room for {rows} rows of points CSV at d={d} needs {need} bytes "
+            f"room for {rows} rows of points at d={d} needs {need} bytes "
             f"of numerators, over the budget of {BUDGET_BYTES}"
         )
 

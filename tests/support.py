@@ -51,6 +51,11 @@ def values(pset: PointSet) -> list[tuple[float, ...]]:
     return [tuple(v * scale for v in row) for row in pset.numerators.tolist()]
 
 
+def same_points(a: PointSet, b: PointSet) -> bool:
+    """Whether two sets hold the same numerator rows at the same precision."""
+    return a.precision == b.precision and a.numerators.tolist() == b.numerators.tolist()
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that Python's tracer sees allocated while fn() runs."""
     tracemalloc.start()

@@ -19,7 +19,7 @@ from dignet.niederreiter import GeneratingMatrixSet, load_matrix_set
 from dignet.sequence import generate_points, read_points_csv, write_points_csv
 from dignet.cli import construct_matrices, write_study_csv
 from dignet.walshlab import walsh_series_l2
-from support import entry, identity, save_matrix_set
+from support import entry, identity, same_points, save_matrix_set
 
 
 def _run_json(args, tmp_path, name="out.json"):
@@ -59,7 +59,7 @@ def test_points_roundtrip(tmp_path):
     assert main(["points", "-d", "2", "-m", "3", "-N", "8", "--out", str(out)]) == 0
     pset = read_points_csv(out)
     direct = generate_points(construct_matrices(2, 1, 3), 8)
-    assert pset.points == direct.points
+    assert same_points(pset, direct)
 
 
 def test_points_stdout_and_determinism(tmp_path, capsys):
@@ -303,6 +303,20 @@ def test_points_file_over_the_budget_is_refused(tmp_path, capsys, monkeypatch):
     assert main(["measure", "--points", str(path)]) == EXIT_REFUSED
     err = capsys.readouterr().err
     assert err.startswith("refused: ") and "304 bytes" in err and "budget" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_points_file_over_the_exact_kernel_budget_is_refused(
+    tmp_path, capsys, monkeypatch
+):
+    # The file fits the points budget; its exact d = 2 pass, bounded by
+    # 64 KiB plus a few hundred bytes per point, does not fit 64 KiB.
+    path = tmp_path / "pts.csv"
+    assert main(["points", "-d", "2", "-m", "4", "--out", str(path)]) == 0
+    monkeypatch.setattr("dignet.measures.BUDGET_BYTES", 1 << 16)
+    assert main(["measure", "--points", str(path)]) == EXIT_REFUSED
+    err = capsys.readouterr().err
+    assert err.startswith("refused: the exact kernel at N=16, d=2") and "budget" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -102,12 +102,6 @@ def test_interlace_matrices_quality_parameter():
     assert interlace_matrices(build_matrices(6, 4, 4), 3).t == 30
 
 
-def test_interlace_matrices_insufficient_rows():
-    gset = build_matrices(2, 3, 3)
-    with pytest.raises(ValueError):
-        interlace_matrices(gset, 2, rows=7)
-
-
 def test_interlace_matrices_rejects_reinterlacing():
     once = interlace_matrices(build_matrices(2, 4, 4), 2)
     with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from dignet.measures import (
     _STRIP,
     MeasureReport,
     WeightScheme,
+    _exact_kernel_bytes,
     _float_kernel_squared,
     _fourier_bytes,
     _kernel_coefficients,
@@ -442,6 +443,39 @@ def test_fourier_memory_within_its_bound():
     pset = _random_pset(random.Random(89), n, d, 40)
     peak = traced_peak(lambda: fourier_truncated(pset, DIAPHONY, trunc))
     assert peak <= _fourier_bytes(n, d, trunc)
+
+
+@pytest.mark.parametrize(
+    "d, w, n",
+    [(1, 20, 4096), (1, 64, 4096), (2, 1, 100), (2, 32, 2048), (2, 64, 4096)],
+)
+def test_exact_kernel_bytes_bound_the_traced_peak(d, w, n):
+    # The one-count pass recounts; a study's counts also extend 2^m - 1 to
+    # 2^m and copy each prefix below N.  At w = 64 the packed Fenwick sums
+    # are the largest ints.
+    pset = _random_pset(random.Random(101), n, d, w)
+    counts = [n // 2 - 1, n // 2, n - 1, n]
+    for run in (
+        lambda: both_kernel_measures(pset),
+        lambda: list(prefix_kernel_measures(pset, counts)),
+    ):
+        assert traced_peak(run) <= _exact_kernel_bytes(n, d, w)
+
+
+def test_exact_kernel_refuses_over_its_budget(monkeypatch):
+    # The point-set budget admits 2^26 points at d = 2 (1 GiB of numerators);
+    # the exact pass over them would need over 16 times that.
+    assert _exact_kernel_bytes(1 << 26, 2, 52) > 16 * BUDGET_BYTES
+    assert _exact_kernel_bytes(8192, 2, 52) < BUDGET_BYTES // 100
+    pset = _random_pset(random.Random(103), 64, 2, 30)
+    need = _exact_kernel_bytes(64, 2, 30)
+    monkeypatch.setattr("dignet.measures.BUDGET_BYTES", need - 1)
+    with pytest.raises(BudgetError, match=f"N=64, d=2, w=30 needs about {need} bytes"):
+        both_kernel_measures(pset)
+    with pytest.raises(BudgetError):
+        next(prefix_kernel_measures(pset, [32, 64]))
+    monkeypatch.setattr("dignet.measures.BUDGET_BYTES", need)
+    assert both_kernel_measures(pset)[0].size == 64
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import os
 import random
 import string
 import threading
 import tracemalloc
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from support import (
     digital_shift,
     matvec,
     pset_from_tuples,
+    same_points,
     tail_shift_vector,
     values,
 )
@@ -75,7 +76,7 @@ def test_generate_points_origin_first():
     for d in (1, 2, 3):
         gset = build_matrices(d, 5, 5)
         pts = generate_points(gset, 1, 5)
-        assert pts.points[0].numerators == (0,) * d
+        assert pts.numerators.tolist() == [[0] * d]
 
 
 def _matvec_numerators(gset, n: int, precision: int) -> tuple[int, ...]:
@@ -114,7 +115,7 @@ def test_point_set_checks_at_construction():
         with pytest.raises(ValueError):
             pset_from_tuples(rows, w)
     top = pset_from_tuples([((1 << 64) - 1, 0)], 64)
-    assert top.points[0].numerators == ((1 << 64) - 1, 0)
+    assert top.numerators.tolist() == [[(1 << 64) - 1, 0]]
     source = np.array([[1, 2]], dtype=np.uint64)
     pset = PointSet(source, 2)
     source[0, 0] = 3
@@ -148,27 +149,29 @@ def test_generate_points_refuses_numerators_over_the_budget(monkeypatch):
         generate_points(gset, 9)
 
 
-def test_points_view_is_a_lazy_read_only_sequence(monkeypatch):
-    # Chunks of 5 rows put chunk boundaries inside the 16 rows.
+def _row_digest(rows) -> str:
+    """SHA-256 of numerator rows as little-endian 8-byte words."""
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(b"".join(v.to_bytes(8, "little") for v in row))
+    return h.hexdigest()
+
+
+def test_points_yield_every_row_once_per_read(monkeypatch):
+    # The benchmark's read-back digests ``p.numerators for p in pset.points``;
+    # that must be the digest of the rows of ``numerators``.  Chunks of 5
+    # rows put chunk boundaries inside the 16 rows.
     monkeypatch.setattr(sequence, "_CSV_CHUNK", 5)
-    gset = build_matrices(2, 4, 4)
-    pts = generate_points(gset, 16)
-    rows = [DyadicPoint(tuple(r), 4) for r in pts.numerators.tolist()]
-    view = pts.points
-    assert isinstance(view, Sequence) and not isinstance(view, list)
-    assert len(view) == 16
-    assert view[0] == rows[0] and view[-1] == rows[-1] and view[7] == rows[7]
-    assert view[3:11] == rows[3:11] and view[::-3] == rows[::-3] and view[20:] == []
-    with pytest.raises(IndexError):
-        view[16]
-    with pytest.raises(TypeError):
-        view[0] = rows[0]
-    assert view == rows and rows == view and view == tuple(rows)
-    assert view == generate_points(gset, 16).points
-    assert list(view) == list(view) == rows
-    assert view != rows[:-1] and view != rows[::-1] and view != "points"
-    assert view != generate_points(gset, 16, 3).points
-    assert view != generate_points(gset, 15).points
+    top = (1 << 64) - 1
+    for pts in (
+        generate_points(build_matrices(2, 4, 4), 16),
+        pset_from_tuples([(top, 0, 1)] * 6 + [(0, top, 2)], 64),
+    ):
+        rows = pts.numerators.tolist()
+        assert _row_digest(p.numerators for p in pts.points) == _row_digest(rows)
+        checked = [DyadicPoint(tuple(row), pts.precision) for row in rows]
+        first, second = list(pts.points), list(pts.points)
+        assert first == checked and second == checked
 
 
 def test_reading_and_iterating_points_hold_numerators_plus_a_chunk(
@@ -252,14 +255,14 @@ def test_points_csv_reader_refuses_a_file_over_the_budget(tmp_path, monkeypatch)
     pts = generate_points(build_matrices(2, 4, 4), 16)
     write_points_csv(pts, path)
     monkeypatch.setattr(sequence, "BUDGET_BYTES", 303)
-    with pytest.raises(BudgetError, match="19 rows of points CSV at d=2 needs 304 bytes"):
+    with pytest.raises(BudgetError, match="19 rows of points at d=2 needs 304 bytes"):
         read_points_csv(path)
     monkeypatch.setattr(sequence, "BUDGET_BYTES", 304)
     assert read_points_csv(path).numerators.tolist() == pts.numerators.tolist()
     # A stream is refused once its rows read so far exceed the budget.
     monkeypatch.setattr(sequence, "_CSV_CHUNK", 7)
     monkeypatch.setattr(sequence, "BUDGET_BYTES", 16 * 2 * 8 - 1)
-    with pytest.raises(BudgetError, match="room for 16 rows of points CSV at d=2"):
+    with pytest.raises(BudgetError, match="room for 16 rows of points at d=2"):
         read_points_csv(io.StringIO(path.read_text()))
 
 
@@ -315,16 +318,19 @@ def test_points_csv_reads_a_pipe_as_a_stream(tmp_path):
 def test_digital_shift_examples():
     pts = pset_from_tuples([(1,)], 1)
     shifted = digital_shift(pts, DyadicPoint((1,), 1))
-    assert shifted.points[0].numerators == (0,)
+    assert shifted.numerators.tolist() == [[0]]
     # 0.5 XOR 0.25 = 0.75: the coarser side gains a zero digit.
     half, quarter = pset_from_tuples([(1,)], 1), pset_from_tuples([(1,)], 2)
-    assert digital_shift(half, DyadicPoint((1,), 2)).points == [DyadicPoint((3,), 2)]
-    assert digital_shift(quarter, DyadicPoint((1,), 1)).points == [DyadicPoint((3,), 2)]
+    for shifted in (
+        digital_shift(half, DyadicPoint((1,), 2)),
+        digital_shift(quarter, DyadicPoint((1,), 1)),
+    ):
+        assert (shifted.numerators.tolist(), shifted.precision) == ([[3]], 2)
 
     gset = build_matrices(2, 4, 4)
     pts = generate_points(gset, 8, 4)
     zero = DyadicPoint((0, 0), 4)
-    assert digital_shift(pts, zero).points == pts.points
+    assert same_points(digital_shift(pts, zero), pts)
 
 
 def test_digital_shift_involution_and_padding():
@@ -458,7 +464,7 @@ def test_points_csv_round_trip():
     assert sum(1 for ln in lines if ln.startswith("#")) == 1
 
     back = read_points_csv(io.StringIO(text))
-    assert back.points == pts.points
+    assert same_points(back, pts)
     assert back.provenance == pts.provenance
 
 
@@ -468,8 +474,8 @@ def test_points_csv_hex_fields_authoritative():
     write_points_csv(pts, buf, timestamp="t")
     assert "0xA/4" in buf.getvalue()
     back = read_points_csv(io.StringIO(buf.getvalue()))
-    assert back.points[0].numerators == (10,)
-    assert back.points[0].precision == 4
+    assert back.numerators.tolist() == [[10]]
+    assert back.precision == 4
 
 
 def test_points_csv_file_round_trip(tmp_path):
@@ -477,7 +483,7 @@ def test_points_csv_file_round_trip(tmp_path):
     pts = generate_points(gset, 6, 4)
     path = tmp_path / "pts.csv"
     write_points_csv(pts, path)
-    assert read_points_csv(path).points == pts.points
+    assert same_points(read_points_csv(path), pts)
 
 
 def _per_point_csv(pset: PointSet, timestamp: str) -> str:
