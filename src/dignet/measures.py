@@ -163,13 +163,15 @@ def _pair_sum(
 
 
 def _difference_factors(
-    pset: PointSet, factor_fns: Sequence[Callable[[np.ndarray], np.ndarray]]
+    numerators: np.ndarray,
+    precision: int,
+    factor_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
 ) -> Callable[[slice, slice], list[np.ndarray]]:
     """Strip callable of prod_j fn(t_j), one array per factor function, where
     t_j = {x_j - y_j} is taken exactly as numerators mod 2^precision."""
-    columns = np.ascontiguousarray(pset.numerators.T)
-    mask = np.uint64((1 << pset.precision) - 1)
-    scale = 2.0**-pset.precision
+    columns = np.ascontiguousarray(numerators.T)
+    mask = np.uint64((1 << precision) - 1)
+    scale = 2.0**-precision
 
     def strip_terms(rows: slice, cols: slice) -> list[np.ndarray]:
         prods: list[np.ndarray] = []
@@ -187,11 +189,14 @@ def _difference_factors(
 
 
 def _float_kernel_squared(
-    pset: PointSet, schemes: Sequence[WeightScheme], threads: int
+    numerators: np.ndarray,
+    precision: int,
+    schemes: Sequence[WeightScheme],
+    threads: int,
 ) -> list[float]:
-    """Squared kernel measures from the float O(N^2 d) pair engine."""
-    n = pset.size
-    d = pset.dimension
+    """Squared kernel measures of the (N, d) numerator rows from the float
+    O(N^2 d) pair engine."""
+    n, d = numerators.shape
 
     def make_factor(coeff: float) -> Callable[[np.ndarray], np.ndarray]:
         base = 1.0 + coeff / 6.0
@@ -202,7 +207,7 @@ def _float_kernel_squared(
         return factor
 
     fns = [make_factor(s.kernel_coeff) for s in schemes]
-    upper_sums = _pair_sum(n, _difference_factors(pset, fns), threads)
+    upper_sums = _pair_sum(n, _difference_factors(numerators, precision, fns), threads)
     out = []
     for scheme, upper in zip(schemes, upper_sums):
         diag = n * (1.0 + scheme.kernel_coeff / 6.0) ** d
@@ -381,9 +386,10 @@ def _exact_kernel_bytes(size: int, dimension: int, precision: int) -> int:
 
     A list entry holding an int below 2^k takes 8 + 24 + 4 * (k // 30 + 1)
     bytes (CPython's 30-bit digits); b is the bit length of N.  Per point,
-    held through the pass, 32 * d: this prefix's and the caller's last
-    prefix's numerators, the argsort orders and their picks.  Then the
-    larger of two steps.  A recount (``_recount_totals``) holds a list of
+    held through the pass, 32 * d: the argsort orders and their picks take
+    16 * d of it, and the rest is margin, since each prefix is a row view
+    of the set's numerators and not a copy.  Then the larger of two
+    steps.  A recount (``_recount_totals``) holds a list of
     w-bit ints per coordinate and 8 bytes of index temporaries; at d = 2
     also two more such lists, the rank array, and the larger of its two
     phases: the centred moments, two (w + b + 1)-bit lists, or the ranks
@@ -437,9 +443,9 @@ def _prefix_kernel_squared(
     schemes: Sequence[WeightScheme],
     counts: Sequence[int],
     threads: int,
-) -> Iterator[tuple[PointSet, list[float]]]:
-    """Each prefix pset[:n] with its squared kernel measures: exact pair
-    sums for d <= 2, the float engine per prefix above."""
+) -> Iterator[list[float]]:
+    """The squared kernel measures of each prefix pset[:n]: exact pair sums
+    for d <= 2, the float engine on each prefix's row view above."""
     counts = list(counts)
     if any(a >= b for a, b in zip([0, *counts], counts)) or (
         counts and counts[-1] > pset.size
@@ -458,11 +464,10 @@ def _prefix_kernel_squared(
             )
         exact = _kernel_coefficients(pset, counts)
     for n in counts:
-        prefix = pset
-        if n < pset.size:
-            prefix = PointSet(pset.numerators[:n], pset.precision, pset.provenance)
         if exact is None:
-            yield prefix, _float_kernel_squared(prefix, schemes, threads)
+            yield _float_kernel_squared(
+                pset.numerators[:n], pset.precision, schemes, threads
+            )
             continue
         coeffs = [float(a) for a in next(exact)]
         out = []
@@ -470,14 +475,14 @@ def _prefix_kernel_squared(
             c = scheme.kernel_coeff
             poly = sum(a * c ** (k + 1) for k, a in enumerate(coeffs))
             out.append(scheme.prefactor(d) * poly)
-        yield prefix, out
+        yield out
 
 
 def _kernel_squared(
     pset: PointSet, schemes: Sequence[WeightScheme], threads: int
 ) -> list[float]:
     """Squared kernel measures of the whole set: the one-count pass."""
-    return next(_prefix_kernel_squared(pset, schemes, [pset.size], threads))[1]
+    return next(_prefix_kernel_squared(pset, schemes, [pset.size], threads))
 
 
 def _report(
@@ -485,14 +490,17 @@ def _report(
     scheme: WeightScheme,
     method: str,
     squared: float,
+    *,
+    size: int | None = None,
     truncation: dict | None = None,
 ) -> MeasureReport:
+    """The report of pset, or of its prefix pset[:size] when size is given."""
     return MeasureReport(
         measure=scheme.name,
         method=method,
         value=math.sqrt(max(squared, 0.0)),
         squared=squared,
-        size=pset.size,
+        size=pset.size if size is None else size,
         dimension=pset.dimension,
         truncation=truncation,
         generator=pset.provenance or None,
@@ -534,12 +542,12 @@ def prefix_kernel_measures(
     float engine.
     """
     schemes = (PERIODIC_L2, DIAPHONY)
-    for prefix, (sq_l2, sq_dia) in _prefix_kernel_squared(
-        pset, schemes, counts, threads
+    for n, (sq_l2, sq_dia) in zip(
+        counts, _prefix_kernel_squared(pset, schemes, counts, threads)
     ):
         yield (
-            _report(prefix, PERIODIC_L2, "kernel", sq_l2),
-            _report(prefix, DIAPHONY, "kernel", sq_dia),
+            _report(pset, PERIODIC_L2, "kernel", sq_l2, size=n),
+            _report(pset, DIAPHONY, "kernel", sq_dia, size=n),
         )
 
 

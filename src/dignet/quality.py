@@ -13,7 +13,11 @@ Any admissible selection is a subset of such a maximal one, and subsets of
 independent families stay independent, so the reduction is lossless.  Rows
 are inserted into an incremental echelon basis, and an insertion that
 reduces to zero leaves the current selection as a witness, which is itself
-admissible because counted weights only shrink on subsets.
+admissible because counted weights only shrink on subsets.  The basis is a
+list indexed by bit length, of length m + 1: slot b holds the basis row
+whose highest set bit is bit b - 1, or 0 when there is none, so a row
+reduces by XOR with the slot of its own bit length until that slot is
+empty (it joins there) or the row is zero (a dependency).
 
 One depth-first search serves both questions.  The check at a fixed t
 stops at its first dependency.  The minimal t is a branch-and-bound search
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError
-from .gf2 import BitMatrix, echelon_insert
+from .gf2 import BitMatrix
 from .niederreiter import GeneratingMatrixSet
 
 __all__ = [
@@ -145,71 +149,100 @@ def _search(
     down to row alpha*m, and a row that is not there cannot be checked.
     """
     d = len(mats)
-    depth_cap = alpha * mats[0].ncols
+    m = mats[0].ncols
+    depth_cap = alpha * m
     if mats[0].nrows < depth_cap:
         raise ValueError(
-            f"order {alpha} needs {depth_cap} rows for m = {mats[0].ncols}, "
+            f"order {alpha} needs {depth_cap} rows for m = {m}, "
             f"but the matrices have {mats[0].nrows}"
         )
-    # rows[j][i] is row i (1-based) of matrix j.
+    # rows[j][i] is row i (1-based) of matrix j, and pairs[j][i] is (j, i).
     rows = [[0, *mat.row_masks[:depth_cap]] for mat in mats]
-    pivots: dict[int, int] = {}
+    pairs = [[(j, i) for i in range(depth_cap + 1)] for j in range(d)]
+    # pivots[b] is the basis row of bit length b, or 0 when there is none.
+    pivots = [0] * (m + 1)
     chosen: list[tuple[int, int]] = []
-    witness = None
-    nodes = 0
-
-    def insert(j: int, i: int, weight: int) -> int:
-        """Add row i of matrix j to the basis; return its pivot, or -1."""
-        nonlocal nodes, bound, witness
-        nodes += 1
-        if nodes > node_cap:
-            raise _NodeCap
-        chosen.append((j, i))
-        lead = echelon_insert(pivots, rows[j][i])
-        if lead < 0:
-            witness = tuple(chosen)
-            chosen.pop()
-            if first_only:
-                raise _Dependent
-            bound = weight - 1
-        return lead
-
-    def undo(lead: int) -> None:
-        del pivots[lead]
-        chosen.pop()
-
-    def next_coord(j: int, weight: int) -> None:
-        if j < d and weight < bound:
-            counted(j, 0, depth_cap, weight)
+    state = [bound, 0, None]  # the bound, the insertions, the witness
+    last = alpha - 1
 
     def counted(j: int, depth: int, hi: int, weight: int) -> None:
-        # Spend another counted slot first (heavier selections fail sooner).
-        # The range reads the bound once: a dependency found under row i
-        # weighs at least weight + i, so the lowered bound still admits i - 1.
-        for i in range(min(hi, bound - weight), 0, -1):
-            lead = insert(j, i, weight + i)
-            if lead >= 0:
-                if depth + 1 == alpha:
+        # Coordinate j spends counted slot depth, then the frame moves on
+        # to coordinate j + 1 with nothing more spent.  Another counted slot
+        # comes first (heavier selections fail sooner).  Each range reads
+        # the bound once: a dependency found under row i weighs at least
+        # weight + i, so the lowered bound still admits i - 1.
+        while True:
+            row_j = rows[j]
+            pair_j = pairs[j]
+            for i in range(min(hi, state[0] - weight), 0, -1):
+                state[1] += 1
+                if state[1] > node_cap:
+                    raise _NodeCap
+                row = row_j[i]
+                while row:
+                    lead = row.bit_length()
+                    pivot = pivots[lead]
+                    if not pivot:
+                        pivots[lead] = row
+                        break
+                    row ^= pivot
+                else:
+                    state[2] = (*chosen, pair_j[i])
+                    if first_only:
+                        raise _Dependent
+                    state[0] = weight + i - 1
+                    continue
+                chosen.append(pair_j[i])
+                if depth < last:
+                    counted(j, depth + 1, i - 1, weight + i)
+                else:
+                    # Rows i - 1 .. 1 come in for free.  They are counted
+                    # after their loop, and the cap is checked before a
+                    # dependency among them is kept or the search goes on.
                     frees = []
                     for f in range(i - 1, 0, -1):
-                        free = insert(j, f, weight + i)
-                        if free < 0:
+                        row = row_j[f]
+                        while row:
+                            free = row.bit_length()
+                            pivot = pivots[free]
+                            if not pivot:
+                                pivots[free] = row
+                                break
+                            row ^= pivot
+                        else:
+                            state[1] += i - f
+                            if state[1] > node_cap:
+                                raise _NodeCap
+                            state[2] = (*chosen, *pair_j[i - 1 : f - 1 : -1])
+                            if first_only:
+                                raise _Dependent
+                            state[0] = weight + i - 1
                             break
                         frees.append(free)
                     else:
-                        next_coord(j + 1, weight + i)
-                    for free in reversed(frees):
-                        undo(free)
-                else:
-                    counted(j, depth + 1, i - 1, weight + i)
-                undo(lead)
-        next_coord(j + 1, weight)
+                        state[1] += i - 1
+                        if state[1] > node_cap:
+                            raise _NodeCap
+                        if j + 1 < d and weight + i < state[0]:
+                            chosen.extend(pair_j[i - 1 : 0 : -1])
+                            counted(j + 1, 0, depth_cap, weight + i)
+                            del chosen[len(chosen) - i + 1 :]
+                    for free in frees:
+                        pivots[free] = 0
+                pivots[lead] = 0
+                chosen.pop()
+            j += 1
+            if j == d or weight >= state[0]:
+                return
+            depth = 0
+            hi = depth_cap
 
     try:
-        next_coord(0, 0)
+        if bound > 0:
+            counted(0, 0, depth_cap, 0)
     except _Dependent:
         pass
-    return bound, witness, nodes
+    return state[0], state[2], state[1]
 
 
 def check_order_alpha_t(

@@ -8,8 +8,9 @@ array code, the scalar Walsh characters and the closed-form
 ``rho_coefficient`` with the direct dual-net scan for the Walsh series, the
 dense rho arrays as a vector form of ``rho_coefficient``, the
 pairwise-cosine Fourier sum as the oracle of the Gram form in
-``fourier_truncated``, and the per-t scan and per-block sequence check as
-the oracles of the one-search ``minimal_t``.
+``fourier_truncated``, the per-t scan and per-block sequence check as
+the oracles of the one-search ``minimal_t``, and the dict-based search as
+the oracle of the list-indexed one that ``minimal_t`` runs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from dignet.gf2 import BitMatrix
+from dignet.gf2 import BitMatrix, echelon_insert
 from dignet.measures import WeightScheme
 from dignet.niederreiter import GeneratingMatrixSet
 from dignet.quality import (
@@ -32,6 +33,8 @@ from dignet.quality import (
     PASS,
     CheckOutcome,
     NetQualityReport,
+    _Dependent,
+    _NodeCap,
     check_order_alpha_t,
 )
 from dignet.sequence import DyadicPoint, PointSet
@@ -472,6 +475,95 @@ def fourier_pairwise_squared(pset: PointSet, scheme: WeightScheme, trunc: int) -
     upper = math.fsum(prod[i, i + 1 :].sum() for i in range(n))
     total = n * k_zero**d + 2.0 * upper
     return scheme.prefactor(d) * (total / (n * n) - 1.0)
+
+
+def reference_search(
+    mats: list[BitMatrix],
+    alpha: int,
+    bound: int,
+    node_cap: int,
+    first_only: bool,
+) -> tuple[int, tuple[tuple[int, int], ...] | None, int]:
+    """Depth-first search over maximal selections of counted weight <= bound.
+
+    The dict-based form of ``quality._search``, kept as its oracle: the
+    same traversal, one ``echelon_insert`` and one node-cap check per row
+    insertion.
+
+    A dependency ends the search when ``first_only``; otherwise it lowers
+    the bound to its weight - 1 and the search backtracks, each frame
+    reading the bound as it starts.  Returns the final bound, the last
+    dependent selection found (or None) and the number of row insertions.
+    Raises :class:`_NodeCap` past ``node_cap`` insertions, and ValueError
+    when the matrices have fewer than alpha*m rows: a selection may reach
+    down to row alpha*m, and a row that is not there cannot be checked.
+    """
+    d = len(mats)
+    depth_cap = alpha * mats[0].ncols
+    if mats[0].nrows < depth_cap:
+        raise ValueError(
+            f"order {alpha} needs {depth_cap} rows for m = {mats[0].ncols}, "
+            f"but the matrices have {mats[0].nrows}"
+        )
+    # rows[j][i] is row i (1-based) of matrix j.
+    rows = [[0, *mat.row_masks[:depth_cap]] for mat in mats]
+    pivots: dict[int, int] = {}
+    chosen: list[tuple[int, int]] = []
+    witness = None
+    nodes = 0
+
+    def insert(j: int, i: int, weight: int) -> int:
+        """Add row i of matrix j to the basis; return its pivot, or -1."""
+        nonlocal nodes, bound, witness
+        nodes += 1
+        if nodes > node_cap:
+            raise _NodeCap
+        chosen.append((j, i))
+        lead = echelon_insert(pivots, rows[j][i])
+        if lead < 0:
+            witness = tuple(chosen)
+            chosen.pop()
+            if first_only:
+                raise _Dependent
+            bound = weight - 1
+        return lead
+
+    def undo(lead: int) -> None:
+        del pivots[lead]
+        chosen.pop()
+
+    def next_coord(j: int, weight: int) -> None:
+        if j < d and weight < bound:
+            counted(j, 0, depth_cap, weight)
+
+    def counted(j: int, depth: int, hi: int, weight: int) -> None:
+        # Spend another counted slot first (heavier selections fail sooner).
+        # The range reads the bound once: a dependency found under row i
+        # weighs at least weight + i, so the lowered bound still admits i - 1.
+        for i in range(min(hi, bound - weight), 0, -1):
+            lead = insert(j, i, weight + i)
+            if lead >= 0:
+                if depth + 1 == alpha:
+                    frees = []
+                    for f in range(i - 1, 0, -1):
+                        free = insert(j, f, weight + i)
+                        if free < 0:
+                            break
+                        frees.append(free)
+                    else:
+                        next_coord(j + 1, weight + i)
+                    for free in reversed(frees):
+                        undo(free)
+                else:
+                    counted(j, depth + 1, i - 1, weight + i)
+                undo(lead)
+        next_coord(j + 1, weight)
+
+    try:
+        next_coord(0, 0)
+    except _Dependent:
+        pass
+    return bound, witness, nodes
 
 
 def scan_minimal_t(mats, alpha: int, *, node_cap: int = 10_000_000) -> NetQualityReport:

@@ -273,7 +273,7 @@ def test_float_engine_agrees_with_exact_path_d2():
     assert pset.dimension == 2
     schemes = [PERIODIC_L2, DIAPHONY]
     exact = both_kernel_measures(pset)
-    floats = _float_kernel_squared(pset, schemes, 1)
+    floats = _float_kernel_squared(pset.numerators, pset.precision, schemes, 1)
     for scheme, rep, got in zip(schemes, exact, floats):
         scale = scheme.prefactor(2) * (1.0 + scheme.kernel_coeff / 6.0) ** 2
         assert abs(got - rep.squared) <= 1e-13 * scale
@@ -451,8 +451,7 @@ def test_fourier_memory_within_its_bound():
 )
 def test_exact_kernel_bytes_bound_the_traced_peak(d, w, n):
     # The one-count pass recounts; a study's counts also extend 2^m - 1 to
-    # 2^m and copy each prefix below N.  At w = 64 the packed Fenwick sums
-    # are the largest ints.
+    # 2^m.  At w = 64 the packed Fenwick sums are the largest ints.
     pset = _random_pset(random.Random(101), n, d, w)
     counts = [n // 2 - 1, n // 2, n - 1, n]
     for run in (
@@ -460,6 +459,20 @@ def test_exact_kernel_bytes_bound_the_traced_peak(d, w, n):
         lambda: list(prefix_kernel_measures(pset, counts)),
     ):
         assert traced_peak(run) <= _exact_kernel_bytes(n, d, w)
+
+
+def test_prefix_pass_holds_no_more_than_the_one_count_pass():
+    # Each prefix is a row view of the set: copying the numerators of the
+    # prefixes below N cost 24 bytes a point, about 200 KB over the
+    # one-count pass here.
+    n = 1 << 13
+    pset = _random_pset(random.Random(107), n, 2, 64)
+
+    def prefix_pass():
+        for _ in prefix_kernel_measures(pset, [n // 2 - 1, n // 2, n - 1, n]):
+            pass
+
+    assert traced_peak(prefix_pass) <= traced_peak(lambda: both_kernel_measures(pset))
 
 
 def test_exact_kernel_refuses_over_its_budget(monkeypatch):

@@ -22,17 +22,21 @@ from dignet.gf2 import BitMatrix
 from dignet.interlace import interlace_matrices
 from dignet.niederreiter import build_matrices
 from dignet.quality import (
+    DEFAULT_NODE_CAP,
     FAIL,
     INCONCLUSIVE,
     PASS,
     CheckOutcome,
     NetQualityReport,
+    _NodeCap,
+    _search,
     check_order_alpha_t,
     minimal_t,
 )
 from support import (
     identity,
     rank,
+    reference_search,
     scan_minimal_t,
     verify_sequence_property,
     zeros,
@@ -418,3 +422,64 @@ def test_minimal_t_equals_scan_on_random_matrices(data):
 def test_minimal_t_refuses_alpha_below_one(alpha):
     with pytest.raises(ValueError, match="alpha must be positive"):
         minimal_t([identity(2)], alpha)
+
+
+def _search_outcome(search, mats, alpha: int, bound: int, node_cap: int, first_only: bool):
+    """The search's (bound, witness, nodes), or the node cap it raised."""
+    try:
+        return search(mats, alpha, bound, node_cap, first_only)
+    except _NodeCap:
+        return "node cap"
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_search_equals_the_dict_based_reference(data):
+    d = data.draw(st.integers(1, 3), label="d")
+    alpha = data.draw(st.integers(1, 4), label="alpha")
+    m = data.draw(st.integers(1, 6 // d), label="m")
+    masks = st.lists(st.integers(0, (1 << m) - 1), min_size=alpha * m, max_size=alpha * m)
+    mats = [BitMatrix(data.draw(masks, label=f"rows of C{j}"), m) for j in range(d)]
+    for first_only in (False, True):
+        for bound in range(alpha * m + 1):
+            want = reference_search(mats, alpha, bound, DEFAULT_NODE_CAP, first_only)
+            assert _search(mats, alpha, bound, DEFAULT_NODE_CAP, first_only) == want
+            # The cap is raised past the last insertion and not before.
+            nodes = want[2]
+            for node_cap in (nodes - 1, nodes, nodes + 1):
+                assert _search_outcome(
+                    _search, mats, alpha, bound, node_cap, first_only
+                ) == _search_outcome(
+                    reference_search, mats, alpha, bound, node_cap, first_only
+                )
+            if nodes:
+                assert _search_outcome(
+                    _search, mats, alpha, bound, nodes - 1, first_only
+                ) == "node cap"
+
+
+# The blocks of the benchmark's verify net, d = 1 and alpha = 4, as the
+# dict-based search found them: t, the witness and the search's insertions.
+_VERIFY_BLOCKS = {
+    1: (2, ((0, 2), (0, 1)), 6),
+    2: (4, ((0, 4), (0, 1)), 21),
+    3: (4, ((0, 5), (0, 3), (0, 1)), 50),
+    4: (7, ((0, 6), (0, 3), (0, 1)), 95),
+    5: (10, ((0, 5), (0, 4), (0, 2)), 240),
+    6: (7, ((0, 7), (0, 6), (0, 4), (0, 1)), 507),
+    7: (11, ((0, 7), (0, 6), (0, 4), (0, 1)), 1083),
+    8: (7, ((0, 8), (0, 7), (0, 6), (0, 5), (0, 4), (0, 3), (0, 2)), 1809),
+    9: (7, ((0, 16), (0, 14)), 2918),
+    10: (10, ((0, 11), (0, 9), (0, 6), (0, 5), (0, 4), (0, 3), (0, 2), (0, 1)), 4990),
+    11: (14, ((0, 11), (0, 9), (0, 6), (0, 5), (0, 4), (0, 3), (0, 2), (0, 1)), 6782),
+    12: (9, ((0, 20), (0, 11), (0, 9)), 11499),
+}
+
+
+def test_verify_net_blocks_are_pinned():
+    # A change to the traversal order moves a witness or a node count here.
+    gset = construct_matrices(1, 4, 12)
+    for m, (t, witness, nodes) in _VERIFY_BLOCKS.items():
+        subs = [mat.submatrix(4 * m, m) for mat in gset.matrices]
+        assert minimal_t(subs, 4) == NetQualityReport(4, m, 1, t, True, witness)
+        assert _search(subs, 4, 4 * m, DEFAULT_NODE_CAP, False) == (4 * m - t, witness, nodes)
