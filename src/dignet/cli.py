@@ -332,9 +332,15 @@ def _cmd_measure(args, parser) -> int:
         parser.error("--bound-bits applies to the walsh method only")
     if args.method == "walsh" and args.cross_check:
         parser.error("--cross-check runs kernel and fourier, not the walsh method")
+    if args.method == "walsh" and args.precision is not None:
+        parser.error("-W/--precision applies to the kernel and fourier methods, "
+                     "not walsh")
     if args.trunc is not None and args.method != "fourier" and not args.cross_check:
         parser.error("--trunc applies to the fourier method and --cross-check only")
+    if args.threads is not None and args.method != "kernel" and not args.cross_check:
+        parser.error("--threads applies to the kernel method and --cross-check only")
     trunc = args.trunc if args.trunc is not None else 256
+    threads = args.threads if args.threads is not None else 1
     if args.method == "walsh" or args.cross_check:
         if args.points_file:
             parser.error("the walsh method and --cross-check need generating "
@@ -362,7 +368,7 @@ def _cmd_measure(args, parser) -> int:
 
     kernel = periodic_l2 if scheme is PERIODIC_L2 else diaphony
     if args.cross_check:
-        rep_kernel = kernel(pset, threads=args.threads)
+        rep_kernel = kernel(pset, threads=threads)
         rep_fourier = fourier_truncated(pset, scheme, trunc)
         _dump_json(
             args.out,
@@ -375,7 +381,7 @@ def _cmd_measure(args, parser) -> int:
         return EXIT_OK
 
     if args.method == "kernel":
-        report = kernel(pset, threads=args.threads)
+        report = kernel(pset, threads=threads)
     elif args.method == "fourier":
         report = fourier_truncated(pset, scheme, trunc)
     else:
@@ -509,8 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="digit bound for the walsh method")
     pe.add_argument("--cross-check", action="store_true",
                     help="run kernel and fourier, report the gap")
-    pe.add_argument("--threads", type=_positive_int, default=1,
-                    help="worker threads for the d >= 3 kernel")
+    pe.add_argument("--threads", type=_positive_int,
+                    help="worker threads for the d >= 3 kernel, with the kernel "
+                         "method and --cross-check (default 1)")
     pe.add_argument("--out", type=_path)
     pe.set_defaults(func=_cmd_measure, parser=pe)
 

@@ -1,10 +1,11 @@
 """Shared exception types and the memory budget of the oracles."""
 
-__all__ = ["PrecisionError", "BudgetError", "BUDGET_BYTES"]
+__all__ = ["PrecisionError", "BudgetError", "BUDGET_BYTES", "check_budget"]
 
-# Bytes the Fourier oracle, the Walsh series, a generated point set or the
-# numerators of a points file may hold at once; a request whose bound
-# exceeds it is refused with BudgetError before it allocates.
+# Bytes the exact d <= 2 kernel, the Fourier oracle, the Walsh series, a
+# generated point set or the numerators of a points file may hold at once;
+# a request whose bound exceeds it is refused with BudgetError before it
+# allocates.
 BUDGET_BYTES = 1 << 30
 
 
@@ -14,3 +15,10 @@ class PrecisionError(ValueError):
 
 class BudgetError(RuntimeError):
     """Raised when an evaluation would exceed its memory or size budget."""
+
+
+def check_budget(need: int, what: str) -> None:
+    """Refuse a request whose bound of ``need`` bytes exceeds the budget;
+    ``what`` names the request and its need."""
+    if need > BUDGET_BYTES:
+        raise BudgetError(f"{what}, over its budget of {BUDGET_BYTES}")

@@ -22,16 +22,22 @@ share one pass (``prefix_kernel_measures``): each coordinate is sorted once
 for all of them, and a count one more than the previous one (2^m after
 2^m - 1) extends the previous pair totals by its new point in O(N).
 
+The four kernel entry points differ only in the schemes and counts they
+pass to one report path, ``_kernel_reports``: it checks the counts and the
+exact pass's memory budget and yields one ``MeasureReport`` per scheme and
+count, from the exact coefficients (d <= 2) or the float engine (d >= 3).
+
 The other pairwise sums, the d >= 3 kernel and the Fourier oracle, run
 through one float engine, ``_pair_sum``, on one fixed grid of ``_STRIP``-row
 strips.  A strip callable supplies the summands; the engine sums them over
 pairs n < p once (every caller's summand is symmetric in the pair and each
 adds its own diagonal) and accumulates with math.fsum over per-row partial
 sums, so results do not depend on ``threads``, which only the d >= 3 kernel
-uses.  That kernel's summands come from the coordinate differences
-(``_difference_factors``).  The Fourier oracle shares no summand code with
-it: its pair factors are Gram products of per-point cosine and sine
-features.
+uses.  That kernel's summands are products over the coordinates of
+1 + c/6 + c*t(t - 1), t the exact coordinate difference mod 1, with t(t - 1)
+formed once per coordinate for all schemes.  The Fourier oracle shares no
+summand code with it: its pair factors are Gram products of per-point
+cosine and sine features.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BUDGET_BYTES, BudgetError
+from .errors import check_budget
 from .sequence import PointSet
 
 __all__ = [
@@ -162,32 +168,6 @@ def _pair_sum(
     ]
 
 
-def _difference_factors(
-    numerators: np.ndarray,
-    precision: int,
-    factor_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
-) -> Callable[[slice, slice], list[np.ndarray]]:
-    """Strip callable of prod_j fn(t_j), one array per factor function, where
-    t_j = {x_j - y_j} is taken exactly as numerators mod 2^precision."""
-    columns = np.ascontiguousarray(numerators.T)
-    mask = np.uint64((1 << precision) - 1)
-    scale = 2.0**-precision
-
-    def strip_terms(rows: slice, cols: slice) -> list[np.ndarray]:
-        prods: list[np.ndarray] = []
-        for col in columns:
-            diff = (col[rows, None] - col[None, cols]) & mask
-            t = diff.astype(np.float64) * scale
-            if not prods:
-                prods = [fn(t) for fn in factor_fns]
-            else:
-                for prod, fn in zip(prods, factor_fns):
-                    prod *= fn(t)
-        return prods
-
-    return strip_terms
-
-
 def _float_kernel_squared(
     numerators: np.ndarray,
     precision: int,
@@ -195,25 +175,35 @@ def _float_kernel_squared(
     threads: int,
 ) -> list[float]:
     """Squared kernel measures of the (N, d) numerator rows from the float
-    O(N^2 d) pair engine."""
+    O(N^2 d) pair engine.
+
+    Each scheme's summand is prod_j (1 + c/6 + c*q_j) with q_j = t(t - 1)
+    and t = {x_j - y_j} taken exactly as numerators mod 2^precision.
+    """
     n, d = numerators.shape
+    columns = np.ascontiguousarray(numerators.T)
+    mask = np.uint64((1 << precision) - 1)
+    scale = 2.0**-precision
+    factors = [(1.0 + s.kernel_coeff / 6.0, s.kernel_coeff) for s in schemes]
 
-    def make_factor(coeff: float) -> Callable[[np.ndarray], np.ndarray]:
-        base = 1.0 + coeff / 6.0
+    def strip_terms(rows: slice, cols: slice) -> list[np.ndarray]:
+        prods: list[np.ndarray] = []
+        for col in columns:
+            diff = (col[rows, None] - col[None, cols]) & mask
+            t = diff.astype(np.float64) * scale
+            q = t * (t - 1.0)
+            if not prods:
+                prods = [base + c * q for base, c in factors]
+            else:
+                for prod, (base, c) in zip(prods, factors):
+                    prod *= base + c * q
+        return prods
 
-        def factor(t: np.ndarray) -> np.ndarray:
-            return base + coeff * (t * (t - 1.0))
-
-        return factor
-
-    fns = [make_factor(s.kernel_coeff) for s in schemes]
-    upper_sums = _pair_sum(n, _difference_factors(numerators, precision, fns), threads)
-    out = []
-    for scheme, upper in zip(schemes, upper_sums):
-        diag = n * (1.0 + scheme.kernel_coeff / 6.0) ** d
-        total = diag + 2.0 * upper
-        out.append(scheme.prefactor(d) * (total / (n * n) - 1.0))
-    return out
+    upper_sums = _pair_sum(n, strip_terms, threads)
+    return [
+        s.prefactor(d) * ((n * base**d + 2.0 * upper) / (n * n) - 1.0)
+        for s, (base, _), upper in zip(schemes, factors, upper_sums)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +428,36 @@ def _kernel_coefficients(
         yield [first, second]
 
 
-def _prefix_kernel_squared(
+def _report(
+    pset: PointSet,
+    scheme: WeightScheme,
+    method: str,
+    squared: float,
+    size: int,
+    truncation: dict | None = None,
+) -> MeasureReport:
+    """The report of the prefix pset[:size]."""
+    return MeasureReport(
+        measure=scheme.name,
+        method=method,
+        value=math.sqrt(max(squared, 0.0)),
+        squared=squared,
+        size=size,
+        dimension=pset.dimension,
+        truncation=truncation,
+        generator=pset.provenance or None,
+    )
+
+
+def _kernel_reports(
     pset: PointSet,
     schemes: Sequence[WeightScheme],
     counts: Sequence[int],
     threads: int,
-) -> Iterator[list[float]]:
-    """The squared kernel measures of each prefix pset[:n]: exact pair sums
-    for d <= 2, the float engine on each prefix's row view above."""
+) -> Iterator[tuple[MeasureReport, ...]]:
+    """The kernel report of each scheme for each prefix pset[:n]: one exact
+    pass (``_kernel_coefficients``) for d <= 2, and for d >= 3 the float
+    engine on each prefix's row view."""
     counts = list(counts)
     if any(a >= b for a, b in zip([0, *counts], counts)) or (
         counts and counts[-1] > pset.size
@@ -453,77 +465,43 @@ def _prefix_kernel_squared(
         raise ValueError(
             f"counts must rise strictly within [1, {pset.size}], got {counts}"
         )
-    d = pset.dimension
+    d, w = pset.dimension, pset.precision
     exact = None
     if d <= 2:
-        need = _exact_kernel_bytes(pset.size, d, pset.precision)
-        if need > BUDGET_BYTES:
-            raise BudgetError(
-                f"the exact kernel at N={pset.size}, d={d}, w={pset.precision} "
-                f"needs about {need} bytes, over its budget of {BUDGET_BYTES}"
-            )
+        need = _exact_kernel_bytes(pset.size, d, w)
+        check_budget(need, f"the exact kernel at N={pset.size}, d={d}, w={w} "
+                           f"needs about {need} bytes")
         exact = _kernel_coefficients(pset, counts)
     for n in counts:
         if exact is None:
-            yield _float_kernel_squared(
-                pset.numerators[:n], pset.precision, schemes, threads
-            )
-            continue
-        coeffs = [float(a) for a in next(exact)]
-        out = []
-        for scheme in schemes:
-            c = scheme.kernel_coeff
-            poly = sum(a * c ** (k + 1) for k, a in enumerate(coeffs))
-            out.append(scheme.prefactor(d) * poly)
-        yield out
-
-
-def _kernel_squared(
-    pset: PointSet, schemes: Sequence[WeightScheme], threads: int
-) -> list[float]:
-    """Squared kernel measures of the whole set: the one-count pass."""
-    return next(_prefix_kernel_squared(pset, schemes, [pset.size], threads))
-
-
-def _report(
-    pset: PointSet,
-    scheme: WeightScheme,
-    method: str,
-    squared: float,
-    *,
-    size: int | None = None,
-    truncation: dict | None = None,
-) -> MeasureReport:
-    """The report of pset, or of its prefix pset[:size] when size is given."""
-    return MeasureReport(
-        measure=scheme.name,
-        method=method,
-        value=math.sqrt(max(squared, 0.0)),
-        squared=squared,
-        size=pset.size if size is None else size,
-        dimension=pset.dimension,
-        truncation=truncation,
-        generator=pset.provenance or None,
-    )
+            squared = _float_kernel_squared(pset.numerators[:n], w, schemes, threads)
+        else:
+            coeffs = [float(a) for a in next(exact)]
+            squared = [
+                s.prefactor(d)
+                * sum(a * s.kernel_coeff ** (k + 1) for k, a in enumerate(coeffs))
+                for s in schemes
+            ]
+        yield tuple(
+            _report(pset, s, "kernel", sq, n) for s, sq in zip(schemes, squared)
+        )
 
 
 def periodic_l2(pset: PointSet, *, threads: int = 1) -> MeasureReport:
     """Periodic L2 discrepancy via the closed-form pairwise kernel."""
-    squared = _kernel_squared(pset, [PERIODIC_L2], threads)[0]
-    return _report(pset, PERIODIC_L2, "kernel", squared)
+    return next(_kernel_reports(pset, [PERIODIC_L2], [pset.size], threads))[0]
 
 
 def diaphony(pset: PointSet, *, threads: int = 1) -> MeasureReport:
     """Diaphony via the closed-form pairwise kernel."""
-    squared = _kernel_squared(pset, [DIAPHONY], threads)[0]
-    return _report(pset, DIAPHONY, "kernel", squared)
+    return next(_kernel_reports(pset, [DIAPHONY], [pset.size], threads))[0]
 
 
 def both_kernel_measures(
     pset: PointSet, *, threads: int = 1
 ) -> tuple[MeasureReport, MeasureReport]:
     """Periodic L2 discrepancy and diaphony in one pass over the pairs."""
-    return next(prefix_kernel_measures(pset, [pset.size], threads=threads))
+    return next(_kernel_reports(pset, (PERIODIC_L2, DIAPHONY), [pset.size], threads))
 
 
 def prefix_kernel_measures(
@@ -541,14 +519,7 @@ def prefix_kernel_measures(
     with ``BudgetError`` before the pass.  For d >= 3 each prefix runs the
     float engine.
     """
-    schemes = (PERIODIC_L2, DIAPHONY)
-    for n, (sq_l2, sq_dia) in zip(
-        counts, _prefix_kernel_squared(pset, schemes, counts, threads)
-    ):
-        yield (
-            _report(pset, PERIODIC_L2, "kernel", sq_l2, size=n),
-            _report(pset, DIAPHONY, "kernel", sq_dia, size=n),
-        )
+    return _kernel_reports(pset, (PERIODIC_L2, DIAPHONY), counts, threads)
 
 
 def _fourier_bytes(size: int, dimension: int, trunc: int) -> int:
@@ -610,11 +581,8 @@ def fourier_truncated(
     n = pset.size
     d = pset.dimension
     need = _fourier_bytes(n, d, trunc)
-    if need > BUDGET_BYTES:
-        raise BudgetError(
-            f"the Fourier oracle at N={n}, d={d}, trunc={trunc} needs about "
-            f"{need} bytes, over its budget of {BUDGET_BYTES}"
-        )
+    check_budget(need, f"the Fourier oracle at N={n}, d={d}, trunc={trunc} "
+                       f"needs about {need} bytes")
     hs = np.arange(1, trunc + 1, dtype=np.uint64)
     weights = scheme.inverse_weight_sq(hs)
     k_zero = 1.0 + 2.0 * float(weights.sum())
@@ -638,4 +606,4 @@ def fourier_truncated(
     upper = _pair_sum(n, strip_terms, 1)[0]
     total = n * k_zero**d + 2.0 * upper
     squared = scheme.prefactor(d) * (total / (n * n) - 1.0)
-    return _report(pset, scheme, "fourier", squared, truncation={"H": trunc})
+    return _report(pset, scheme, "fourier", squared, n, truncation={"H": trunc})

@@ -28,7 +28,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import BUDGET_BYTES, BudgetError, PrecisionError
+from .errors import PrecisionError, check_budget
 from .niederreiter import GeneratingMatrixSet
 
 __all__ = [
@@ -184,7 +184,9 @@ def generate_points(
         raise ValueError(
             f"cannot index {count} points with {gset.cols} matrix columns"
         )
-    _check_budget(count, gset.dimension)
+    need = count * gset.dimension * 8
+    check_budget(need, f"room for {count} rows of points at d={gset.dimension} "
+                       f"needs {need} bytes of numerators")
     digit_images = np.array(_column_numerators(gset, precision), dtype=np.uint64).T
     nums = np.zeros((count, gset.dimension), dtype=np.uint64)
     for b in range((count - 1).bit_length()):
@@ -341,20 +343,6 @@ def _line_bound(fh: IO[str]) -> int:
     return lines
 
 
-def _check_budget(rows: int, d: int) -> None:
-    """Refuse, before allocating it, room for ``rows`` rows over the budget.
-
-    The one bound on a point set's numerators, ``rows * d * 8`` bytes
-    against ``errors.BUDGET_BYTES``, for generated sets and read files.
-    """
-    need = rows * d * 8
-    if need > BUDGET_BYTES:
-        raise BudgetError(
-            f"room for {rows} rows of points at d={d} needs {need} bytes "
-            f"of numerators, over the budget of {BUDGET_BYTES}"
-        )
-
-
 def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     """Rebuild a point set from the CSV form; the hex fields are authoritative.
 
@@ -417,7 +405,9 @@ def _read_points(source: IO[str], bound: int | None) -> PointSet:
             dtype = _row_dtype(batch[0])
             d = (len(dtype) - 1) // 2
             if bound is not None:
-                _check_budget(bound, d)
+                need = bound * d * 8
+                check_budget(need, f"room for {bound} rows of points at d={d} "
+                                   f"needs {need} bytes of numerators")
                 numerators = np.empty((bound, d), dtype=np.uint64)
         table = _load_rows(batch, dtype, row)
         # The index is compared as text, so it must read exactly as the row
@@ -429,7 +419,9 @@ def _read_points(source: IO[str], bound: int | None) -> PointSet:
             raise ValueError(f"row {row + wrong[0]} has index {index!r}")
         end = row + len(batch)
         if numerators is None:
-            _check_budget(end, d)
+            need = end * d * 8
+            check_budget(need, f"room for {end} rows of points at d={d} "
+                               f"needs {need} bytes of numerators")
             chunk = np.empty((len(batch), d), dtype=np.uint64)
             chunks.append(chunk)
         elif end <= len(numerators):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BUDGET_BYTES, BudgetError
+from .errors import BudgetError, check_budget
 from .gf2 import BitMatrix, nullspace_basis
 from .measures import PERIODIC_L2, MeasureReport
 from .niederreiter import GeneratingMatrixSet
@@ -79,11 +79,8 @@ def _dual_member_coords(gset: GeneratingMatrixSet, bound_bits: int) -> list[np.n
     stacked = _stacked_transpose(gset, bound_bits)
     basis = nullspace_basis(stacked)
     need = _walsh_bytes(1 << len(basis), d)
-    if need > BUDGET_BYTES:
-        raise BudgetError(
-            f"the Walsh series over 2^{len(basis)} dual-net members at d={d} "
-            f"needs about {need} bytes, over its budget of {BUDGET_BYTES}"
-        )
+    check_budget(need, f"the Walsh series over 2^{len(basis)} dual-net members "
+                       f"at d={d} needs about {need} bytes")
     combos = [0]
     for vec in basis:
         combos.extend([c ^ vec for c in combos])
@@ -209,8 +206,8 @@ def walsh_series_l2(
     the cap level, bound_bits plus the smallest nonzero member weight,
     scaled by the prefactor.
     The member count M = 2^rank is known from the nullspace basis; when its
-    bound ``_walsh_bytes`` exceeds ``BUDGET_BYTES`` (1 GiB) the request is
-    refused with ``BudgetError`` before any member is enumerated.
+    bound ``_walsh_bytes`` exceeds ``errors.BUDGET_BYTES`` (1 GiB) the
+    request is refused with ``BudgetError`` before any member is enumerated.
     """
     if bound_bits is None:
         bound_bits = gset.rows

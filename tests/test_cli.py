@@ -299,7 +299,7 @@ def test_points_file_over_the_budget_is_refused(tmp_path, capsys, monkeypatch):
     # 304 bytes of numerators, refused before the array is allocated.
     path = tmp_path / "pts.csv"
     assert main(["points", "-d", "2", "-m", "4", "--out", str(path)]) == 0
-    monkeypatch.setattr("dignet.sequence.BUDGET_BYTES", 303)
+    monkeypatch.setattr("dignet.errors.BUDGET_BYTES", 303)
     assert main(["measure", "--points", str(path)]) == EXIT_REFUSED
     err = capsys.readouterr().err
     assert err.startswith("refused: ") and "304 bytes" in err and "budget" in err
@@ -313,7 +313,7 @@ def test_points_file_over_the_exact_kernel_budget_is_refused(
     # 64 KiB plus a few hundred bytes per point, does not fit 64 KiB.
     path = tmp_path / "pts.csv"
     assert main(["points", "-d", "2", "-m", "4", "--out", str(path)]) == 0
-    monkeypatch.setattr("dignet.measures.BUDGET_BYTES", 1 << 16)
+    monkeypatch.setattr("dignet.errors.BUDGET_BYTES", 1 << 16)
     assert main(["measure", "--points", str(path)]) == EXIT_REFUSED
     err = capsys.readouterr().err
     assert err.startswith("refused: the exact kernel at N=16, d=2") and "budget" in err
@@ -330,6 +330,11 @@ def test_measure_walsh_usage_errors(tmp_path):
     assert exc.value.code == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:
         main(["measure", "-d", "1", "-m", "2", "--method", "walsh", "--cross-check"])
+    assert exc.value.code == EXIT_USAGE
+    # The walsh method sums the matrices' whole net at their full precision.
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "-d", "1", "-a", "2", "-m", "4", "--method", "walsh",
+              "-W", "3"])
     assert exc.value.code == EXIT_USAGE
     pts = tmp_path / "pts.csv"
     assert main(["points", "-d", "1", "-m", "1", "-N", "1", "--out", str(pts)]) == 0
@@ -362,6 +367,7 @@ def test_measure_rejects_walsh_flags_without_walsh(flags, capsys):
         ["--method", "walsh", "--bound-bits", "7"],
         ["--method", "walsh"],
         ["--cross-check", "--trunc", "16", "--threads", "2"],
+        ["--method", "kernel", "--threads", "2"],
     ],
 )
 def test_measure_accepts_method_flags(flags, tmp_path):
@@ -383,6 +389,23 @@ def test_measure_rejects_trunc_without_fourier(flags, capsys):
     assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "--trunc applies to the fourier method" in err
+    assert "usage: dignet measure" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "fourier", "--threads", "2"],
+        ["--method", "fourier", "--trunc", "8", "--threads", "4"],
+        ["--method", "walsh", "--threads", "2"],
+    ],
+)
+def test_measure_rejects_threads_without_kernel(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "-d", "1", "-a", "2", "-m", "4"] + flags)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--threads applies to the kernel method" in err
     assert "usage: dignet measure" in err
 
 

@@ -482,12 +482,12 @@ def test_exact_kernel_refuses_over_its_budget(monkeypatch):
     assert _exact_kernel_bytes(8192, 2, 52) < BUDGET_BYTES // 100
     pset = _random_pset(random.Random(103), 64, 2, 30)
     need = _exact_kernel_bytes(64, 2, 30)
-    monkeypatch.setattr("dignet.measures.BUDGET_BYTES", need - 1)
+    monkeypatch.setattr("dignet.errors.BUDGET_BYTES", need - 1)
     with pytest.raises(BudgetError, match=f"N=64, d=2, w=30 needs about {need} bytes"):
         both_kernel_measures(pset)
     with pytest.raises(BudgetError):
         next(prefix_kernel_measures(pset, [32, 64]))
-    monkeypatch.setattr("dignet.measures.BUDGET_BYTES", need)
+    monkeypatch.setattr("dignet.errors.BUDGET_BYTES", need)
     assert both_kernel_measures(pset)[0].size == 64
 
 
@@ -508,6 +508,57 @@ def test_reproducible_across_threads_and_blocks():
             assert both == base, (d, w, n, threads)
             assert periodic_l2(pset, threads=threads).squared == base[0]
             assert diaphony(pset, threads=threads).squared == base[1]
+
+
+# float.hex() of (per-l2, diaphony) .squared for the first n points of the
+# d-dimensional set generated below, n in _PINNED_COUNTS: d <= 2 runs the
+# exact path and d >= 3 the float engine over three strips.
+_PINNED_COUNTS = [1, 2, 5, 64, 65, 130]
+_PINNED = {
+    1: [("0x1.5555555555555p-3", "0x1.a51a6625307d2p+1"),
+        ("0x1.2aaaaaaaaaaaap-4", "0x1.707719608a6d9p+0"),
+        ("0x1.9f92c5f92c5f9p-7", "0x1.0058b5dc66286p-2"),
+        ("0x1.d5caaaaaaaaaap-14", "0x1.21ca86c31fba6p-9"),
+        ("0x1.2e13a6e3c8d22p-13", "0x1.74ac19fc72350p-9"),
+        ("0x1.3cad72e6ef6b0p-15", "0x1.86af6c72ec033p-11")],
+    2: [("0x1.1c71c71c71c72p-3", "0x1.16728f351a921p+4"),
+        ("0x1.00e38e38e38e3p-4", "0x1.0bfe6bdaa0480p+3"),
+        ("0x1.1aa0dcba98765p-6", "0x1.582494b0319b7p+1"),
+        ("0x1.ed4ef1192c71cp-13", "0x1.201e93d1e2b75p-4"),
+        ("0x1.0f457c1eff1f2p-12", "0x1.2362e17d1588ep-4"),
+        ("0x1.ddd1cbb06ec35p-14", "0x1.2ef647ab61908p-5")],
+    3: [("0x1.684bda12f684ap-4", "0x1.37c9051dec61dp+6"),
+        ("0x1.4d97b425ed096p-5", "0x1.349a0302db713p+5"),
+        ("0x1.eeef5c00a9e87p-7", "0x1.e14bc3a07a9f2p+3"),
+        ("0x1.7c70ee9d00d08p-12", "0x1.7ac27dc7e28d8p-1"),
+        ("0x1.829d8be1107b2p-12", "0x1.79d610851b3ecp-1"),
+        ("0x1.cce20a7eb1096p-14", "0x1.3877b04aa9e5cp-2")],
+    4: [("0x1.9add3c0ca4586p-5", "0x1.51ab5431d46fdp+8"),
+        ("0x1.83da781948b0ep-6", "0x1.50ca1739a5950p+7"),
+        ("0x1.485a84c763766p-7", "0x1.0f8d90d49aa6cp+6"),
+        ("0x1.de62cd2e82a11p-12", "0x1.4236c940b8992p+2"),
+        ("0x1.e613662585ca3p-12", "0x1.3f1ea30006566p+2"),
+        ("0x1.2b1bd5fa12064p-12", "0x1.707aec888c7fcp+1")],
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_kernel_squared_values_pinned_to_the_bit(d, threads):
+    # The prefix counts extend (1 -> 2, 64 -> 65) and recount (5, 64, 130).
+    pset = generate_points(construct_matrices(d, 2, 8), 130)
+    want = dict(zip(_PINNED_COUNTS, _PINNED[d]))
+
+    def hexes(reports):
+        return tuple(r.squared.hex() for r in reports)
+
+    prefixes = prefix_kernel_measures(pset, _PINNED_COUNTS, threads=threads)
+    assert [hexes(r) for r in prefixes] == _PINNED[d]
+    for n in (65, 130):
+        prefix = PointSet(pset.numerators[:n], pset.precision, pset.provenance)
+        assert hexes(both_kernel_measures(prefix, threads=threads)) == want[n]
+        assert hexes([periodic_l2(prefix, threads=threads),
+                      diaphony(prefix, threads=threads)]) == want[n]
 
 
 def test_both_kernel_measures_match_individual_calls():

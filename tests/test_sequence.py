@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dignet import sequence
+from dignet import errors, sequence
 
 from dignet.errors import BudgetError, PrecisionError
 from dignet.interlace import interlace_matrices
@@ -142,7 +142,7 @@ def test_generate_points_refuses_numerators_over_the_budget(monkeypatch):
     with pytest.raises(BudgetError, match="140737488355328 bytes"):
         generate_points(build_matrices(1, 44, 44), 1 << 44)
     # The bound is count * d * 8 bytes, inclusive.
-    monkeypatch.setattr(sequence, "BUDGET_BYTES", 8 * 2 * 8)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 8 * 2 * 8)
     gset = build_matrices(2, 4, 4)
     assert generate_points(gset, 8).size == 8
     with pytest.raises(BudgetError):
@@ -254,14 +254,14 @@ def test_points_csv_reader_refuses_a_file_over_the_budget(tmp_path, monkeypatch)
     path = tmp_path / "pts.csv"
     pts = generate_points(build_matrices(2, 4, 4), 16)
     write_points_csv(pts, path)
-    monkeypatch.setattr(sequence, "BUDGET_BYTES", 303)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 303)
     with pytest.raises(BudgetError, match="19 rows of points at d=2 needs 304 bytes"):
         read_points_csv(path)
-    monkeypatch.setattr(sequence, "BUDGET_BYTES", 304)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 304)
     assert read_points_csv(path).numerators.tolist() == pts.numerators.tolist()
     # A stream is refused once its rows read so far exceed the budget.
     monkeypatch.setattr(sequence, "_CSV_CHUNK", 7)
-    monkeypatch.setattr(sequence, "BUDGET_BYTES", 16 * 2 * 8 - 1)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 16 * 2 * 8 - 1)
     with pytest.raises(BudgetError, match="room for 16 rows of points at d=2"):
         read_points_csv(io.StringIO(path.read_text()))
 
