@@ -328,20 +328,22 @@ def _cmd_measure(args, parser) -> int:
     _bind("DIAPHONY", "PERIODIC_L2", "PointSet", "diaphony", "fourier_truncated",
           "generate_points", "periodic_l2", "read_points_csv")
     scheme = PERIODIC_L2 if args.measure == "per-l2" else DIAPHONY
-    if args.method != "walsh" and args.bound_bits is not None:
+    if args.method is not None and args.cross_check:
+        parser.error("--method and --cross-check exclude each other: "
+                     "--cross-check runs kernel and fourier")
+    method = args.method if args.method is not None else "kernel"
+    if method != "walsh" and args.bound_bits is not None:
         parser.error("--bound-bits applies to the walsh method only")
-    if args.method == "walsh" and args.cross_check:
-        parser.error("--cross-check runs kernel and fourier, not the walsh method")
-    if args.method == "walsh" and args.precision is not None:
+    if method == "walsh" and args.precision is not None:
         parser.error("-W/--precision applies to the kernel and fourier methods, "
                      "not walsh")
-    if args.trunc is not None and args.method != "fourier" and not args.cross_check:
+    if args.trunc is not None and method != "fourier" and not args.cross_check:
         parser.error("--trunc applies to the fourier method and --cross-check only")
-    if args.threads is not None and args.method != "kernel" and not args.cross_check:
+    if args.threads is not None and method != "kernel" and not args.cross_check:
         parser.error("--threads applies to the kernel method and --cross-check only")
     trunc = args.trunc if args.trunc is not None else 256
     threads = args.threads if args.threads is not None else 1
-    if args.method == "walsh" or args.cross_check:
+    if method == "walsh" or args.cross_check:
         if args.points_file:
             parser.error("the walsh method and --cross-check need generating "
                          "matrices, not a points file")
@@ -363,7 +365,7 @@ def _cmd_measure(args, parser) -> int:
     else:
         gset = _inline_gset(args, parser)
         count = args.count if args.count is not None else 1 << gset.cols
-        if args.method != "walsh":
+        if method != "walsh":
             pset = generate_points(gset, count, args.precision)
 
     kernel = periodic_l2 if scheme is PERIODIC_L2 else diaphony
@@ -380,9 +382,9 @@ def _cmd_measure(args, parser) -> int:
         )
         return EXIT_OK
 
-    if args.method == "kernel":
+    if method == "kernel":
         report = kernel(pset, threads=threads)
-    elif args.method == "fourier":
+    elif method == "fourier":
         report = fourier_truncated(pset, scheme, trunc)
     else:
         if scheme is not PERIODIC_L2:
@@ -507,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="read points from a CSV file instead")
     pe.add_argument("--measure", choices=["per-l2", "diaphony"], default="per-l2")
     pe.add_argument("--method", choices=["kernel", "fourier", "walsh"],
-                    default="kernel")
+                    help="kernel (the default), fourier or walsh; not with "
+                         "--cross-check")
     pe.add_argument("--trunc", type=_positive_int,
                     help="frequency bound for the fourier method and "
                          "--cross-check (default 256)")

@@ -568,6 +568,21 @@ def fourier_truncated(
     h*x_n mod 2^w is reduced exactly in integers before one rounding to an
     angle.
 
+    ``truncation`` holds H = trunc and ``tail_bound``, a rigorous bound
+    0 <= exact^2 - fourier^2 <= tail_bound on what the truncation drops.
+    The squared measure is prefactor * sum over h != 0 of W(h)*|S(h)/N|^2,
+    W(h) = prod_j w(h_j) with w(0) = 1 and w(h) = kappa/h^2 otherwise, and
+    every dropped term lies in [0, prefactor * W(h)] because |S(h)| <= N.
+    Per coordinate the weights sum to A = 1 + 2*sum_{h>=1} w(h) = 1 + c/6,
+    and those with |h| <= H to A - tau, tau = 2*kappa*sum_{h>H} h^-2, so
+    the dropped weights sum to A^d - (A - tau)^d <= d * A^(d-1) * tau.  As
+    1/h^2 is below its integral over [h - 1/2, h + 1/2], sum_{h>H} h^-2 <
+    1/(H + 1/2), and the bound uses 1/H: tail_bound = prefactor * d *
+    A^(d-1) * 2*kappa/H.  Taking 1/H leaves a relative margin of 1/(2H);
+    the formula's float operations, pi and the two powers included, err by
+    at most a few dozen units of 2^-53 relative, which cannot use it up
+    while H < 2^45, and the memory budget keeps H below 2^26.
+
     Cost: O(N*trunc*d) cosines and sines plus O(N^2*trunc*d) BLAS flops, one
     GEMM per strip of the pair engine's grid and coordinate.  The engine
     runs on one worker, since the GEMMs already use the BLAS threads.
@@ -606,4 +621,8 @@ def fourier_truncated(
     upper = _pair_sum(n, strip_terms, 1)[0]
     total = n * k_zero**d + 2.0 * upper
     squared = scheme.prefactor(d) * (total / (n * n) - 1.0)
-    return _report(pset, scheme, "fourier", squared, n, truncation={"H": trunc})
+    kappa = float(scheme.inverse_weight_sq(np.ones(1))[0])
+    full = 1.0 + scheme.kernel_coeff / 6.0
+    tail_bound = scheme.prefactor(d) * d * full ** (d - 1) * 2.0 * kappa / trunc
+    return _report(pset, scheme, "fourier", squared, n,
+                   truncation={"H": trunc, "tail_bound": tail_bound})

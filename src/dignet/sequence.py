@@ -13,16 +13,20 @@ generator, yields one chunk at a time.  A set's numerators are
 held once: ``PointSet`` adopts an owned read-only uint64 array instead of
 copying it, ``generate_points`` hands over the array it fills, and the CSV
 reader of a file fills one array sized by a count of the file's lines, so
-it holds the numerators plus one chunk of the file.
+it holds the numerators plus one chunk of the file.  The CSV writer formats
+a chunk of rows as array operations on byte planes, one per byte position of
+a row; its float column is '%.17g', with the 17 digits rounded exactly in
+integer arithmetic on 32-bit limbs rather than by Python's formatting.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import IO
 
@@ -204,12 +208,13 @@ def generate_points(
 
 
 # Lines per chunk in both CSV directions: the writer formats this many rows
-# with one string operation, and the reader takes this many lines at a time
+# as one block of byte planes, and the reader takes this many lines at a time
 # and hands their data rows to numpy's C tokenizer, so neither direction
 # ever holds the whole file.  It bounds everything either direction holds
-# besides the numerators: the chunk's lines, numpy's parsed table, the
-# decoded fields and the formatted rows (a few hundred KiB at d = 2).
-# ``PointSet.points`` converts this many rows at a time as well.
+# besides the numerators: the chunk's lines, numpy's parsed table and the
+# decoded fields, or the writer's planes, integer temporaries and text
+# (about 1.5 MB at d = 2).  ``PointSet.points`` converts this many rows at a
+# time as well.
 _CSV_CHUNK = 1 << 11
 
 # Bytes per read of the binary pass that bounds a points file's rows.
@@ -220,6 +225,168 @@ _COUNT_BLOCK = 1 << 16
 # width without a word, so a field that fills it is refused as too long.
 _HEX_BYTES = 32
 
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+
+# The float field is '%.17g' % v for v = float64(num) * 2^-w, formed in
+# integers.  A nonzero v in [2^-64, 1] is M * 2^e with 2^52 <= M < 2^53 and
+# has k = floor(log10 v) in [-20, 0]; with q = 16 - k its 17 significant
+# digits are D = round_half_even(M * 5^q / 2^t), t = -(e + q).  A float
+# estimate of k may be one off, so q runs over [16, 37]: 5^q < 2^86 is three
+# 32-bit limbs, M * 5^q < 2^139 fits five, and the bit below the quotient,
+# t - 1, lies in [14, 99].
+_Q_MIN = 16
+_POW5_LIMBS = np.array(
+    [[(5**q >> 32 * i) & 0xFFFFFFFF for q in range(_Q_MIN, 38)] for i in range(3)],
+    dtype=np.uint64,
+)
+
+# Float field layout, planes 0-26: "0." and the leading zeros of the fixed
+# form (k >= -4), the first digit, the "." of the exponent form, the other 16
+# digits with trailing zeros blanked, and the exponent form's "e-XX".
+_FLOAT_PLANES = 27
+# Column -k: the fixed form's 5 leading bytes, and the exponent form's last 4.
+_FIXED_LEAD = np.array(
+    [list(b"0." + b"0" * (-k - 1)) + [0] * (4 + k) if -4 <= k < 0 else [0] * 5
+     for k in range(0, -21, -1)], dtype=np.uint8).T.copy()
+_EXPONENT = np.array(
+    [list(b"e-%02d" % -k) if k < -4 else [0] * 4 for k in range(0, -21, -1)],
+    dtype=np.uint8).T.copy()
+
+
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """(4, 2 * 10^4) ASCII table: column g holds the 4 digits of g, and
+    column 10^4 + g blanks their trailing zeros, for the last group with a
+    nonzero digit and the groups after it.  Built on first use, so that
+    importing the module costs no numpy work (about 0.4 MB of RSS)."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + np.uint8(ord("0"))
+    trailing = np.logical_and.accumulate(digits[::-1] == ord("0"), axis=0)[::-1]
+    table = np.concatenate([digits, digits * ~trailing], axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def _round_digits(M: np.ndarray, e: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round_half_even(M * 2^e * 10^(16 - k)) for the nonzero floats M * 2^e.
+
+    The product P = M * 5^q is formed in 32-bit limbs held in uint64 (the
+    top one keeps its carries), and bits [t - 1, t + 63) of it are read as
+    one word.  Since 5^q is odd, P has a bit set below bit t - 1 exactly
+    when M does, which with that bit decides the rounding.
+    """
+    q = 16 - k
+    t1 = (-1 - e - q).astype(np.uint64)
+    pow5 = _POW5_LIMBS.take(q - _Q_MIN, axis=1)
+    low = (M & _LOW32) * pow5
+    high = (M >> _U64(32)) * pow5
+    n = len(M)
+    limbs = np.zeros((6, n), np.uint64)
+    limbs[0] = low[0] & _LOW32
+    np.add(low[1:] & _LOW32, low[:2] >> _U64(32), out=limbs[1:3])
+    limbs[1:3] += high[:2]
+    np.add(low[2] >> _U64(32), high[2], out=limbs[3])
+    for i in (1, 2):
+        limbs[i + 1] += limbs[i] >> _U64(32)
+        limbs[i] &= _LOW32
+    flat = limbs.ravel()
+    at = (t1 >> _U64(5)).astype(np.intp) * n + np.arange(n)
+    s = t1 & _U64(31)
+    word = (
+        flat.take(at) >> s
+        | flat[n:].take(at) << (_U64(32) - s)
+        | flat[2 * n :].take(at) << (_U64(64) - s)
+    )
+    below = (M << (_U64(64) - np.minimum(t1, _U64(64)))) != 0
+    digits = word >> _U64(1)
+    digits += word & (digits | below) & _U64(1)
+    return digits
+
+
+def _float_planes(values: np.ndarray, out: np.ndarray) -> None:
+    """Fill the (27, n) ``out`` with the planes of '%.17g' % v, v in [0, 1].
+
+    k starts as floor(log10 v) in floats and moves by one wherever the
+    rounded digits fall outside [10^16, 10^17), which also places a value
+    that rounds up to the next power of ten.  Zero is written as "0", and 1
+    (a numerator that float64 rounds up to 2^w) as "1".
+    """
+    zero = values == 0
+    v = np.where(zero, 1.0, values)
+    mantissa, exponent = np.frexp(v)
+    M = (mantissa * 2.0**53).astype(np.uint64)
+    e = exponent - 53
+    k = np.floor(np.log10(v)).astype(np.int64)
+    D = _round_digits(M, e, k)
+    while (wrong := np.flatnonzero((D < _U64(10**16)) | (D >= _U64(10**17)))).size:
+        k[wrong] += np.where(D[wrong] < _U64(10**16), -1, 1)
+        D[wrong] = _round_digits(M[wrong], e[wrong], k[wrong])
+    D[zero] = 0
+    k[zero] = 0
+    lead = D // _U64(10**16)
+    rest = D - lead * _U64(10**16)
+    upper = rest // _U64(10**8)
+    lower = rest - upper * _U64(10**8)
+    groups = np.empty((4, len(v)), np.uint64)
+    groups[0] = upper // _U64(10**4)
+    groups[1] = upper - groups[0] * _U64(10**4)
+    groups[2] = lower // _U64(10**4)
+    groups[3] = lower - groups[2] * _U64(10**4)
+    table = _digit_groups()
+    blank = np.full(len(v), 10**4, np.uint64)
+    for i in (3, 2, 1, 0):
+        out[7 + 4 * i : 11 + 4 * i] = table.take(groups[i] + blank, axis=1)
+        blank *= groups[i] == 0
+    out[0:5] = _FIXED_LEAD.take(-k, axis=1)
+    out[5] = lead + _U64(ord("0"))
+    out[6] = ((k < -4) & (rest != 0)) * ord(".")
+    out[23:27] = _EXPONENT.take(-k, axis=1)
+
+
+def _csv_block(pset: PointSet, start: int) -> bytes:
+    """The CSV rows start, start + 1, ... of the next ``_CSV_CHUNK`` points.
+
+    Plane p of the (bytes per row, rows) array holds byte p of every row,
+    0 where a row has none: the index digits with leading zeros blanked,
+    then per coordinate ",0x", the upper-case hex nibbles with leading zeros
+    blanked, "/w," and the float, and a newline.  No field holds a NUL, so
+    the transposed bytes with every NUL deleted are the text.
+    """
+    nums, precision = pset.numerators[start : start + _CSV_CHUNK], pset.precision
+    n, d = nums.shape
+    index_width = len(str(start + n - 1))
+    nibbles = max(1, -(-precision // 4))
+    tail = np.frombuffer(f"/{precision},".encode(), np.uint8)
+    field = 3 + nibbles + len(tail) + _FLOAT_PLANES
+    # Rows of n + 64 bytes: planes n = 2^k bytes apart share cache sets,
+    # which makes the transpose several times slower.
+    padded = np.empty((index_width + d * field + 1, n + 64), np.uint8)
+    planes = padded[:, :n]
+    index = np.arange(start, start + n, dtype=np.uint64)
+    for p in range(index_width - 1, -1, -1):
+        rest = index // _U64(10)
+        planes[p] = index - rest * _U64(10) + _U64(ord("0"))
+        if p < index_width - 1:
+            planes[p] *= index != 0
+        index = rest
+    planes[-1] = ord("\n")
+    # Plane, coordinate, row.
+    fields = padded[index_width:-1].reshape(d, field, -1)[:, :, :n].transpose(1, 0, 2)
+    columns = np.ascontiguousarray(nums.T)
+    fields[:3] = np.frombuffer(b",0x", np.uint8)[:, None, None]
+    shifts = 4 * np.arange(nibbles - 1, -1, -1, dtype=np.uint64)
+    shifted = columns >> shifts[:, None, None]
+    nibble = shifted.astype(np.uint8) & np.uint8(15)
+    hexes = fields[3 : 3 + nibbles]
+    # "0".."9" are 48..57, and "A".."F" follow 7 codes later.
+    hexes[:] = nibble + np.uint8(48) + (nibble > 9) * np.uint8(7)
+    hexes[:-1] *= shifted[:-1] != 0
+    fields[3 + nibbles : field - _FLOAT_PLANES] = tail[:, None, None]
+    floats = np.empty((_FLOAT_PLANES, d * n), np.uint8)
+    _float_planes((columns.astype(np.float64) * 2.0**-precision).ravel(), floats)
+    fields[field - _FLOAT_PLANES :] = floats.reshape(_FLOAT_PLANES, d, n)
+    return planes.T.tobytes().translate(None, b"\0")
+
 
 def write_points_csv(
     pset: PointSet, out: IO[str] | str | Path, timestamp: str | None = None
@@ -227,8 +394,8 @@ def write_points_csv(
     """Write points with columns n, then per coordinate hex and float values.
 
     The single leading comment line names the generator and carries the only
-    timestamp in the file.  Rows are written in chunks of ``_CSV_CHUNK``,
-    each formatted by one ``%`` over its columns as Python ints and floats.
+    timestamp in the file.  Rows are formatted ``_CSV_CHUNK`` at a time by
+    ``_csv_block``.  The float field is exactly '%.17g' % (float64(num) * 2^-w).
     """
     if isinstance(out, (str, Path)):
         with open(out, "w", newline="") as fh:
@@ -237,16 +404,10 @@ def write_points_csv(
     if timestamp is None:
         timestamp = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
     out.write(f"# generator: {pset.provenance}; written: {timestamp}\n")
-    d, w = pset.dimension, pset.precision
+    d = pset.dimension
     out.write(",".join(["n"] + [f"x{j}_hex,x{j}" for j in range(1, d + 1)]) + "\n")
-    row_format = "%d" + f",0x%X/{w},%.17g" * d + "\n"
     for start in range(0, pset.size, _CSV_CHUNK):
-        nums = pset.numerators[start : start + _CSV_CHUNK]
-        values = nums.astype(np.float64) * 2.0**-w
-        columns = [range(start, start + len(nums))]
-        for j in range(d):
-            columns += [nums[:, j].tolist(), values[:, j].tolist()]
-        out.write((row_format * len(nums)) % tuple(chain.from_iterable(zip(*columns))))
+        out.write(_csv_block(pset, start).decode("ascii"))
 
 
 def _is_data(line: str) -> bool:

@@ -257,7 +257,20 @@ def test_measure_cross_check(tmp_path):
     assert set(data) == {"kernel", "fourier", "gap"}
     assert data["gap"] < 5e-3
     assert data["kernel"]["method"] == "kernel"
-    assert data["fourier"]["truncation"] == {"H": 64}
+    assert data["fourier"]["truncation"]["H"] == 64
+
+
+@pytest.mark.parametrize("method", ["kernel", "fourier", "walsh"])
+def test_measure_refuses_method_with_cross_check(method, capsys):
+    # --cross-check always runs kernel and fourier, so a --method beside it,
+    # even the default one, would be ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "-d", "1", "-m", "4", "--method", method,
+              "--cross-check", "--trunc", "8"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--method" in err and "--cross-check" in err
+    assert "usage: dignet measure" in err and "Traceback" not in err
 
 
 def test_measure_walsh_matches_kernel(tmp_path):
@@ -327,9 +340,6 @@ def test_measure_walsh_usage_errors(tmp_path):
     assert exc.value.code == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:
         main(["measure", "-d", "1", "-m", "2", "--method", "walsh", "-N", "3"])
-    assert exc.value.code == EXIT_USAGE
-    with pytest.raises(SystemExit) as exc:
-        main(["measure", "-d", "1", "-m", "2", "--method", "walsh", "--cross-check"])
     assert exc.value.code == EXIT_USAGE
     # The walsh method sums the matrices' whole net at their full precision.
     with pytest.raises(SystemExit) as exc:
@@ -423,7 +433,8 @@ def test_measure_rejects_trunc_below_one(trunc, capsys):
 )
 def test_measure_fourier_trunc_default(flags, tmp_path):
     data = _run_json(["measure", "-d", "1", "-m", "3"] + flags, tmp_path)
-    assert data["truncation"] == {"H": 3 if "--trunc" in flags else 256}
+    assert data["truncation"]["H"] == (3 if "--trunc" in flags else 256)
+    assert 0 < data["truncation"]["tail_bound"] < 1
 
 
 def test_measure_fourier_budget_refusal(capsys):

@@ -324,8 +324,37 @@ def test_fourier_single_point_h1():
     pset = pset_from_tuples([(5,)], 4)
     rep = fourier_truncated(pset, DIAPHONY, 1)
     assert rep.squared == pytest.approx(2.0, rel=1e-12)
-    assert rep.truncation == {"H": 1}
+    assert rep.truncation["H"] == 1
     assert rep.method == "fourier"
+
+
+def test_fourier_tail_bound_holds_on_random_sets():
+    # 0 <= kernel^2 - fourier^2 <= tail_bound, up to the rounding of the
+    # two values, which is far below the scale prefactor * (1 + c/6)^d.
+    rng = random.Random(61)
+    for d in (1, 2, 3):
+        for trunc in (1, 4, 16):
+            for _ in range(4):
+                pset = _random_pset(rng, rng.randint(1, 24), d, 10)
+                for scheme, kernel in ((PERIODIC_L2, periodic_l2), (DIAPHONY, diaphony)):
+                    rep = fourier_truncated(pset, scheme, trunc)
+                    gap = kernel(pset).squared - rep.squared
+                    slack = 1e-12 * scheme.prefactor(d) * (1 + scheme.kernel_coeff / 6) ** d
+                    assert -slack <= gap <= rep.truncation["tail_bound"] + slack
+
+
+@pytest.mark.parametrize("scheme", [PERIODIC_L2, DIAPHONY], ids=lambda s: s.name)
+@pytest.mark.parametrize("trunc", [1, 8, 64])
+def test_fourier_tail_bound_is_tight_for_one_point(scheme, trunc):
+    # One point has |S(h)| = N at every h, so the truncation drops the whole
+    # tail 2*kappa*sum_{h>H} h^-2 > 2*kappa/(H + 1) at d = 1: the gap comes
+    # within a factor H/(H + 1) of the bound's 2*kappa/H.
+    pset = pset_from_tuples([(5,)], 4)
+    rep = fourier_truncated(pset, scheme, trunc)
+    gap = periodic_l2(pset).squared if scheme is PERIODIC_L2 else diaphony(pset).squared
+    gap -= rep.squared
+    bound = rep.truncation["tail_bound"]
+    assert trunc / (trunc + 1) * bound - 1e-12 <= gap <= bound
 
 
 def test_fourier_monotone_in_truncation():

@@ -533,6 +533,67 @@ def test_points_csv_bytes_match_per_point_writer(case, monkeypatch):
     assert buf.getvalue() == _per_point_csv(pset, "2026-01-01T00:00:00+00:00")
 
 
+def test_points_csv_path_bytes_match_per_point_writer(tmp_path, monkeypatch):
+    # A path is opened as text with newline="", so the file's bytes are the
+    # oracle's text unchanged on every platform.
+    pset = _csv_cases()["d3-w64-near-top"]
+    monkeypatch.setattr(sequence, "_CSV_CHUNK", 7)
+    path = tmp_path / "pts.csv"
+    write_points_csv(pset, path, timestamp="2026-01-01T00:00:00+00:00")
+    expected = _per_point_csv(pset, "2026-01-01T00:00:00+00:00").encode("ascii")
+    assert path.read_bytes() == expected
+
+
+def _float_test_numerators(rng: random.Random, w: int) -> list[int]:
+    """Numerators at precision w: random ones, 0, 2^w - 1, and those whose
+    floats lie within a few float steps on both sides of 10^p, p = 0..-20."""
+    nums = [rng.getrandbits(w) for _ in range(200)] + [0, (1 << w) - 1]
+    for p in range(0, -21, -1):
+        near = (1 << w) // 10**-p
+        step = 1 << max(0, near.bit_length() - 53)
+        for delta in (-3 * step, -step, -1, 0, 1, step, 3 * step):
+            if 0 <= near + delta < 1 << w:
+                nums.append(near + delta)
+    return nums
+
+
+@pytest.mark.parametrize("w", range(65))
+def test_float_planes_equal_percent_17g(w):
+    # The writer's integer digits against Python's '%.17g' on the same
+    # float64: above w = 53 most random numerators round, 2^w - 1 rounds up
+    # to 1, and the values near 1e-4 and 1e-5 and below cross from the
+    # fixed form to the exponent form.
+    nums = _float_test_numerators(random.Random(w), w)
+    values_ = np.array(nums, dtype=np.uint64).astype(np.float64) * 2.0**-w
+    planes = np.empty((sequence._FLOAT_PLANES, len(nums)), np.uint8)
+    sequence._float_planes(values_, planes)
+    got = [bytes(column[column != 0]).decode() for column in planes.T]
+    assert got == ["%.17g" % (float(num) * 2.0**-w) for num in nums]
+
+
+def test_writing_points_holds_one_block_not_the_file(tmp_path, monkeypatch):
+    # The writer formats one block of ``_CSV_CHUNK`` rows at a time and
+    # drops its temporaries (about 360 bytes per row and coordinate here,
+    # mostly the float digits' 64-bit limbs and the hex shifts) before the
+    # next.  The bound allows 512 per row and coordinate of one block, so
+    # the file's text (62 bytes per row, 4 MB) or one float64 per point
+    # (1 MB) held across blocks would exceed it.  A one-point write first
+    # builds the digit table that every later write shares.
+    chunk = 1 << 10
+    monkeypatch.setattr(sequence, "_CSV_CHUNK", chunk)
+    pset = generate_points(build_matrices(2, 16, 16), 1 << 16)
+    path = tmp_path / "pts.csv"
+    write_points_csv(pset_from_tuples([(1, 2)], 4), io.StringIO())
+    tracemalloc.start()
+    try:
+        write_points_csv(pset, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 60 * pset.size
+    assert peak <= 512 * pset.dimension * chunk
+
+
 @st.composite
 def _csv_point_sets(draw):
     d = draw(st.integers(1, 4))
