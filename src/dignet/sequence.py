@@ -13,18 +13,24 @@ generator, yields one chunk at a time.  A set's numerators are
 held once: ``PointSet`` adopts an owned read-only uint64 array instead of
 copying it, ``generate_points`` hands over the array it fills, and the CSV
 reader of a file fills one array sized by a count of the file's lines, so
-it holds the numerators plus one chunk of the file.  The CSV writer formats
+it holds the numerators plus one block of the file.  The CSV writer formats
 a chunk of rows as array operations on byte planes, one per byte position of
 a row; its float column is '%.17g', with the 17 digits rounded exactly in
-integer arithmetic on 32-bit limbs rather than by Python's formatting.
+integer arithmetic on 32-bit limbs rather than by Python's formatting.  The
+reader checks each block by byte compare first: it reads the block's hex
+fields with array operations and formats those rows with the writer, and a
+block whose bytes are equal is taken as it is.  Every other block, the
+first one with the comment and header included, is tokenized by numpy, and
+that path alone defines what the reader accepts.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import functools
+import io
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
@@ -208,17 +214,19 @@ def generate_points(
 
 
 # Lines per chunk in both CSV directions: the writer formats this many rows
-# as one block of byte planes, and the reader takes this many lines at a time
-# and hands their data rows to numpy's C tokenizer, so neither direction
-# ever holds the whole file.  It bounds everything either direction holds
-# besides the numerators: the chunk's lines, numpy's parsed table and the
-# decoded fields, or the writer's planes, integer temporaries and text
-# (about 1.5 MB at d = 2).  ``PointSet.points`` converts this many rows at a
+# as one block of byte planes (about 1 MB of temporaries at d = 2), and the
+# reader takes at most this many lines per block, so neither direction ever
+# holds the whole file.  ``PointSet.points`` converts this many rows at a
 # time as well.
 _CSV_CHUNK = 1 << 11
 
-# Bytes per read of the binary pass that bounds a points file's rows.
-_COUNT_BLOCK = 1 << 16
+# Bytes per read of both binary passes over a points file: the one that
+# bounds its rows, and the reader's, which cuts each read into blocks.  It
+# bounds what the reader holds besides the numerators: a block's lines,
+# numpy's parsed table and the decoded fields, or the hex fields and the
+# writer's planes, integer temporaries and text that check it (about
+# 0.25 MB at d = 2, some 430 rows).
+_COUNT_BLOCK = 1 << 15
 
 # Byte width of a hex field as the reader parses it.  The writer's longest
 # field, 0x<16 digits>/64, has 21 bytes; numpy cuts a longer field to this
@@ -278,14 +286,17 @@ def _round_digits(M: np.ndarray, e: np.ndarray, k: np.ndarray) -> np.ndarray:
     q = 16 - k
     t1 = (-1 - e - q).astype(np.uint64)
     pow5 = _POW5_LIMBS.take(q - _Q_MIN, axis=1)
-    low = (M & _LOW32) * pow5
-    high = (M >> _U64(32)) * pow5
     n = len(M)
     limbs = np.zeros((6, n), np.uint64)
-    limbs[0] = low[0] & _LOW32
-    np.add(low[1:] & _LOW32, low[:2] >> _U64(32), out=limbs[1:3])
-    limbs[1:3] += high[:2]
-    np.add(low[2] >> _U64(32), high[2], out=limbs[3])
+    # The low halves of M's products go in place, so that no more than two
+    # (3, n) temporaries live next to the limbs.
+    np.multiply(M & _LOW32, pow5, out=limbs[:3])
+    high = (M >> _U64(32)) * pow5
+    del pow5
+    high += limbs[:3] >> _U64(32)
+    limbs[:3] &= _LOW32
+    limbs[1:4] += high
+    del high
     for i in (1, 2):
         limbs[i + 1] += limbs[i] >> _U64(32)
         limbs[i] &= _LOW32
@@ -317,6 +328,8 @@ def _float_planes(values: np.ndarray, out: np.ndarray) -> None:
     M = (mantissa * 2.0**53).astype(np.uint64)
     e = exponent - 53
     k = np.floor(np.log10(v)).astype(np.int64)
+    # Freed before the limbs, the largest temporaries of a block.
+    del v, mantissa, exponent
     D = _round_digits(M, e, k)
     while (wrong := np.flatnonzero((D < _U64(10**16)) | (D >= _U64(10**17)))).size:
         k[wrong] += np.where(D[wrong] < _U64(10**16), -1, 1)
@@ -327,13 +340,13 @@ def _float_planes(values: np.ndarray, out: np.ndarray) -> None:
     rest = D - lead * _U64(10**16)
     upper = rest // _U64(10**8)
     lower = rest - upper * _U64(10**8)
-    groups = np.empty((4, len(v)), np.uint64)
+    groups = np.empty((4, len(values)), np.uint64)
     groups[0] = upper // _U64(10**4)
     groups[1] = upper - groups[0] * _U64(10**4)
     groups[2] = lower // _U64(10**4)
     groups[3] = lower - groups[2] * _U64(10**4)
     table = _digit_groups()
-    blank = np.full(len(v), 10**4, np.uint64)
+    blank = np.full(len(values), 10**4, np.uint64)
     for i in (3, 2, 1, 0):
         out[7 + 4 * i : 11 + 4 * i] = table.take(groups[i] + blank, axis=1)
         blank *= groups[i] == 0
@@ -343,8 +356,8 @@ def _float_planes(values: np.ndarray, out: np.ndarray) -> None:
     out[23:27] = _EXPONENT.take(-k, axis=1)
 
 
-def _csv_block(pset: PointSet, start: int) -> bytes:
-    """The CSV rows start, start + 1, ... of the next ``_CSV_CHUNK`` points.
+def _csv_block(nums: np.ndarray, precision: int, start: int) -> bytes:
+    """The CSV rows start, start + 1, ... for the (n, d) uint64 ``nums``.
 
     Plane p of the (bytes per row, rows) array holds byte p of every row,
     0 where a row has none: the index digits with leading zeros blanked,
@@ -352,7 +365,6 @@ def _csv_block(pset: PointSet, start: int) -> bytes:
     blanked, "/w," and the float, and a newline.  No field holds a NUL, so
     the transposed bytes with every NUL deleted are the text.
     """
-    nums, precision = pset.numerators[start : start + _CSV_CHUNK], pset.precision
     n, d = nums.shape
     index_width = len(str(start + n - 1))
     nibbles = max(1, -(-precision // 4))
@@ -362,13 +374,16 @@ def _csv_block(pset: PointSet, start: int) -> bytes:
     # which makes the transpose several times slower.
     padded = np.empty((index_width + d * field + 1, n + 64), np.uint8)
     planes = padded[:, :n]
+    # The index digits four at a time from the right, then its leading
+    # zeros blanked: row i has no digit p while start + i < 10^(width-1-p).
     index = np.arange(start, start + n, dtype=np.uint64)
-    for p in range(index_width - 1, -1, -1):
-        rest = index // _U64(10)
-        planes[p] = index - rest * _U64(10) + _U64(ord("0"))
-        if p < index_width - 1:
-            planes[p] *= index != 0
+    for stop in range(index_width, 0, -4):
+        rest = index // _U64(10**4)
+        group = _digit_groups().take(index - rest * _U64(10**4), axis=1)
+        planes[max(stop - 4, 0) : stop] = group[max(4 - stop, 0) :]
         index = rest
+    for p in range(index_width - 1):
+        planes[p, : max(0, 10 ** (index_width - 1 - p) - start)] = 0
     planes[-1] = ord("\n")
     # Plane, coordinate, row.
     fields = padded[index_width:-1].reshape(d, field, -1)[:, :, :n].transpose(1, 0, 2)
@@ -381,6 +396,8 @@ def _csv_block(pset: PointSet, start: int) -> bytes:
     # "0".."9" are 48..57, and "A".."F" follow 7 codes later.
     hexes[:] = nibble + np.uint8(48) + (nibble > 9) * np.uint8(7)
     hexes[:-1] *= shifted[:-1] != 0
+    # Freed before the floats, whose temporaries set the block's peak.
+    del shifted, nibble
     fields[3 + nibbles : field - _FLOAT_PLANES] = tail[:, None, None]
     floats = np.empty((_FLOAT_PLANES, d * n), np.uint8)
     _float_planes((columns.astype(np.float64) * 2.0**-precision).ravel(), floats)
@@ -406,8 +423,10 @@ def write_points_csv(
     out.write(f"# generator: {pset.provenance}; written: {timestamp}\n")
     d = pset.dimension
     out.write(",".join(["n"] + [f"x{j}_hex,x{j}" for j in range(1, d + 1)]) + "\n")
+    nums = pset.numerators
     for start in range(0, pset.size, _CSV_CHUNK):
-        out.write(_csv_block(pset, start).decode("ascii"))
+        block = _csv_block(nums[start : start + _CSV_CHUNK], pset.precision, start)
+        out.write(block.decode("ascii"))
 
 
 def _is_data(line: str) -> bool:
@@ -504,23 +523,160 @@ def _line_bound(fh: IO[str]) -> int:
     return lines
 
 
+# Value of each byte as one of the writer's hex digits, 0-9 and A-F; 255
+# (-1 mod 256) for every other byte.  Row w of ``_RIGHT_ALIGNED`` keeps the
+# last w of 16 bytes.  Both are built from Python lists: the numpy
+# operations that would build them cost about 0.3 MB of RSS at import.
+_NIBBLE = np.array([b"0123456789ABCDEF".find(c) % 256 for c in range(256)], np.uint8)
+_RIGHT_ALIGNED = np.array([[0] * (16 - w) + [1] * w for w in range(17)], np.uint8)
+
+
+# A block of a points source: its bytes (None for a stream's text that is
+# not ASCII) and a function giving its text lines.
+_Block = tuple[bytes | None, Callable[[], list[str]]]
+
+
+def _file_blocks(fh: IO[str]) -> Iterator[_Block]:
+    """Blocks of a file opened with ``newline=""``, read as bytes.
+
+    The file is read ``_COUNT_BLOCK`` bytes at a time, and the bytes not
+    yet cut are cut after their last complete line: a \\r as the last byte
+    may start a \\r\\n pair, so it ends no line yet.  The cut bytes are
+    split into blocks of at most ``_CSV_CHUNK`` lines, each ending where
+    the text layer ends a line (\\n, \\r\\n or a lone \\r).  A block's
+    text lines are decoded on request (``_text_lines``).
+    """
+    raw = fh.buffer
+    rest = b""
+    while True:
+        more = raw.read(_COUNT_BLOCK)
+        # A line longer than a read is gathered whole and joined once.
+        pieces = [rest]
+        while more and b"\n" not in more and b"\r" not in more:
+            pieces.append(more)
+            more = raw.read(_COUNT_BLOCK)
+        data = b"".join([*pieces, more])
+        cut = len(data)
+        if more:
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, cut - 1)) + 1
+        data, rest = data[:cut], data[cut:]
+        u8 = np.frombuffer(data, np.uint8)
+        ends = u8 == ord("\n")
+        if b"\r" in data:
+            lone_cr = u8 == ord("\r")
+            lone_cr[:-1] &= ~ends[1:]
+            ends |= lone_cr
+        stops = np.flatnonzero(ends)[_CSV_CHUNK - 1 :: _CSV_CHUNK] + 1
+        start = 0
+        for stop in [*stops.tolist(), cut]:
+            if stop > start:
+                block = data[start:stop]
+                yield block, functools.partial(_text_lines, block, fh)
+            start = stop
+        if not more:
+            return
+
+
+def _text_lines(data: bytes, fh: IO[str]) -> list[str]:
+    """Bytes read from ``fh`` as the lines its text layer gives: decoded
+    with its encoding and split as ``newline=""`` splits them."""
+    return io.StringIO(data.decode(fh.encoding, fh.errors), newline="").readlines()
+
+
+def _stream_blocks(source: IO[str]) -> Iterator[_Block]:
+    """Blocks of ``_CSV_CHUNK`` lines of a text stream, as it ends them."""
+    lines = iter(source)
+    while block := list(islice(lines, _CSV_CHUNK)):
+        text = "".join(block)
+        yield (text.encode() if text.isascii() else None), (lambda b=block: b)
+
+
+def _hex_fields(data: bytes, d: int, nibbles: int) -> np.ndarray | None:
+    """The (n, d) values of the hex fields of n lines shaped like the
+    writer's rows, or None if some line is not.
+
+    Each line must start with a digit and hold d "x" and d "/" bytes, with
+    1 to ``nibbles`` bytes between each pair.  The 16 bytes before each "/"
+    go through ``_NIBBLE``; those before the field's digits are set to 0,
+    and a field byte that is none of the writer's hex digits refuses the
+    block.  Two nibbles make a byte, and the 8 bytes one big-endian word.
+    """
+    u8 = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(u8 == ord("\n"))
+    if not (data[:1].isdigit() and np.all(u8[ends[:-1] + 1] - np.uint8(48) < 10)):
+        return None
+    xs = np.flatnonzero(u8 == ord("x"))
+    slashes = np.flatnonzero(u8 == ord("/"))
+    if len(xs) != len(ends) * d or len(slashes) != len(xs):
+        return None
+    width = slashes - xs - 1
+    if width.min() < 1 or width.max() > nibbles:
+        return None
+    # Row i of the windows is bytes i - 16 .. i - 1, 0 before the block.
+    padded = np.concatenate([np.zeros(16, np.uint8), u8])
+    windows = np.ndarray((len(u8) + 1, 16), np.uint8, padded, 0, (1, 1))
+    digits = _NIBBLE.take(windows[slashes])
+    digits *= _RIGHT_ALIGNED.take(width, axis=0)
+    if (digits == 255).any():
+        return None
+    packed = digits[:, ::2] << np.uint8(4) | digits[:, 1::2]
+    return packed.view(">u8").astype(np.uint64).reshape(-1, d)
+
+
+def _writer_rows(
+    data: bytes | None, start: int, d: int, precision: int
+) -> np.ndarray | None:
+    """The (n, d) numerators of a block that is the writer's own bytes, else None.
+
+    The block must be exactly ``_csv_block`` of some rows start, ...,
+    start + n - 1 at this d and precision.  Its hex fields are read by
+    ``_hex_fields``, and those rows are formatted again: only bytes equal
+    to the block accept them, and then the index, hex, precision and float
+    fields all read as the writer wrote them.  A field of more digits than
+    the writer's is refused before formatting, which keeps every value
+    below 2^(w + 3); ``_float_planes`` formats such a value without fault,
+    if not as '%.17g' above 1, and ``PointSet`` refuses every value of 2^w
+    or more whatever its float field reads.  ``_hex_fields`` is its own
+    function so that its temporaries are gone before the formatting.
+    """
+    if not (data and data.endswith(b"\n")):
+        return None
+    nums = _hex_fields(data, d, max(1, -(-precision // 4)))
+    if nums is None or _csv_block(nums, precision, start) != data:
+        return None
+    return nums
+
+
 def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     """Rebuild a point set from the CSV form; the hex fields are authoritative.
 
-    The file streams through in blocks of ``_CSV_CHUNK`` lines.  A path is
-    first counted in one binary pass (``_line_bound``); one array of that
-    many rows is filled in place block by block, trimmed and adopted by
-    ``PointSet``, so the numerators are held once plus one block.  A text
-    stream cannot be counted ahead, so its blocks are joined at the end and
-    it holds the numerators twice.  ``BudgetError`` refuses a file's line
-    count, or a stream's rows so far, whose d * 8 bytes per row exceed
-    ``errors.BUDGET_BYTES``, before allocating them.
+    The file streams through in blocks of at most ``_CSV_CHUNK`` lines.  A
+    path is first counted in one binary pass (``_line_bound``) and then read
+    as bytes, ``_COUNT_BLOCK`` at a time, cut at line ends into blocks
+    (``_file_blocks``); a text stream gives blocks of ``_CSV_CHUNK`` of its
+    lines.  For a path one array of the counted rows is filled in place
+    block by block, trimmed and adopted by ``PointSet``, so the numerators
+    are held once plus one block.  A text stream cannot be counted ahead,
+    so its blocks are joined at the end and it holds the numerators twice.
+    ``BudgetError`` refuses a file's line count, or a stream's rows so far,
+    whose d * 8 bytes per row exceed ``errors.BUDGET_BYTES``, before
+    allocating them.
+
+    Once a block has fixed the field count and the precision, each later
+    block is first checked against the writer: if its bytes are exactly
+    what ``write_points_csv`` writes for the rows it holds
+    (``_writer_rows``), its numerators are taken as they are, since every
+    check below then holds.  Every other block (the first one, with the
+    comment and header, and any block with a comment, blank or header line,
+    a CRLF or lone CR line end, lower-case hex, leading zeros or a float
+    written differently) is tokenized, and that path alone defines what the
+    reader accepts.
 
     Lines starting with ``#`` are comments (the last ``generator:`` one sets
     the provenance); blank lines and lines whose first field is ``n`` are
     skipped.  The first data row fixes the field count, which must be odd
-    and at least 3, and numpy's tokenizer parses the data rows of each
-    block into an index and, per coordinate, a hex field of at most
+    and at least 3, and numpy's tokenizer parses the data rows of a block
+    into an index and, per coordinate, a hex field of at most
     ``_HEX_BYTES`` bytes and a float.  A row is refused if it does not
     parse, if its index is not its row number 0, 1, ..., or if a hex field
     fills ``_HEX_BYTES`` (numpy would have cut it).  Every hex field must
@@ -533,24 +689,47 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
-            return _read_points(fh, _line_bound(fh) if fh.seekable() else None)
-    return _read_points(source, None)
+            bound = _line_bound(fh) if fh.seekable() else None
+            return _read_points(_file_blocks(fh), bound)
+    return _read_points(_stream_blocks(source), None)
 
 
-def _read_points(source: IO[str], bound: int | None) -> PointSet:
-    """``read_points_csv`` of a text source with at most ``bound`` data rows.
+def _read_points(blocks: Iterator[_Block], bound: int | None) -> PointSet:
+    """``read_points_csv`` of a source's blocks with at most ``bound`` data rows.
 
     Without a bound the blocks' numerators are kept in a list and joined.
     """
-    lines = iter(source)
     provenance = ""
     dtype = None
     precisions: set[int] = set()
+    precision = None
     numerators = None
     chunks: list[np.ndarray] = []
     bad_float = None
     row = 0
-    while block := list(islice(lines, _CSV_CHUNK)):
+
+    def rows_until(end: int) -> np.ndarray:
+        """Room for rows [row, end): a view of the array, or a new chunk."""
+        if numerators is None:
+            need = end * d * 8
+            check_budget(need, f"room for {end} rows of points at d={d} "
+                               f"needs {need} bytes of numerators")
+            chunks.append(np.empty((end - row, d), dtype=np.uint64))
+            return chunks[-1]
+        if end > len(numerators):
+            raise ValueError("points file grew while it was read")
+        return numerators[row:end]
+
+    for data, text_lines in blocks:
+        if precision is not None:
+            # The writer's own bytes meet every check of the path below.
+            nums = _writer_rows(data, row, d, precision)
+            if nums is not None:
+                chunk = rows_until(row + len(nums))
+                chunk[:] = nums
+                row += len(nums)
+                continue
+        block = text_lines()
         # Most lines are data rows, which the first test keeps.
         batch = [ln for ln in block if ln[:1] not in "#n\r\n" or _is_data(ln)]
         if len(batch) < len(block):
@@ -578,17 +757,7 @@ def _read_points(source: IO[str], bound: int | None) -> PointSet:
         if wrong.size:
             index = table["n"][wrong[0]].decode("latin-1")
             raise ValueError(f"row {row + wrong[0]} has index {index!r}")
-        end = row + len(batch)
-        if numerators is None:
-            need = end * d * 8
-            check_budget(need, f"room for {end} rows of points at d={d} "
-                               f"needs {need} bytes of numerators")
-            chunk = np.empty((len(batch), d), dtype=np.uint64)
-            chunks.append(chunk)
-        elif end <= len(numerators):
-            chunk = numerators[row:end]
-        else:
-            raise ValueError("points file grew while it was read")
+        chunk = rows_until(row + len(batch))
         for j in range(d):
             hexes = table[f"x{j + 1}_hex"]
             full = np.flatnonzero(np.strings.str_len(hexes) == _HEX_BYTES)
@@ -616,7 +785,7 @@ def _read_points(source: IO[str], bound: int | None) -> PointSet:
             wrong = np.flatnonzero((given != expected).any(axis=1))
             if wrong.size:
                 bad_float = row + int(wrong[0])
-        row = end
+        row += len(batch)
     if not row:
         raise ValueError("no data rows in points CSV")
     # No view of the array may outlive this point: resize moves its memory.

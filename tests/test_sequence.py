@@ -6,8 +6,10 @@ import io
 import os
 import random
 import string
+import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +201,27 @@ def test_reading_and_iterating_points_hold_numerators_plus_a_chunk(
     assert peak <= 2 * back.numerators.nbytes + 1024 * chunk
 
 
+def test_reading_a_crlf_file_holds_numerators_plus_a_chunk(tmp_path, monkeypatch):
+    # The same bound as above for a file with CRLF line ends: no block of it
+    # is the writer's bytes, so every block takes the tokenizer path.
+    chunk = 1 << 10
+    monkeypatch.setattr(sequence, "_CSV_CHUNK", chunk)
+    count = 1 << 16
+    text = _written(generate_points(build_matrices(2, 16, 16), count))
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    checks = _writer_block_checks(monkeypatch)
+    tracemalloc.start()
+    try:
+        back = read_points_csv(path)
+        seen = sum(1 for _ in back.points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen == count and checks and set(checks) == {None}
+    assert peak <= 2 * back.numerators.nbytes + 1024 * chunk
+
+
 def test_generating_points_holds_the_numerators_once():
     # One array is filled and adopted: no copy in PointSet, no N-sized
     # temporary for its range check (about 1.06x here).
@@ -297,6 +320,32 @@ def test_points_csv_reader_refuses_a_file_that_grows(tmp_path, monkeypatch):
     monkeypatch.setattr(sequence, "_line_bound", lambda fh: 15)
     with pytest.raises(ValueError, match="grew while it was read"):
         read_points_csv(path)
+
+
+def test_points_csv_reader_refuses_growth_in_a_writer_block(tmp_path, monkeypatch):
+    # Reads of 200 bytes make every block after the first the writer's
+    # bytes; the rows past the counted bound are in one of them.
+    path = tmp_path / "pts.csv"
+    write_points_csv(generate_points(build_matrices(2, 6, 6), 64), path)
+    monkeypatch.setattr(sequence, "_COUNT_BLOCK", 200)
+    monkeypatch.setattr(sequence, "_line_bound", lambda fh: 60)
+    checks = _writer_block_checks(monkeypatch)
+    with pytest.raises(ValueError, match="grew while it was read"):
+        read_points_csv(path)
+    assert checks and None not in checks
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_points_csv_reads_lines_longer_than_a_read(end, tmp_path, monkeypatch):
+    # Reads of 16 bytes: a comment of 2,000 bytes spans 125 of them.
+    monkeypatch.setattr(sequence, "_COUNT_BLOCK", 16)
+    pts = generate_points(build_matrices(2, 4, 4), 12)
+    lines = _written(pts).splitlines(keepends=True)
+    lines.insert(5, "# " + "long " * 400 + "\n")
+    path = tmp_path / "pts.csv"
+    path.write_bytes("".join(lines).replace("\n", end).encode())
+    back = read_points_csv(path)
+    assert same_points(back, pts) and back.provenance == pts.provenance
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -573,7 +622,7 @@ def test_float_planes_equal_percent_17g(w):
 
 def test_writing_points_holds_one_block_not_the_file(tmp_path, monkeypatch):
     # The writer formats one block of ``_CSV_CHUNK`` rows at a time and
-    # drops its temporaries (about 360 bytes per row and coordinate here,
+    # drops its temporaries (about 290 bytes per row and coordinate here,
     # mostly the float digits' 64-bit limbs and the hex shifts) before the
     # next.  The bound allows 512 per row and coordinate of one block, so
     # the file's text (62 bytes per row, 4 MB) or one float64 per point
@@ -758,3 +807,170 @@ def test_points_csv_names_the_file_row_past_a_chunk(edit, message, monkeypatch):
     lines[11] = edit(lines[11])
     with pytest.raises(ValueError, match=message):
         read_points_csv(io.StringIO("".join(lines)))
+
+
+def _no_writer_rows(monkeypatch):
+    """Send every block down the tokenizer path."""
+    monkeypatch.setattr(sequence, "_writer_rows", lambda *args: None)
+
+
+def _outcome(read):
+    """What a read gives: the set's fields, or the exception's class and text."""
+    try:
+        pset = read()
+    except Exception as exc:  # compared between reads, not handled
+        return type(exc), str(exc)
+    return pset.numerators.tolist(), pset.precision, pset.provenance
+
+
+@st.composite
+def _edited_points_text(draw):
+    d = draw(st.integers(1, 3))
+    w = draw(st.integers(1, 64))
+    coord = st.integers(0, (1 << w) - 1)
+    rows = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=40))
+    text = _written(pset_from_tuples(rows, w, "edited"))
+    lines = text.splitlines(keepends=True)
+    edit = draw(st.sampled_from(["none", "byte", "comment", "blank", "crlf"]))
+    if edit == "byte":
+        at = draw(st.integers(0, len(text) - 1))
+        byte = draw(st.sampled_from(string.printable + "\0é"))
+        text = text[:at] + byte + text[at + 1 :]
+    elif edit in ("comment", "blank"):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, "# a note\n" if edit == "comment" else "\n")
+        text = "".join(lines)
+    elif edit == "crlf":
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = lines[at][:-1] + "\r\n"
+        text = "".join(lines)
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _edited_points_text(),
+    st.integers(2, 9),
+    st.sampled_from([64, 200, 1 << 15]),
+)
+def test_points_csv_writer_blocks_read_as_the_tokenizer_reads_them(text, chunk, block):
+    # Blocks of a few lines, and reads of a few hundred bytes, put many
+    # block boundaries in each file; whatever one edit did to it, checking
+    # blocks against the writer must not change what is read or refused.
+    # A file is opened with newline="", so it reads as a stream that ends
+    # its lines as that does, whose blocks are cut by lines, not bytes.
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "pts.csv"
+        path.write_bytes(text.encode())
+        mp.setattr(sequence, "_CSV_CHUNK", chunk)
+        mp.setattr(sequence, "_COUNT_BLOCK", block)
+        for source in (
+            lambda: io.StringIO(text),
+            lambda: io.StringIO(text, newline=""),
+            lambda: path,
+        ):
+            outcomes.append(_outcome(lambda: read_points_csv(source())))
+            with pytest.MonkeyPatch.context() as tokenizer_only:
+                _no_writer_rows(tokenizer_only)
+                assert _outcome(lambda: read_points_csv(source())) == outcomes[-1]
+    assert outcomes[2] == outcomes[1]
+
+
+def _writer_block_checks(monkeypatch) -> list[int | None]:
+    """Per block checked against the writer, in reading order: its row
+    count if it was taken as the writer's bytes, else None."""
+    checks = []
+    check = sequence._writer_rows
+
+    def counted(*args):
+        nums = check(*args)
+        checks.append(None if nums is None else len(nums))
+        return nums
+
+    monkeypatch.setattr(sequence, "_writer_rows", counted)
+    return checks
+
+
+def test_points_csv_takes_every_block_after_the_first_as_the_writers(
+    tmp_path, monkeypatch
+):
+    pts = generate_points(build_matrices(2, 14, 14), 1 << 14)
+    path = tmp_path / "pts.csv"
+    write_points_csv(pts, path)
+    checks = _writer_block_checks(monkeypatch)
+    back = read_points_csv(path)
+    assert same_points(back, pts) and back.provenance == pts.provenance
+    # The first block holds the comment and the header, fixes d and w, and
+    # is tokenized; each block after it is checked, and taken.
+    assert len(checks) > 10 and None not in checks and sum(checks) < 1 << 14
+    # A stream's blocks are _CSV_CHUNK of its lines.
+    checks.clear()
+    back = read_points_csv(io.StringIO(path.read_text()))
+    assert same_points(back, pts)
+    assert None not in checks and sum(checks) == (1 << 14) - sequence._CSV_CHUNK + 2
+
+
+def test_points_csv_edits_at_the_default_block_size(tmp_path, monkeypatch):
+    pts = generate_points(build_matrices(2, 14, 14), 1 << 14)
+    lines = _written(pts).splitlines(keepends=True)
+    row = 8191
+    lettered = next(r for r in range(row, row + 100) if "A" in lines[r + 2])
+    checks = _writer_block_checks(monkeypatch)
+
+    def read(edited: list[str]) -> PointSet:
+        path = tmp_path / "edited.csv"
+        path.write_text("".join(edited))
+        checks.clear()
+        return read_points_csv(path)
+
+    def taken() -> int:
+        return sum(filter(None, checks))
+
+    def exponent_form(line: str) -> str:
+        fields = line.split(",")
+        fields[2] = "%.16e" % float(fields[2])
+        return ",".join(fields)
+
+    # Accepted with the same numerators: a float written in another form of
+    # equal value (0.12... as 1.2...e-01), lower-case hex, a comment line in
+    # the middle of the file.  Only the edited block is tokenized.
+    for at, edit in [
+        (row, exponent_form),
+        (lettered, str.lower),
+        (row, lambda line: "# a note, in the middle\n" + line),
+    ]:
+        edited = list(lines)
+        edited[at + 2] = edit(edited[at + 2])
+        assert edited != lines
+        assert same_points(read(edited), pts)
+        assert checks.count(None) == 1 and taken() > (1 << 14) * 9 // 10
+    # One float one ulp off is refused, naming its row.
+    edited = list(lines)
+    fields = edited[row + 2].split(",")
+    fields[2] = "%.17g" % np.nextafter(float(fields[2]), 1.0)
+    edited[row + 2] = ",".join(fields)
+    with pytest.raises(ValueError, match=f"^row {row} has a float field other"):
+        read(edited)
+    # A block of the writer's own bytes may hold a numerator of 2^w or more,
+    # since the writer's 4 nibbles at w = 14 reach 2^16.  That block is
+    # taken, and the range error is still raised, also ahead of a float
+    # mismatch in row 3.
+    edited = list(lines)
+    wide = np.array([[(1 << 15) + 5, 7]], np.uint64)
+    edited[row + 2] = sequence._csv_block(wide, 14, row).decode()
+    with pytest.raises(ValueError, match="numerator out of range for precision 14"):
+        read(edited)
+    assert None not in checks
+    edited[3 + 2] = edited[3 + 2][: edited[3 + 2].rindex(",") + 1] + "0.3\n"
+    with pytest.raises(ValueError, match="numerator out of range for precision 14"):
+        read(edited)
+
+
+@pytest.mark.parametrize("start", [0, 9_990, 99_995, 10**8 - 3, 10**12 - 1])
+def test_csv_block_index_column_reads_the_row_numbers(start):
+    nums = np.arange(12, dtype=np.uint64).reshape(6, 2)
+    text = sequence._csv_block(nums, 4, start).decode()
+    assert [line.split(",")[0] for line in text.splitlines()] == [
+        str(n) for n in range(start, start + 6)
+    ]
