@@ -20,8 +20,14 @@ integer arithmetic on 32-bit limbs rather than by Python's formatting.  The
 reader checks each block by byte compare first: it reads the block's hex
 fields with array operations and formats those rows with the writer, and a
 block whose bytes are equal is taken as it is.  Every other block, the
-first one with the comment and header included, is tokenized by numpy, and
-that path alone defines what the reader accepts.
+first one with the comment and header included, goes line by line through
+one parser, which alone defines what the reader accepts: one pattern per
+data row (the index, then per coordinate 0x<hex>/<decimal> and a float),
+``int(h, 16)`` per numerator, and a check of each float field against
+float64(num) * 2^-w.  A float field is a decimal number with an optional
+sign, point and exponent, or inf, infinity or nan in any case, with white
+space on either side and no "_" or hex form.  Paths and text streams end
+lines alike, at \\n, \\r\\n or a lone \\r.
 """
 
 from __future__ import annotations
@@ -222,15 +228,14 @@ _CSV_CHUNK = 1 << 11
 
 # Bytes per read of both binary passes over a points file: the one that
 # bounds its rows, and the reader's, which cuts each read into blocks.  It
-# bounds what the reader holds besides the numerators: a block's lines,
-# numpy's parsed table and the decoded fields, or the hex fields and the
-# writer's planes, integer temporaries and text that check it (about
-# 0.25 MB at d = 2, some 430 rows).
+# bounds what the reader holds besides the numerators: a block's lines and
+# their parsed fields, or the hex fields and the writer's planes, integer
+# temporaries and text that check it (about 0.25 MB at d = 2, some 430
+# rows).
 _COUNT_BLOCK = 1 << 15
 
-# Byte width of a hex field as the reader parses it.  The writer's longest
-# field, 0x<16 digits>/64, has 21 bytes; numpy cuts a longer field to this
-# width without a word, so a field that fills it is refused as too long.
+# A hex field of this many bytes or more is refused as too long.  The
+# writer's longest field, 0x<16 digits>/64, has 21 bytes.
 _HEX_BYTES = 32
 
 _U64 = np.uint64
@@ -436,72 +441,59 @@ def _is_data(line: str) -> bool:
     )
 
 
-def _row_dtype(line: str) -> np.dtype:
-    """Fields of a data row as numpy parses them, counted on the first row."""
-    width = line.count(",") + 1
-    if width < 3 or width % 2 == 0:
-        raise ValueError(
-            f"points rows need an odd field count of at least 3, got {width}"
-        )
-    fields = [("n", "S20")]
-    for j in range(1, (width - 1) // 2 + 1):
-        fields += [(f"x{j}_hex", f"S{_HEX_BYTES}"), (f"x{j}", "f8")]
-    return np.dtype(fields)
+# The fields of a data row, as ``read_points_csv`` states them; the float's
+# trailing white space (``str.isspace``) also takes the line end.
+_DYADIC = r"0x[0-9A-Fa-f]+/[0-9]+"
+_FLOAT = re.compile(
+    r"\s*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"|(?i:inf(?:inity)?|nan))\s*"
+)
+# Index and hex fields hold Latin-1 characters other than NUL.
+_TEXT_FIELD = re.compile(r"[\x01-\xff]*")
 
 
-def _load_rows(lines: list[str], dtype: np.dtype, first_row: int) -> np.ndarray:
-    """Parse data lines with numpy's tokenizer, naming the file row on error.
-
-    numpy drops trailing NUL bytes from a bytes field, so lines that hold a
-    NUL are refused before it sees them.
-    """
-    def load(rows: list[str]) -> np.ndarray:
-        if "\0" in "".join(rows):
-            raise ValueError("NUL byte")
-        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-
-    try:
-        return load(lines)
-    except ValueError:
-        for row, line in enumerate(lines, first_row):
-            try:
-                load([line])
-            except ValueError:
-                text = line.rstrip("\r\n")
-                raise ValueError(
-                    f"row {row} is not an index and {(len(dtype) - 1) // 2} "
-                    f"hex,float pairs: {text!r}"
-                ) from None
-        raise
+def _row_error(line: str, row: int, d: int) -> ValueError:
+    """The refusal of a data line that is not row ``row`` of d coordinates,
+    naming its first fault: the fields, the index (shown to 20 characters,
+    the digits of the largest uint64), each hex field's width and form."""
+    text = line.rstrip("\r\n")
+    fields = text.split(",")
+    if (
+        len(fields) == 2 * d + 1
+        and all(map(_TEXT_FIELD.fullmatch, [fields[0], *fields[1::2]]))
+        and all(map(_FLOAT.fullmatch, fields[2::2]))
+    ):
+        if fields[0] != str(row):
+            return ValueError(f"row {row} has index {fields[0][:20]!r}")
+        for field in fields[1::2]:
+            if len(field) >= _HEX_BYTES:
+                return ValueError(
+                    f"row {row} has a hex field of {_HEX_BYTES} or more bytes"
+                )
+            if not re.fullmatch(_DYADIC, field):
+                return ValueError(f"row {row} has a malformed dyadic field {field!r}")
+    return ValueError(f"row {row} is not an index and {d} hex,float pairs: {text!r}")
 
 
-# Well-formed dyadic fields, each followed by a comma: 0x, hex digits, a
-# slash and decimal digits, nothing else (no sign, space or underscore).
-_DYADIC_FIELDS = re.compile(rb"(?:0x[0-9A-Fa-f]+/[0-9]+,)*")
-
-
-def _dyadic_column(hexes: np.ndarray, first_row: int) -> tuple[list[int], set[int]]:
-    """Numerators and distinct precisions of one column of 0x<hex>/<w> fields.
-
-    The column is joined with commas, which no field holds, and one regular
-    expression match over the joined bytes checks every field; the first
-    field outside the form ends the match and is named.  One split of the
-    checked bytes then yields numerator and precision strings in turn.
-    """
-    fields = hexes.tolist()
-    joined = b",".join(fields) + b","
-    good = _DYADIC_FIELDS.match(joined).end()
-    if good < len(joined):
-        bad = joined.count(b",", 0, good)
-        raise ValueError(
-            f"row {first_row + bad} has a malformed dyadic field "
-            f"{fields[bad].decode('latin-1')!r}"
-        )
-    parts = joined[:-1].replace(b",", b"/").split(b"/")
-    return (
-        list(map(int, parts[::2], repeat(16))),
-        {int(prec) for prec in set(parts[1::2])},
-    )
+def _data_rows(lines: list[str], first_row: int, d: int) -> list[str]:
+    """0x<hex digits>, precision and float text of each coordinate of the
+    data lines, in turn, from one split of the block at commas and slashes;
+    the first line that does not match the row pattern, or whose index is
+    not its row, is refused (``_row_error``).  Every line before it matched,
+    so it has 3 * d + 1 parts and that line's index is in place."""
+    # One field pattern repeated d times, so that its size does not grow
+    # with d; ``re`` keeps it compiled between blocks.
+    field = rf",(?=[^,]{{0,{_HEX_BYTES - 1}}},){_DYADIC},{_FLOAT.pattern}"
+    match = re.compile(rf"[0-9]+(?:{field}){{{d}}}").fullmatch
+    rows = range(first_row, first_row + len(lines))
+    fields = ",".join(lines).replace("/", ",").split(",")
+    stride = 3 * d + 1
+    if not all(map(match, lines)) or fields[::stride] != list(map(str, rows)):
+        for row, line, index in zip(rows, lines, fields[::stride]):
+            if not match(line) or index != str(row):
+                raise _row_error(line, row, d)
+    del fields[::stride]
+    return fields
 
 
 def _line_bound(fh: IO[str]) -> int:
@@ -584,10 +576,13 @@ def _text_lines(data: bytes, fh: IO[str]) -> list[str]:
 
 
 def _stream_blocks(source: IO[str]) -> Iterator[_Block]:
-    """Blocks of ``_CSV_CHUNK`` lines of a text stream, as it ends them."""
+    """Blocks of ``_CSV_CHUNK`` lines of a text stream, split again as
+    ``newline=""`` splits them, so that a lone \\r ends a line here too."""
     lines = iter(source)
     while block := list(islice(lines, _CSV_CHUNK)):
         text = "".join(block)
+        if "\r" in text:
+            block = io.StringIO(text, newline="").readlines()
         yield (text.encode() if text.isascii() else None), (lambda b=block: b)
 
 
@@ -662,6 +657,8 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     whose d * 8 bytes per row exceed ``errors.BUDGET_BYTES``, before
     allocating them.
 
+    Paths and text streams end lines alike: at \\n, \\r\\n or a lone \\r.
+
     Once a block has fixed the field count and the precision, each later
     block is first checked against the writer: if its bytes are exactly
     what ``write_points_csv`` writes for the rows it holds
@@ -669,23 +666,25 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     check below then holds.  Every other block (the first one, with the
     comment and header, and any block with a comment, blank or header line,
     a CRLF or lone CR line end, lower-case hex, leading zeros or a float
-    written differently) is tokenized, and that path alone defines what the
-    reader accepts.
+    written differently) is read line by line by one parser, which alone
+    defines what the reader accepts.
 
     Lines starting with ``#`` are comments (the last ``generator:`` one sets
     the provenance); blank lines and lines whose first field is ``n`` are
     skipped.  The first data row fixes the field count, which must be odd
-    and at least 3, and numpy's tokenizer parses the data rows of a block
-    into an index and, per coordinate, a hex field of at most
-    ``_HEX_BYTES`` bytes and a float.  A row is refused if it does not
-    parse, if its index is not its row number 0, 1, ..., or if a hex field
-    fills ``_HEX_BYTES`` (numpy would have cut it).  Every hex field must
-    read 0x<hex digits>/<decimal digits> and carry the same precision;
-    ``PointSet`` checks it and the numerators' range, and then every float
-    field must equal float64(numerator) * 2^-precision, the value the
-    writer emits.  The floats are compared block by block; the first row
-    that disagrees is raised only once ``PointSet`` has accepted the
-    numerators, so a range error anywhere in the file comes first.
+    and at least 3.  Each data row must match one pattern (``_data_rows``):
+    its index, which must read as its row number 0, 1, ..., then per
+    coordinate a hex field 0x<hex digits>/<decimal digits> of fewer than
+    ``_HEX_BYTES`` bytes and a float field: a decimal number with an
+    optional sign, point and exponent, or inf, infinity or nan in any case,
+    with white space on either side, and no "_" or hex form.  A row that
+    does not is refused with its first fault (``_row_error``).  Every hex
+    field must carry the same precision; ``PointSet`` checks it and the
+    numerators' range, and then every float field must equal
+    float64(numerator) * 2^-precision, the value the writer emits.  The
+    floats are compared block by block; the first row that disagrees is
+    raised only once ``PointSet`` has accepted the numerators, so a range
+    error anywhere in the file comes first.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
@@ -700,10 +699,8 @@ def _read_points(blocks: Iterator[_Block], bound: int | None) -> PointSet:
     Without a bound the blocks' numerators are kept in a list and joined.
     """
     provenance = ""
-    dtype = None
+    d = precision = numerators = None
     precisions: set[int] = set()
-    precision = None
-    numerators = None
     chunks: list[np.ndarray] = []
     bad_float = None
     row = 0
@@ -741,46 +738,38 @@ def _read_points(blocks: Iterator[_Block], bound: int | None) -> PointSet:
                         provenance = text.split("; written:")[0].strip()
         if not batch:
             continue
-        if dtype is None:
-            dtype = _row_dtype(batch[0])
-            d = (len(dtype) - 1) // 2
+        if d is None:
+            width = batch[0].count(",") + 1
+            if width < 3 or width % 2 == 0:
+                raise ValueError(
+                    f"points rows need an odd field count of at least 3, got {width}"
+                )
+            d = (width - 1) // 2
             if bound is not None:
                 need = bound * d * 8
                 check_budget(need, f"room for {bound} rows of points at d={d} "
                                    f"needs {need} bytes of numerators")
                 numerators = np.empty((bound, d), dtype=np.uint64)
-        table = _load_rows(batch, dtype, row)
-        # The index is compared as text, so it must read exactly as the row
-        # number; 20 bytes hold every uint64, and a cut field never matches.
-        indices = np.arange(row, row + len(batch)).astype("S20")
-        wrong = np.flatnonzero(table["n"] != indices)
-        if wrong.size:
-            index = table["n"][wrong[0]].decode("latin-1")
-            raise ValueError(f"row {row + wrong[0]} has index {index!r}")
-        chunk = rows_until(row + len(batch))
+        fields = _data_rows(batch, row, d)
+        # Column by column: a first column that alone holds w > 64 is
+        # refused for that, not as an inconsistency.
         for j in range(d):
-            hexes = table[f"x{j + 1}_hex"]
-            full = np.flatnonzero(np.strings.str_len(hexes) == _HEX_BYTES)
-            if full.size:
-                raise ValueError(
-                    f"row {row + full[0]} has a hex field of {_HEX_BYTES} or more bytes"
-                )
-            nums, found = _dyadic_column(hexes, row)
-            precisions |= found
+            precisions |= set(map(int, set(fields[3 * j + 1 :: 3 * d])))
             if len(precisions) != 1:
                 raise ValueError(
                     f"inconsistent precisions {sorted(precisions)} in points CSV"
                 )
             (precision,) = precisions
             _check_precision(precision)
-            try:
-                chunk[:, j] = np.array(nums, dtype=np.uint64)
-            except OverflowError:
-                raise ValueError(
-                    f"numerator out of range for precision {precision}"
-                ) from None
+        chunk = rows_until(row + len(batch))
+        try:
+            nums = np.array(list(map(int, fields[::3], repeat(16))), np.uint64)
+        except OverflowError:
+            raise ValueError(f"numerator out of range for precision {precision}") from None
+        chunk[:] = nums.reshape(-1, d)
         if bad_float is None:
-            given = np.column_stack([table[f"x{j}"] for j in range(1, d + 1)])
+            given = np.array(list(map(float, map(str.strip, fields[2::3]))))
+            given = given.reshape(-1, d)
             expected = chunk.astype(np.float64) * 2.0**-precision
             wrong = np.flatnonzero((given != expected).any(axis=1))
             if wrong.size:

@@ -8,9 +8,12 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dignet.cli import EXIT_IO, EXIT_REFUSED, EXIT_USAGE, build_parser, main, study_rows
 from dignet.errors import PrecisionError
@@ -782,6 +785,77 @@ def test_unknown_argument_prints_the_usage_it_was_given_to(argv, usage, unknown,
     err = capsys.readouterr().err
     assert err.startswith(usage), err
     assert err.endswith(f"error: unrecognized arguments: {unknown}\n"), err
+
+
+# Values each flag may take in the fuzz property, good ones and ones the
+# parser or the handler must refuse, at small sizes (m <= 6, N <= 64).  The
+# file flags take the names of the files that ``cli_files`` writes.
+_M = (["1", "2", "4", "6"], ["0", "x"])
+_FUZZ_VALUES = {
+    "-d": (["1", "2", "3"], ["0", "x"]), "-a": (["1", "2", "3"], ["0"]), "-m": _M,
+    "-N": (["1", "7", "16", "64"], ["65", "0"]), "-W": (["1", "4", "12"], ["65", "0"]),
+    "--measure": (["per-l2", "diaphony"], ["x"]),
+    "--method": (["kernel", "fourier", "walsh"], ["x"]),
+    "--trunc": (["1", "8"], ["0"]), "--bound-bits": (["1", "6"], ["0"]),
+    "--threads": (["1", "2"], ["0"]), "--m-min": _M, "--m-max": _M,
+    "--node-cap": (["1", "100"], ["0"]), "--seed": (["0", "7"], ["x"]),
+    "--format": (["csv", "json"], ["x"]),
+    "--points": (["points.csv"], ["junk.csv", "missing.csv", ""]),
+    "--matrix-file": (["matrices.json"], ["junk.json", "missing.json", ""]),
+    "--out": (["out.txt"], [""]),
+}
+_FUZZ_FLAGS = {command: _sweep_flags(command) for command in _SWEEP_BASE}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A directory with a good and a malformed points and matrix file."""
+    home = tmp_path_factory.mktemp("fuzz")
+    write_points_csv(generate_points(construct_matrices(2, 2, 4), 16), home / "points.csv")
+    save_matrix_set(construct_matrices(2, 2, 4), home / "matrices.json")
+    (home / "junk.csv").write_text("n,x1_hex,x1\n0,0x1/4,0.0625\n1,zz,0\n")
+    (home / "junk.json").write_text('{"dimension": 2, "rows": "x"}')
+    return home
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A subcommand, its size flag and a few of its other flags; one value
+    in eight, and now and then a flag of another subcommand, is refused."""
+    command = draw(st.sampled_from(sorted(_SWEEP_BASE)))
+    # study's --m-max defaults to 13; a small one keeps each run short.
+    size = "--m-max" if command == "study" else "-m"
+    others = [flag for flag in _FUZZ_FLAGS[command] if flag != size]
+    flags = [size] + draw(st.lists(st.sampled_from(others), max_size=5, unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(_FUZZ_VALUES) + ["--bogus"])))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag in _FUZZ_VALUES:
+            good, bad = _FUZZ_VALUES[flag]
+            argv.append(draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 0
+                                             else good)))
+    return argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(argv=_fuzz_argv())
+def test_cli_fuzz_exits_cleanly(argv, cli_files):
+    # Whatever the flags, a run ends with one of the four exit codes and no
+    # traceback, and a failed run that writes to stdout writes nothing.
+    argv = [str(cli_files / a) if a.endswith((".csv", ".json", ".txt")) else a
+            for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code != 0 and "--out" not in argv:
+        assert out.getvalue() == "", argv
 
 
 # ---------------------------------------------------------------------------

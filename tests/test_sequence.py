@@ -702,6 +702,31 @@ def test_points_csv_crlf_reads_back(tmp_path):
         assert back.provenance == pset.provenance
 
 
+def test_points_csv_ends_lines_alike_from_a_path_and_a_stream(tmp_path, monkeypatch):
+    # \n, \r\n and a lone \r end a line whether the text comes from a path,
+    # a default text stream, which ends lines only at \n, or a stream
+    # opened with newline="".  Blocks of 7 lines put line ends of all three
+    # kinds on block boundaries.
+    monkeypatch.setattr(sequence, "_CSV_CHUNK", 7)
+    pset = generate_points(build_matrices(2, 4, 4), 16)
+    mixed = "".join(
+        line[:-1] + ("\n", "\r\n", "\r")[k % 3]
+        for k, line in enumerate(_written(pset).splitlines(keepends=True))
+    )
+    path = tmp_path / "pts.csv"
+    for text, nums in [
+        ("0,0x0/4,0\r1,0x1/4,0.0625\n", [[0], [1]]),
+        (mixed, pset.numerators.tolist()),
+    ]:
+        path.write_bytes(text.encode())
+        outcomes = [
+            _outcome(lambda: read_points_csv(source))
+            for source in (path, io.StringIO(text), io.StringIO(text, newline=""))
+        ]
+        assert outcomes[0][0] == nums
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
 @pytest.mark.parametrize("chunk", [7, 1 << 14])
 def test_points_csv_skips_comments_and_blanks_between_rows(chunk, monkeypatch):
     monkeypatch.setattr(sequence, "_CSV_CHUNK", chunk)
@@ -762,6 +787,162 @@ def test_points_csv_accepts_leading_zeros_and_either_hex_case():
     back = read_points_csv(io.StringIO("0,0x00/04,0\n1,0x0a/4,0.625\n2,0xB/004,0.6875\n"))
     assert back.precision == 4
     assert back.numerators.tolist() == [[0], [10], [11]]
+
+
+# One-field edits of row 1 of ``0,0x0/4,0`` / ``1,0x8/4,0.5`` and what the
+# reader gives for each: the numerators, or the refusal's message.  The
+# float field takes Unicode white space around Python's decimal float
+# grammar without "_" and with inf, infinity and nan in any case; the index
+# and hex fields are compared as text of Latin-1 characters other than NUL;
+# a line outside that form is "not an index and d hex,float pairs".
+ONE_FIELD_EDITS = [
+    ('index', ' 1', "row 1 has index ' 1'"),
+    ('index', '1 ', "row 1 has index '1 '"),
+    ('index', '\t1', "row 1 has index '\\t1'"),
+    ('index', '1\t', "row 1 has index '1\\t'"),
+    ('index', '+1', "row 1 has index '+1'"),
+    ('index', '-1', "row 1 has index '-1'"),
+    ('index', '_1', "row 1 has index '_1'"),
+    ('index', '1_', "row 1 has index '1_'"),
+    ('index', '\u30001', "row 1 is not an index and 1 hex,float pairs: '\\u30001,0x8/4,0.5'"),
+    ('index', '\xe91', "row 1 has index '\xe91'"),
+    ('index', '\u01001', "row 1 is not an index and 1 hex,float pairs: '\u01001,0x8/4,0.5'"),
+    ('index', '1\x00', "row 1 is not an index and 1 hex,float pairs: '1\\x00,0x8/4,0.5'"),
+    ('index', '\x00', "row 1 is not an index and 1 hex,float pairs: '\\x00,0x8/4,0.5'"),
+    ('index', '1#', "row 1 has index '1#'"),
+    ('index', '#', [[0]]),
+    ('index', '', "row 1 has index ''"),
+    ('index', '5e-1', "row 1 has index '5e-1'"),
+    ('index', '1E-1', "row 1 has index '1E-1'"),
+    ('index', '.5', "row 1 has index '.5'"),
+    ('index', 'inf', "row 1 has index 'inf'"),
+    ('index', 'infinity', "row 1 has index 'infinity'"),
+    ('index', 'nan', "row 1 has index 'nan'"),
+    ('index', '0x1p-1', "row 1 has index '0x1p-1'"),
+    ('index', '0X1p-1', "row 1 has index '0X1p-1'"),
+    ('index', '1e', "row 1 has index '1e'"),
+    ('index', '01', "row 1 has index '01'"),
+    ('index', '1                              ', "row 1 has index '1                   '"),
+    ('index', '1111111111111111111111111', "row 1 has index '11111111111111111111'"),
+    ('index', 'n', [[0]]),
+    ('hex', ' 0x8/4', "row 1 has a malformed dyadic field ' 0x8/4'"),
+    ('hex', '0x8/4 ', "row 1 has a malformed dyadic field '0x8/4 '"),
+    ('hex', '\t0x8/4', "row 1 has a malformed dyadic field '\\t0x8/4'"),
+    ('hex', '0x8/4\t', "row 1 has a malformed dyadic field '0x8/4\\t'"),
+    ('hex', '+0x8/4', "row 1 has a malformed dyadic field '+0x8/4'"),
+    ('hex', '-0x8/4', "row 1 has a malformed dyadic field '-0x8/4'"),
+    ('hex', '_0x8/4', "row 1 has a malformed dyadic field '_0x8/4'"),
+    ('hex', '0x8/4_', "row 1 has a malformed dyadic field '0x8/4_'"),
+    ('hex', '\u30000x8/4', "row 1 is not an index and 1 hex,float pairs: '1,\\u30000x8/4,0.5'"),
+    ('hex', '\xe90x8/4', "row 1 has a malformed dyadic field '\xe90x8/4'"),
+    ('hex', '\u01000x8/4', "row 1 is not an index and 1 hex,float pairs: '1,\u01000x8/4,0.5'"),
+    ('hex', '0x8/4\x00', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4\\x00,0.5'"),
+    ('hex', '\x00', "row 1 is not an index and 1 hex,float pairs: '1,\\x00,0.5'"),
+    ('hex', '0x8/4#', "row 1 has a malformed dyadic field '0x8/4#'"),
+    ('hex', '#', "row 1 has a malformed dyadic field '#'"),
+    ('hex', '', "row 1 has a malformed dyadic field ''"),
+    ('hex', '5e-1', "row 1 has a malformed dyadic field '5e-1'"),
+    ('hex', '1E-1', "row 1 has a malformed dyadic field '1E-1'"),
+    ('hex', '.5', "row 1 has a malformed dyadic field '.5'"),
+    ('hex', 'inf', "row 1 has a malformed dyadic field 'inf'"),
+    ('hex', 'infinity', "row 1 has a malformed dyadic field 'infinity'"),
+    ('hex', 'nan', "row 1 has a malformed dyadic field 'nan'"),
+    ('hex', '0x1p-1', "row 1 has a malformed dyadic field '0x1p-1'"),
+    ('hex', '0X1p-1', "row 1 has a malformed dyadic field '0X1p-1'"),
+    ('hex', '1e', "row 1 has a malformed dyadic field '1e'"),
+    ('hex', '0x_8/4', "row 1 has a malformed dyadic field '0x_8/4'"),
+    ('hex', '0X8/4', "row 1 has a malformed dyadic field '0X8/4'"),
+    ('hex', '0x8/+4', "row 1 has a malformed dyadic field '0x8/+4'"),
+    ('hex', '0x8/-4', "row 1 has a malformed dyadic field '0x8/-4'"),
+    ('hex', '0x8/4/4', "row 1 has a malformed dyadic field '0x8/4/4'"),
+    ('hex', '0x8/04', [[0], [8]]),
+    ('hex', '0x08/4', [[0], [8]]),
+    ('hex', '0xa/4', 'row 1 has a float field other than its hex value'),
+    ('hex', '0x8/5', 'inconsistent precisions [4, 5] in points CSV'),
+    ('hex', '0x8/65', 'inconsistent precisions [4, 65] in points CSV'),
+    ('hex', '0x10/4', 'numerator out of range for precision 4'),
+    ('hex', '0xFFFFFFFFFFFFFFFFF/4', 'numerator out of range for precision 4'),
+    ('hex', '0x000000000000000000000000008/4', [[0], [8]]),
+    ('hex', '0x0000000000000000000000000008/4', 'row 1 has a hex field of 32 or more bytes'),
+    ('hex', '0x8/0000000000000000000000000000004', 'row 1 has a hex field of 32 or more bytes'),
+    ('float', ' 0.5', [[0], [8]]),
+    ('float', '0.5 ', [[0], [8]]),
+    ('float', '\t0.5', [[0], [8]]),
+    ('float', '0.5\t', [[0], [8]]),
+    ('float', '+0.5', [[0], [8]]),
+    ('float', '-0.5', 'row 1 has a float field other than its hex value'),
+    ('float', '_0.5', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,_0.5'"),
+    ('float', '0.5_', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,0.5_'"),
+    ('float', '\u30000.5', [[0], [8]]),
+    ('float', '\xe90.5', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,\xe90.5'"),
+    ('float', '\u01000.5', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,\u01000.5'"),
+    ('float', '0.5\x00', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,0.5\\x00'"),
+    ('float', '\x00', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,\\x00'"),
+    ('float', '0.5#', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,0.5#'"),
+    ('float', '#', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,#'"),
+    ('float', '', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,'"),
+    ('float', '5e-1', [[0], [8]]),
+    ('float', '1E-1', 'row 1 has a float field other than its hex value'),
+    ('float', '.5', [[0], [8]]),
+    ('float', 'inf', 'row 1 has a float field other than its hex value'),
+    ('float', 'infinity', 'row 1 has a float field other than its hex value'),
+    ('float', 'nan', 'row 1 has a float field other than its hex value'),
+    ('float', '0x1p-1', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,0x1p-1'"),
+    ('float', '0X1p-1', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,0X1p-1'"),
+    ('float', '1e', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,1e'"),
+    ('float', '0.5_0', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,0.5_0'"),
+    ('float', '0_.5', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,0_.5'"),
+    ('float', '- 0.5', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,- 0.5'"),
+    ('float', '5E-1', [[0], [8]]),
+    ('float', '05e-1', [[0], [8]]),
+    ('float', '5.', 'row 1 has a float field other than its hex value'),
+    ('float', '0.50000000000000000000000000000001', [[0], [8]]),
+    ('float', '-inf', 'row 1 has a float field other than its hex value'),
+    ('float', 'Infinity', 'row 1 has a float field other than its hex value'),
+    ('float', 'NaN', 'row 1 has a float field other than its hex value'),
+    ('float', 'nan(1)', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,nan(1)'"),
+    ('float', 'infin', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,infin'"),
+    ('float', '1e+', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,1e+'"),
+    ('float', '.', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,.'"),
+    ('float', 'e1', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,e1'"),
+    ('float', ' ', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4, '"),
+    ('float', '\u20280.5', [[0], [8]]),
+    ('float', '0.5\x85', [[0], [8]]),
+    ('float', '\xa00.5', [[0], [8]]),
+    ('float', '\u200b0.5', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,\\u200b0.5'"),
+    ('float', '\u0660.\u0665', "row 1 is not an index and 1 hex,float pairs: '1,0x8/4,\u0660.\u0665'"),
+    ('float', '\x0c0.5\x0b', [[0], [8]]),
+]
+
+
+@pytest.mark.parametrize("field, value, outcome", ONE_FIELD_EDITS)
+def test_points_csv_one_field_edits_read_as_recorded(field, value, outcome):
+    fields = ["1", "0x8/4", "0.5"]
+    fields[["index", "hex", "float"].index(field)] = value
+    text = "0,0x0/4,0\n" + ",".join(fields) + "\n"
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError) as refused:
+            read_points_csv(io.StringIO(text))
+        assert str(refused.value) == outcome
+    else:
+        back = read_points_csv(io.StringIO(text))
+        assert back.numerators.tolist() == outcome and back.precision == 4
+
+
+def test_points_csv_reads_wide_rows_in_memory_proportional_to_them():
+    # The row pattern repeats one field pattern d times.  A pattern with a
+    # copy of it per coordinate traced about 700 bytes per byte of these
+    # rows at d = 2,000 while it compiled, and took seconds.
+    d = 2000
+    text = "".join(f"{n}" + f",0x{n}/4,{n / 16}" * d + "\n" for n in range(2))
+    tracemalloc.start()
+    try:
+        back = read_points_csv(io.StringIO(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.numerators.tolist() == [[0] * d, [1] * d]
+    assert peak <= 200 * len(text)
 
 
 def test_points_csv_range_error_outranks_an_earlier_float_mismatch(monkeypatch):
