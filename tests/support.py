@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from dignet import sequence
 from dignet.gf2 import BitMatrix, echelon_insert
 from dignet.measures import WeightScheme
 from dignet.niederreiter import GeneratingMatrixSet
@@ -67,6 +68,22 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def recorded_blocks(monkeypatch, size: int) -> list[str]:
+    """Make the points reader read ``size`` characters at a time, and
+    return the list of the blocks it cuts, in reading order."""
+    blocks = []
+    cut = sequence._blocks
+
+    def recorded(source):
+        for block in cut(source):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(sequence, "_COUNT_BLOCK", size)
+    monkeypatch.setattr(sequence, "_blocks", recorded)
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dignet.niederreiter import GeneratingMatrixSet, load_matrix_set
 from dignet.sequence import generate_points, read_points_csv, write_points_csv
 from dignet.cli import construct_matrices, write_study_csv
 from dignet.walshlab import walsh_series_l2
-from support import entry, identity, same_points, save_matrix_set
+from support import entry, identity, recorded_blocks, same_points, save_matrix_set
 
 
 def _run_json(args, tmp_path, name="out.json"):
@@ -239,17 +239,54 @@ def test_measure_points_file_refuses_malformed_dyadic_field(field, tmp_path, cap
 def test_measure_points_file_refuses_bad_row_past_a_chunk(
     edit, row, tmp_path, capsys, monkeypatch
 ):
-    # Chunks of 7 lines put data row 9 (file line 11) in the second chunk.
-    monkeypatch.setattr("dignet.sequence._CSV_CHUNK", 7)
+    # Reads of 64 characters put data row 9 (file line 11) in a block after
+    # the first.
     path = tmp_path / "pts.csv"
     assert main(["points", "-d", "2", "-m", "4", "--out", str(path)]) == 0
     lines = path.read_text().splitlines(keepends=True)
     lines[11] = edit(lines[11])
     path.write_text("".join(lines))
+    blocks = recorded_blocks(monkeypatch, 64)
     assert main(["measure", "--points", str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert row in err
+    assert len(blocks) >= 2 and "\n9," not in blocks[0]
+
+
+@pytest.mark.parametrize("row", [1, 3000])
+def test_measure_points_file_refuses_an_undecodable_byte(
+    row, tmp_path, capsys, monkeypatch
+):
+    # A byte that the file's encoding cannot decode is refused by the text
+    # layer's read, as one error line.  Row 1 lies in the first read of
+    # 32,768 characters and row 3,000 (some 180 kB in) after it, so the
+    # second refusal comes once earlier blocks have been read.
+    path = tmp_path / "pts.csv"
+    assert main(["points", "-d", "2", "-m", "12", "--out", str(path)]) == 0
+    with open(path, newline="") as fh:
+        encoding = fh.encoding
+    bad = next((bytes([b]) for b in range(128, 256) if not _decodes(bytes([b]), encoding)),
+               None)
+    if bad is None:
+        pytest.skip(f"{encoding} decodes every byte")
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[row + 2] = lines[row + 2].replace(b"0x", b"0x" + bad, 1)
+    path.write_bytes(b"".join(lines))
+    blocks = recorded_blocks(monkeypatch, 1 << 15)
+    assert main(["measure", "--points", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "decode" in err and "Traceback" not in err
+    assert (len(blocks) > 0) == (row == 3000)
+
+
+def _decodes(data: bytes, encoding: str) -> bool:
+    try:
+        data.decode(encoding)
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def test_measure_cross_check(tmp_path):

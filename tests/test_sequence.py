@@ -34,6 +34,7 @@ from support import (
     digital_shift,
     matvec,
     pset_from_tuples,
+    recorded_blocks,
     same_points,
     tail_shift_vector,
     values,
@@ -203,7 +204,7 @@ def test_reading_and_iterating_points_hold_numerators_plus_a_chunk(
 
 def test_reading_a_crlf_file_holds_numerators_plus_a_chunk(tmp_path, monkeypatch):
     # The same bound as above for a file with CRLF line ends: no block of it
-    # is the writer's bytes, so every block takes the tokenizer path.
+    # is the writer's bytes, so every block takes the parser path.
     chunk = 1 << 10
     monkeypatch.setattr(sequence, "_CSV_CHUNK", chunk)
     count = 1 << 16
@@ -282,11 +283,13 @@ def test_points_csv_reader_refuses_a_file_over_the_budget(tmp_path, monkeypatch)
         read_points_csv(path)
     monkeypatch.setattr(errors, "BUDGET_BYTES", 304)
     assert read_points_csv(path).numerators.tolist() == pts.numerators.tolist()
-    # A stream is refused once its rows read so far exceed the budget.
-    monkeypatch.setattr(sequence, "_CSV_CHUNK", 7)
+    # A stream is refused once its rows read so far exceed the budget; reads
+    # of 64 characters cut it into several blocks.
+    blocks = recorded_blocks(monkeypatch, 64)
     monkeypatch.setattr(errors, "BUDGET_BYTES", 16 * 2 * 8 - 1)
     with pytest.raises(BudgetError, match="room for 16 rows of points at d=2"):
         read_points_csv(io.StringIO(path.read_text()))
+    assert len(blocks) >= 2
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
@@ -346,6 +349,27 @@ def test_points_csv_reads_lines_longer_than_a_read(end, tmp_path, monkeypatch):
     path.write_bytes("".join(lines).replace("\n", end).encode())
     back = read_points_csv(path)
     assert same_points(back, pts) and back.provenance == pts.provenance
+
+
+@pytest.mark.parametrize("size", range(1, 8))
+def test_blocks_cut_a_path_and_a_stream_at_line_ends(size, tmp_path, monkeypatch):
+    # Reads of 1 to 7 characters split \r\n pairs, runs of line ends and a
+    # line of 2,000 characters across reads in every way; the text ends
+    # without a line end, and then with a lone \r.
+    monkeypatch.setattr(sequence, "_COUNT_BLOCK", size)
+    body = "a,1\n\r\nb\rc\r\r\n\n\r" + "x" * 2000 + "\r\nd\r\ne \u00e9\rf\r\n" + "g" * 9
+    path = tmp_path / "text.csv"
+    for text in (body, body + "\r"):
+        path.write_bytes(text.encode())
+        with open(path, newline="", encoding="utf-8") as fh:
+            from_path = list(sequence._blocks(fh))
+        for blocks in (from_path, list(sequence._blocks(io.StringIO(text)))):
+            assert "".join(blocks) == text and all(blocks)
+            assert all(block.endswith(("\n", "\r")) for block in blocks[:-1])
+            assert not any(
+                block.endswith("\r") and after.startswith("\n")
+                for block, after in zip(blocks, blocks[1:])
+            )
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -661,13 +685,16 @@ def _csv_point_sets(draw):
 @given(_csv_point_sets())
 @example(pset_from_tuples([(1, 2)], 4, "niederreiter(d=2, alpha=2, t=8)"))
 def test_points_csv_round_trip_property(pset):
-    # A small chunk makes sets of more than 7 rows cross chunk boundaries
-    # in both the writer and the reader.
+    # Chunks of 7 rows make sets of more than 7 rows cross chunk boundaries
+    # in the writer; reads of 32 characters cut every file into several
+    # blocks, the comment line alone being at least 26 characters.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequence, "_CSV_CHUNK", 7)
+        blocks = recorded_blocks(mp, 32)
         buf = io.StringIO()
         write_points_csv(pset, buf, timestamp="t")
         back = read_points_csv(io.StringIO(buf.getvalue()))
+    assert len(blocks) >= 2
     assert back.numerators.tolist() == pset.numerators.tolist()
     assert back.precision == pset.precision
     assert back.provenance == pset.provenance
@@ -705,31 +732,37 @@ def test_points_csv_crlf_reads_back(tmp_path):
 def test_points_csv_ends_lines_alike_from_a_path_and_a_stream(tmp_path, monkeypatch):
     # \n, \r\n and a lone \r end a line whether the text comes from a path,
     # a default text stream, which ends lines only at \n, or a stream
-    # opened with newline="".  Blocks of 7 lines put line ends of all three
-    # kinds on block boundaries.
-    monkeypatch.setattr(sequence, "_CSV_CHUNK", 7)
+    # opened with newline="".  Reads of 1 to 7 characters put line ends of
+    # all three kinds on read and block boundaries.
     pset = generate_points(build_matrices(2, 4, 4), 16)
     mixed = "".join(
         line[:-1] + ("\n", "\r\n", "\r")[k % 3]
         for k, line in enumerate(_written(pset).splitlines(keepends=True))
     )
     path = tmp_path / "pts.csv"
-    for text, nums in [
-        ("0,0x0/4,0\r1,0x1/4,0.0625\n", [[0], [1]]),
-        (mixed, pset.numerators.tolist()),
-    ]:
-        path.write_bytes(text.encode())
-        outcomes = [
-            _outcome(lambda: read_points_csv(source))
-            for source in (path, io.StringIO(text), io.StringIO(text, newline=""))
-        ]
-        assert outcomes[0][0] == nums
-        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    blocks = recorded_blocks(monkeypatch, 1)
+    for size in range(1, 8):
+        monkeypatch.setattr(sequence, "_COUNT_BLOCK", size)
+        blocks.clear()
+        for text, nums in [
+            ("0,0x0/4,0\r1,0x1/4,0.0625\n", [[0], [1]]),
+            (mixed, pset.numerators.tolist()),
+        ]:
+            path.write_bytes(text.encode())
+            outcomes = [
+                _outcome(lambda: read_points_csv(source))
+                for source in (path, io.StringIO(text), io.StringIO(text, newline=""))
+            ]
+            assert outcomes[0][0] == nums
+            assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        assert len(blocks) >= 2 * 3 * 2
 
 
-@pytest.mark.parametrize("chunk", [7, 1 << 14])
-def test_points_csv_skips_comments_and_blanks_between_rows(chunk, monkeypatch):
-    monkeypatch.setattr(sequence, "_CSV_CHUNK", chunk)
+@pytest.mark.parametrize("size", [7, 1 << 14])
+def test_points_csv_skips_comments_and_blanks_between_rows(size, monkeypatch):
+    # Reads of 7 characters cut the file into many blocks; reads of 16,384
+    # take all of its 4,000 or so in one.
+    blocks = recorded_blocks(monkeypatch, size)
     pset = _csv_cases()["d3"]
     lines = _written(pset).splitlines(keepends=True)
     # Between data rows 4|5, 9|10 and 30|31: a comment, a blank line, a
@@ -740,6 +773,7 @@ def test_points_csv_skips_comments_and_blanks_between_rows(chunk, monkeypatch):
     back = read_points_csv(io.StringIO("".join(lines)))
     assert back.numerators.tolist() == pset.numerators.tolist()
     assert back.provenance == "edited"
+    assert len(blocks) >= 2 if size == 7 else len(blocks) == 1
 
 
 @pytest.mark.parametrize("row", [
@@ -946,8 +980,9 @@ def test_points_csv_reads_wide_rows_in_memory_proportional_to_them():
 
 
 def test_points_csv_range_error_outranks_an_earlier_float_mismatch(monkeypatch):
-    # Chunks of 7 lines: data rows 0-4 in the first, 5-11 in the second.
-    monkeypatch.setattr(sequence, "_CSV_CHUNK", 7)
+    # Reads of 64 characters: the comment, the header and data row 0 in
+    # the first block, and rows 1 and 9 in later, different ones.
+    blocks = recorded_blocks(monkeypatch, 64)
     pts = generate_points(build_matrices(2, 4, 4), 12)
     lines = _written(pts).splitlines(True)
 
@@ -967,6 +1002,11 @@ def test_points_csv_range_error_outranks_an_earlier_float_mismatch(monkeypatch):
 
     with pytest.raises(ValueError, match="numerator out of range for precision 4"):
         read_points_csv(edited({1: float_off, 9: over_range}))
+    first, second = (
+        next(i for i, block in enumerate(blocks) if f"\n{row}," in "\n" + block)
+        for row in (1, 9)
+    )
+    assert 0 < first < second
     with pytest.raises(ValueError, match="^row 1 has a float field"):
         read_points_csv(edited({1: float_off, 9: float_off}))
     with pytest.raises(ValueError, match="^row 9 has a float field"):
@@ -981,17 +1021,18 @@ def test_points_csv_range_error_outranks_an_earlier_float_mismatch(monkeypatch):
     (lambda f: f.replace("/6", "/6/6", 1), "row 9 has a malformed dyadic field"),
 ])
 def test_points_csv_names_the_file_row_past_a_chunk(edit, message, monkeypatch):
-    # Row 9 lies in the second chunk of 7 lines; the header and comment lines
-    # take two lines of the first.
-    monkeypatch.setattr(sequence, "_CSV_CHUNK", 7)
+    # Reads of 64 characters put row 9 (file line 11) in a block after the
+    # first.
+    blocks = recorded_blocks(monkeypatch, 64)
     lines = _written(generate_points(build_matrices(2, 6, 6), 12, 6)).splitlines(True)
     lines[11] = edit(lines[11])
     with pytest.raises(ValueError, match=message):
         read_points_csv(io.StringIO("".join(lines)))
+    assert len(blocks) >= 2 and "\n9," not in blocks[0]
 
 
 def _no_writer_rows(monkeypatch):
-    """Send every block down the tokenizer path."""
+    """Send every block down the parser path."""
     monkeypatch.setattr(sequence, "_writer_rows", lambda *args: None)
 
 
@@ -1034,12 +1075,13 @@ def _edited_points_text(draw):
     st.integers(2, 9),
     st.sampled_from([64, 200, 1 << 15]),
 )
-def test_points_csv_writer_blocks_read_as_the_tokenizer_reads_them(text, chunk, block):
-    # Blocks of a few lines, and reads of a few hundred bytes, put many
-    # block boundaries in each file; whatever one edit did to it, checking
-    # blocks against the writer must not change what is read or refused.
-    # A file is opened with newline="", so it reads as a stream that ends
-    # its lines as that does, whose blocks are cut by lines, not bytes.
+def test_points_csv_writer_blocks_read_as_the_parser_reads_them(text, chunk, block):
+    # Reads of 64 or 200 characters put many block boundaries in each
+    # file; whatever one edit did to it, checking blocks against the writer
+    # must not change what is read or refused.  A file is opened with
+    # newline="", so it is cut into blocks as a stream of its text is.
+    # ``_CSV_CHUNK`` is the writer's alone, so ``chunk`` does not reach the
+    # reader.
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "pts.csv"
@@ -1052,8 +1094,8 @@ def test_points_csv_writer_blocks_read_as_the_tokenizer_reads_them(text, chunk, 
             lambda: path,
         ):
             outcomes.append(_outcome(lambda: read_points_csv(source())))
-            with pytest.MonkeyPatch.context() as tokenizer_only:
-                _no_writer_rows(tokenizer_only)
+            with pytest.MonkeyPatch.context() as parser_only:
+                _no_writer_rows(parser_only)
                 assert _outcome(lambda: read_points_csv(source())) == outcomes[-1]
     assert outcomes[2] == outcomes[1]
 
@@ -1080,16 +1122,17 @@ def test_points_csv_takes_every_block_after_the_first_as_the_writers(
     path = tmp_path / "pts.csv"
     write_points_csv(pts, path)
     checks = _writer_block_checks(monkeypatch)
-    back = read_points_csv(path)
-    assert same_points(back, pts) and back.provenance == pts.provenance
-    # The first block holds the comment and the header, fixes d and w, and
-    # is tokenized; each block after it is checked, and taken.
-    assert len(checks) > 10 and None not in checks and sum(checks) < 1 << 14
-    # A stream's blocks are _CSV_CHUNK of its lines.
-    checks.clear()
-    back = read_points_csv(io.StringIO(path.read_text()))
-    assert same_points(back, pts)
-    assert None not in checks and sum(checks) == (1 << 14) - sequence._CSV_CHUNK + 2
+    seen = []
+    for source in (path, io.StringIO(path.read_text())):
+        checks.clear()
+        back = read_points_csv(source)
+        assert same_points(back, pts) and back.provenance == pts.provenance
+        # The first block holds the comment and the header, fixes d and w,
+        # and is parsed; each block after it is checked, and taken.
+        assert len(checks) > 10 and None not in checks and sum(checks) < 1 << 14
+        seen.append(list(checks))
+    # A path and a stream of the same text are cut into the same blocks.
+    assert seen[1] == seen[0]
 
 
 def test_points_csv_edits_at_the_default_block_size(tmp_path, monkeypatch):
@@ -1115,7 +1158,7 @@ def test_points_csv_edits_at_the_default_block_size(tmp_path, monkeypatch):
 
     # Accepted with the same numerators: a float written in another form of
     # equal value (0.12... as 1.2...e-01), lower-case hex, a comment line in
-    # the middle of the file.  Only the edited block is tokenized.
+    # the middle of the file.  Only the edited block is parsed.
     for at, edit in [
         (row, exponent_form),
         (lettered, str.lower),
