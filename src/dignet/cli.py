@@ -287,17 +287,43 @@ def _dump_json(out: str | None, obj) -> None:
     _write_text(out, json.dumps(obj, indent=2) + "\n")
 
 
-def _inline_gset(args, parser: argparse.ArgumentParser) -> GeneratingMatrixSet:
+# The flags that a file source may make meaningless, by argparse dest.
+_FLAG_NAMES = {
+    "matrix_file": "--matrix-file",
+    "dimension": "-d/--dimension",
+    "alpha": "-a/--alpha",
+    "size": "-m/--size",
+    "precision": "-W/--precision",
+}
+
+
+def _refuse_given(args, parser, dests: Sequence[str], scope: str) -> None:
+    """Refuse the flags of ``dests`` that were given, under the
+    subcommand's usage line: the file source in use sets what they set."""
+    given = [_FLAG_NAMES[dest] for dest in dests if getattr(args, dest) is not None]
+    if len(given) == 1:
+        parser.error(f"{given[0]} applies to {scope}")
+    if given:
+        parser.error(f"{', '.join(given[:-1])} and {given[-1]} apply to {scope}")
+
+
+def _inline_gset(
+    args, parser: argparse.ArgumentParser, file_sets: Sequence[str]
+) -> GeneratingMatrixSet:
     """The --matrix-file matrices, or the inline construction.
 
-    ``tvalue`` leaves -a/--alpha unset to check a file at its own order; an
-    inline construction then uses alpha 1.
+    A file refuses the construction flags of ``file_sets``, which it sets
+    itself; ``tvalue`` leaves -a/--alpha out of them, since there it sets
+    the order of the check.  An inline construction takes d = 1 and
+    alpha = 1 unless given.
     """
     if args.matrix_file:
+        _refuse_given(args, parser, file_sets,
+                      "an inline construction, not --matrix-file")
         return load_matrix_set(args.matrix_file)
     if args.size is None:
         parser.error("need --matrix-file or -m/--size to define the matrices")
-    return construct_matrices(args.dimension, args.alpha or 1, args.size)
+    return construct_matrices(args.dimension or 1, args.alpha or 1, args.size)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +340,7 @@ def _cmd_matrices(args, parser) -> int:
 
 def _cmd_points(args, parser) -> int:
     _bind("generate_points", "write_points_csv")
-    gset = _inline_gset(args, parser)
+    gset = _inline_gset(args, parser, ("dimension", "alpha", "size"))
     count = args.count if args.count is not None else 1 << gset.cols
     pset = generate_points(gset, count, args.precision)
     if args.out is None or args.out == "-":
@@ -348,9 +374,9 @@ def _cmd_measure(args, parser) -> int:
             parser.error("the walsh method and --cross-check need generating "
                          "matrices, not a points file")
     if args.points_file:
-        if args.precision is not None:
-            parser.error("-W/--precision applies to generated points, not a "
-                         "points file")
+        _refuse_given(args, parser,
+                      ("matrix_file", "dimension", "alpha", "size", "precision"),
+                      "generated points, not a points file")
         pset = read_points_csv(args.points_file)
         if args.count is not None:
             if args.count > pset.size:
@@ -363,7 +389,7 @@ def _cmd_measure(args, parser) -> int:
             )
         gset = None
     else:
-        gset = _inline_gset(args, parser)
+        gset = _inline_gset(args, parser, ("dimension", "alpha", "size"))
         count = args.count if args.count is not None else 1 << gset.cols
         if method != "walsh":
             pset = generate_points(gset, count, args.precision)
@@ -401,7 +427,7 @@ def _cmd_measure(args, parser) -> int:
 
 
 def _cmd_tvalue(args, parser) -> int:
-    gset = _inline_gset(args, parser)
+    gset = _inline_gset(args, parser, ("dimension", "size"))
     alpha = args.alpha if args.alpha is not None else gset.alpha
     m_max = args.m_max if args.m_max is not None else gset.cols
     if m_max > gset.cols:
@@ -477,10 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_generator_flags(p, with_count: bool):
         p.add_argument("--matrix-file", type=_path,
                        help="load matrices from a JSON file")
-        p.add_argument("-d", "--dimension", type=_positive_int, default=1,
-                       help="output dimension (inline construction)")
-        p.add_argument("-a", "--alpha", type=_positive_int, default=1,
-                       help="interlacing factor (inline construction)")
+        p.add_argument("-d", "--dimension", type=_positive_int,
+                       help="output dimension (inline construction; default 1)")
+        p.add_argument("-a", "--alpha", type=_positive_int,
+                       help="interlacing factor (inline construction; default 1)")
         p.add_argument("-m", "--size", type=_positive_int,
                        help="digit columns of the inline construction")
         if with_count:
@@ -526,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("tvalue", help="verify net quality per block size")
     pt.add_argument("--matrix-file", type=_path)
-    pt.add_argument("-d", "--dimension", type=_positive_int, default=1)
+    pt.add_argument("-d", "--dimension", type=_positive_int,
+                    help="output dimension (inline construction; default 1)")
     pt.add_argument("-a", "--alpha", type=_positive_int, default=None,
                     help="order of the check (default: the construction's)")
     pt.add_argument("-m", "--size", type=_positive_int,

@@ -12,15 +12,18 @@ owns; the test suite gates it against the truncated exponential-sum
 evaluator (``fourier_truncated``), which is kept free of kernel shortcuts.
 
 The kernel pair sum is exact for d <= 2 and takes O(N log N): with
-u = x - y, B2({u}) = u^2 - |u| + 1/6, so the pair sums reduce to integer
-moments, sorted running sums and one Fenwick tree over the numerators
-(Heinrich, Math. Comp. 65, 1996).  The squared measure over its prefactor
-is then a polynomial in c, c*A for d = 1 and c*A + c^2*B for d = 2, whose
-coefficients are exact non-negative rationals rounded once, so the
-cancellation in T/N^2 - 1 never happens in floats.  The prefixes of one set
-share one pass (``prefix_kernel_measures``): each coordinate is sorted once
-for all of them, and a count one more than the previous one (2^m after
-2^m - 1) extends the previous pair totals by its new point in O(N).
+u = x - y, B2({u}) = u^2 - |u| + 1/6, so the pair sums reduce to sums of
+moments over the numerators (Heinrich, Math. Comp. 65, 1996): closed
+forms for d = 1, and for d = 2 one sweep in x order, in which u >= 0, so
+that running moments give every part but those in |v|, and one Fenwick
+tree over the y ranks the sums that split |v| by sign.  The squared
+measure over its prefactor is then a polynomial in c, c*A for d = 1 and
+c*A + c^2*B for d = 2, whose coefficients are exact non-negative rationals
+rounded once, so the cancellation in T/N^2 - 1 never happens in floats.
+The prefixes of one set share one pass (``prefix_kernel_measures``): each
+coordinate is sorted once for all of them, and a count one more than the
+previous one (2^m after 2^m - 1) extends the previous pair totals by its
+new point in O(N).
 
 The four kernel entry points differ only in the schemes and counts they
 pass to one report path, ``_kernel_reports``: it checks the counts and the
@@ -99,7 +102,7 @@ PERIODIC_L2 = WeightScheme("periodic-l2", 3.0, 1.0 / 3.0)
 DIAPHONY = WeightScheme("diaphony", 2.0 * math.pi**2, 1.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class MeasureReport:
     """Result of one measure evaluation."""
 
@@ -227,79 +230,78 @@ def _abs_pair_sum(xs: Sequence[int]) -> int:
     return 2 * sum(x * (2 * r - n + 1) for r, x in enumerate(xs))
 
 
-def _square_square_pair_sum(xs: Sequence[int], ys: Sequence[int]) -> int:
-    """Sum of (x_i - x_k)^2 (y_i - y_k)^2 from centred moments.
-
-    With X = N*x - sum(x) and Y likewise, the odd cross terms vanish and the
-    sum is (2N m22 + 2 m20 m02 + 4 m11^2) / N^4, an exact division.
-    """
-    n = len(xs)
-    sx, sy = sum(xs), sum(ys)
-    cx = [n * x - sx for x in xs]
-    cy = [n * y - sy for y in ys]
-    m11 = sum(a * b for a, b in zip(cx, cy))
-    m22 = sum((a * b) ** 2 for a, b in zip(cx, cy))
-    m20 = sum(a * a for a in cx)
-    m02 = sum(b * b for b in cy)
-    return (2 * n * m22 + 2 * m20 * m02 + 4 * m11 * m11) // n**4
-
-
-def _square_abs_pair_sum(xs: Sequence[int], ys: Sequence[int]) -> int:
-    """Sum of (x_i - x_k)^2 |y_i - y_k| over pairs listed in ascending y
-    order: one pass with six running sums."""
-    c0 = sy = sx = sxy = sx2 = sx2y = 0
-    total = 0
-    for x, y in zip(xs, ys):
-        x2 = x * x
-        total += x2 * (y * c0 - sy) - 2 * x * (y * sx - sxy) + y * sx2 - sx2y
-        c0 += 1
-        sy += y
-        sx += x
-        sxy += x * y
-        sx2 += x2
-        sx2y += x2 * y
-    return 2 * total
-
-
-def _abs_abs_pair_sum(
+def _sweep_totals(
     xs: Sequence[int], ys: Sequence[int], ranks: Sequence[int], precision: int
-) -> int:
-    """Sum of |x_i - x_k| |y_i - y_k| as the signed sum minus twice the
-    discordant pairs' share.
+) -> list[int]:
+    """[sum g(U1), sum g(U2), sum g(U1) g(U2)] of the points listed in
+    ascending x order, in one sweep; ``ranks`` holds each point's place in
+    descending y order.
 
-    The pairs are listed in ascending x order, and ``ranks`` holds each
-    one's place in descending y order.  The discordant sum is a 2-D
-    dominance sum: points enter in x order and a Fenwick tree over the y
-    ranks holds four non-negative accumulators (count, sum x, sum y,
-    sum xy), packed into one integer: the lower three fields hold at most
-    N * (2^w - 1) < 2^width, so they never carry into each other, and
-    sum xy sits on top.
+    Against an earlier point k, u = x - x_k >= 0 and v = y - y_k, and
+    g(u) = a + c*x_k + x_k^2 with a = x(x - 2^w) and c = 2^w - 2x.  So
+    each sum over the earlier points is a combination of their moments
+    S_ij = sum x_k^i y_k^j: nine running sums (i, j <= 2) give the sums of
+    g(u), v, v^2, g(u) v and g(u) v^2, and |v| = v - 2v[y_k > y] leaves
+    the sums of v and g(u) v over the earlier points above y.  A Fenwick
+    tree over the y ranks holds their six moments T_ij (i <= 2, j <= 1)
+    packed into one non-negative int: the count in b bits, b the bit
+    length of N, x and y in w + b, xy and x^2 in 2w + b, and x^2 y on top.
+    A field's sum over N points stays below 2^(its bits), so no field
+    carries into the next.  Each pair is met once, at its later point, and
+    every summand is even in (u, v), so the totals are twice the sweep's.
     """
     n = len(xs)
-    signed = 2 * (n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys))
-    width = precision + n.bit_length()
-    field = (1 << width) - 1
+    period = 1 << precision
+    b = n.bit_length()
+    low, high = precision + b, 2 * precision + b
+    at01, at11 = b + low, b + 2 * low
+    at20, at21 = at11 + high, at11 + 2 * high
+    count_mask, low_mask, high_mask = (1 << b) - 1, (1 << low) - 1, (1 << high) - 1
     tree = [0] * (n + 1)
-    discordant = 0
+    s00 = s10 = s20 = s01 = s11 = s21 = s02 = s12 = s22 = 0
+    gu = v1 = v2 = v_above = guv1 = guv2 = guv_above = 0
     for x, y, r in zip(xs, ys, ranks):
-        # Earlier points (x_k <= x) with y_k >= y hold the ranks below r.
+        xx = x * x
+        a = xx - period * x
+        c = period - 2 * x
+        g0 = a * s00 + c * s10 + s20
+        g1 = a * s01 + c * s11 + s21
+        g2 = a * s02 + c * s12 + s22
+        gu += g0
+        p = y * s00 - s01
+        v1 += p
+        v2 += y * (p - s01) + s02
+        q = y * g0 - g1
+        guv1 += q
+        guv2 += y * (q - g1) + g2
+        # The earlier points with y_k >= y hold the ranks below r; a tie
+        # has v = 0 and adds nothing.
         acc = 0
         j = r
         while j:
             acc += tree[j]
             j &= j - 1
         if acc:
-            cnt = acc & field
-            sx = (acc >> width) & field
-            sy = (acc >> 2 * width) & field
-            sxy = acc >> 3 * width
-            discordant += x * y * cnt - x * sy - y * sx + sxy
-        packed = 1 | x << width | y << 2 * width | x * y << 3 * width
+            t00 = acc & count_mask
+            t01 = (acc >> at01) & low_mask
+            v_above += y * t00 - t01
+            h0 = a * t00 + c * ((acc >> b) & low_mask) + ((acc >> at20) & high_mask)
+            h1 = a * t01 + c * ((acc >> at11) & high_mask) + (acc >> at21)
+            guv_above += y * h0 - h1
+        xy, yy, xxy = x * y, y * y, xx * y
+        s00, s10, s20 = s00 + 1, s10 + x, s20 + xx
+        s01, s11, s21 = s01 + y, s11 + xy, s21 + xxy
+        s02, s12, s22 = s02 + yy, s12 + x * yy, s22 + xx * yy
+        packed = 1 | x << b | y << at01 | xy << at11 | xx << at20 | xxy << at21
         j = r + 1
         while j <= n:
             tree[j] += packed
             j += j & -j
-    return signed - 4 * discordant
+    return [
+        2 * gu,
+        2 * (v2 - period * (v1 - 2 * v_above)),
+        2 * (guv2 - period * (guv1 - 2 * guv_above)),
+    ]
 
 
 def _recount_totals(
@@ -309,24 +311,22 @@ def _recount_totals(
 
     Each coordinate's order over the first n points is filtered from the
     whole set's ``orders`` (one argsort per coordinate) in place of a sort.
+    One coordinate takes its two closed forms, two take one sweep in x
+    order (``_sweep_totals``).
     """
-    period = 1 << precision
     picks = [order[order < n] for order in orders]
-    own = [col[pick].tolist() for col, pick in zip(columns, picks)]
-    totals = [_square_pair_sum(xs) - period * _abs_pair_sum(xs) for xs in own]
-    if len(own) == 2:
-        (by_x, by_y), (xs, ys) = picks, own
-        ys_by_x = columns[1][by_x].tolist()
-        xs_by_y = columns[0][by_y].tolist()
-        rank = np.empty(n, dtype=np.intp)
-        rank[by_y] = np.arange(n - 1, -1, -1)
-        totals.append(
-            _square_square_pair_sum(xs, ys_by_x)
-            - period
-            * (_square_abs_pair_sum(xs_by_y, ys) + _square_abs_pair_sum(ys_by_x, xs))
-            + period**2 * _abs_abs_pair_sum(xs, ys_by_x, rank[by_x].tolist(), precision)
-        )
-    return totals
+    if len(picks) == 1:
+        xs = columns[0][picks[0]].tolist()
+        return [_square_pair_sum(xs) - (1 << precision) * _abs_pair_sum(xs)]
+    by_x, by_y = picks
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_y] = np.arange(n - 1, -1, -1)
+    return _sweep_totals(
+        columns[0][by_x].tolist(),
+        columns[1][by_x].tolist(),
+        rank[by_x].tolist(),
+        precision,
+    )
 
 
 def _extend_totals(
@@ -379,14 +379,13 @@ def _exact_kernel_bytes(size: int, dimension: int, precision: int) -> int:
     held through the pass, 32 * d: the argsort orders and their picks take
     16 * d of it, and the rest is margin, since each prefix is a row view
     of the set's numerators and not a copy.  Then the larger of two
-    steps.  A recount (``_recount_totals``) holds a list of
-    w-bit ints per coordinate and 8 bytes of index temporaries; at d = 2
-    also two more such lists, the rank array, and the larger of its two
-    phases: the centred moments, two (w + b + 1)-bit lists, or the ranks
-    as b-bit ints with the Fenwick tree of (5w + 4b)-bit packed sums.  An
-    extension (``_extend_totals``) holds d lists of (2w + 1)-bit g values
-    and one coordinate's list of w-bit differences.  64 KiB covers the
-    objects whose count does not grow with N.
+    steps.  A recount (``_recount_totals``) holds a list of w-bit ints per
+    coordinate and 8 bytes of index temporaries; at d = 2 also the rank
+    array, the ranks as b-bit ints and the sweep's Fenwick tree of
+    (9w + 6b)-bit packed sums.  An extension (``_extend_totals``) holds d
+    lists of (2w + 1)-bit g values and one coordinate's list of w-bit
+    differences.  64 KiB covers the objects whose count does not grow
+    with N.
     """
     def entry(bits: int) -> int:
         return 8 + 24 + 4 * (bits // 30 + 1)
@@ -394,9 +393,7 @@ def _exact_kernel_bytes(size: int, dimension: int, precision: int) -> int:
     d, w, b = dimension, precision, size.bit_length()
     recount = d * entry(w) + 8
     if d == 2:
-        recount += 2 * entry(w) + 8 + max(
-            2 * entry(w + b + 1), entry(b) + entry(5 * w + 4 * b)
-        )
+        recount += 8 + entry(b) + entry(9 * w + 6 * b)
     extend = d * entry(2 * w + 1) + entry(w)
     return size * (32 * d + max(recount, extend)) + (64 << 10)
 
@@ -410,22 +407,21 @@ def _kernel_coefficients(
     T is the kernel pair sum over all ordered pairs, so the coefficient of
     c^k is the mean over pairs of the sum, over k-subsets of coordinates, of
     the product of B2({x_j - y_j}).  Each is non-negative, being a sum of
-    squared exponential sums with positive weights.
+    squared exponential sums with positive weights.  With B2 = 1/6 + g/4^w
+    per coordinate, the first is d/6 plus the mean of g(U_1) + ... over
+    4^w, and at d = 2 the second is 1/36 + (first - 1/3)/6 plus the mean of
+    g(U_1) g(U_2) over 16^w.
     """
     d = pset.dimension
-    period = 1 << pset.precision
-    for n, totals in zip(counts, _pair_totals(pset, counts)):
-        pairs = n * n
-        g = sum(totals[:d])
-        first = Fraction(d, 6) + Fraction(g, period**2 * pairs)
-        if d < 2:
-            yield [first]
-            continue
-        second = Fraction(
-            period**4 * pairs + 6 * period**2 * g + 36 * totals[2],
-            36 * period**4 * pairs,
-        )
-        yield [first, second]
+    unit = 1 << 2 * pset.precision
+
+    def coefficients(n: int, totals: list[int]) -> list[Fraction]:
+        first = Fraction(d, 6) + Fraction(sum(totals[:d]), unit * n * n)
+        second = (first / 6 - Fraction(1, 36) + Fraction(t, unit * unit * n * n)
+                  for t in totals[d:])
+        return [first, *second]
+
+    return map(coefficients, counts, _pair_totals(pset, counts))
 
 
 def _report(
@@ -466,24 +462,29 @@ def _kernel_reports(
             f"counts must rise strictly within [1, {pset.size}], got {counts}"
         )
     d, w = pset.dimension, pset.precision
-    exact = None
     if d <= 2:
         need = _exact_kernel_bytes(pset.size, d, w)
         check_budget(need, f"the exact kernel at N={pset.size}, d={d}, w={w} "
                            f"needs about {need} bytes")
         exact = _kernel_coefficients(pset, counts)
-    for n in counts:
-        if exact is None:
-            squared = _float_kernel_squared(pset.numerators[:n], w, schemes, threads)
-        else:
+
+        # A count's values live in its own call, so that none is held
+        # through the next count's recount.
+        def squared(n: int) -> list[float]:
             coeffs = [float(a) for a in next(exact)]
-            squared = [
+            return [
                 s.prefactor(d)
                 * sum(a * s.kernel_coeff ** (k + 1) for k, a in enumerate(coeffs))
                 for s in schemes
             ]
+    else:
+
+        def squared(n: int) -> list[float]:
+            return _float_kernel_squared(pset.numerators[:n], w, schemes, threads)
+
+    for n in counts:
         yield tuple(
-            _report(pset, s, "kernel", sq, n) for s, sq in zip(schemes, squared)
+            _report(pset, s, "kernel", sq, n) for s, sq in zip(schemes, squared(n))
         )
 
 

@@ -33,6 +33,7 @@ into blocks where its lines end, at \\n, \\r\\n or a lone \\r.
 
 from __future__ import annotations
 
+import codecs
 import datetime as _dt
 import functools
 import io
@@ -496,23 +497,70 @@ def _data_rows(lines: list[str], first_row: int, d: int) -> list[str]:
     return fields
 
 
+def _line_ends(last: bytes, block: bytes) -> int:
+    """Line ends (\\n, \\r\\n or a lone \\r) in ``block``; ``last``, the
+    byte before it or b"", keeps a \\r\\n pair split between two blocks
+    from counting twice."""
+    cr = block.count(b"\r")
+    ends = block.count(b"\n") + cr
+    if cr or last == b"\r":
+        ends -= (last + block).count(b"\r\n")
+    return ends
+
+
 def _line_bound(fh: IO[str]) -> int:
     """Bound on the data rows of a seekable text file, read from its bytes.
 
     Text read with ``newline=""`` ends a line at each \\n, \\r or \\r\\n,
     and the last line may have no end, so the ends plus one bound the rows.
-    One binary pass counts them ``_COUNT_BLOCK`` bytes at a time (\\r\\n
-    pairs only in blocks that hold or follow a \\r) and rewinds the file.
+    One binary pass counts them ``_COUNT_BLOCK`` bytes at a time and
+    rewinds the file.
     """
     lines, last = 1, b""
     while block := fh.buffer.read(_COUNT_BLOCK):
-        cr = block.count(b"\r")
-        lines += block.count(b"\n") + cr
-        if cr or last == b"\r":
-            lines -= (last + block).count(b"\r\n")
+        lines += _line_ends(last, block)
         last = block[-1:]
     fh.seek(0)
     return lines
+
+
+def _undecodable(
+    source: IO[str], exc: UnicodeDecodeError, lines: int | None
+) -> ValueError:
+    """The refusal of a byte that the text layer of ``source`` cannot decode.
+
+    The layer's own message counts the byte from the start of its decode
+    chunk.  A stream that cannot be read again names line ``lines``, the
+    last one it read whole before the byte.  A file that can (``lines`` is
+    None) is decoded again from its start, ``_COUNT_BLOCK`` bytes at a
+    time, to name the byte's offset in the file and its line.
+    """
+    if lines is not None:
+        last = f"line {lines} was the last" if lines else "no line was"
+        return ValueError(f"byte 0x{exc.object[exc.start]:02x} cannot be decoded as "
+                          f"{exc.encoding} ({exc.reason}); {last} read whole "
+                          "before it")
+    raw = source.buffer
+    raw.seek(0)
+    decoder = codecs.getincrementaldecoder(source.encoding)()
+    offset, line, last = 0, 1, b""
+    while block := raw.read(_COUNT_BLOCK):
+        # The decoder holds back the bytes of a character cut at the
+        # block's end, and counts a fault from the first of them.
+        held = len(decoder.getstate()[0])
+        try:
+            decoder.decode(block)
+        except UnicodeDecodeError as found:
+            at = found.start - held
+            line += _line_ends(last, block[: max(at, 0)])
+            return ValueError(
+                f"byte 0x{found.object[found.start]:02x} at offset {offset + at} "
+                f"(line {line}) cannot be decoded as {found.encoding} ({found.reason})"
+            )
+        offset += len(block)
+        line += _line_ends(last, block)
+        last = block[-1:]
+    return exc
 
 
 # Value of each byte as one of the writer's hex digits, 0-9 and A-F; 255
@@ -529,13 +577,23 @@ def _blocks(source: IO[str]) -> Iterator[str]:
     The stream is read ``_COUNT_BLOCK`` characters at a time, and the text
     not yet cut is cut after its last complete line: a \\r as the last
     character may start a \\r\\n pair, so it ends no line yet.  A line
-    longer than a read is gathered whole and joined once.
+    longer than a read is gathered whole and joined once.  A byte that
+    the stream's text layer cannot decode is refused by ``_undecodable``;
+    a stream that cannot be read again counts the lines of its blocks for
+    it as they go.
     """
+    reread = hasattr(source, "buffer") and source.seekable()
     rest = ""
+    lines = 0
     while True:
         pieces = [rest]
-        while (more := source.read(_COUNT_BLOCK)) and "\n" not in more and "\r" not in more:
-            pieces.append(more)
+        try:
+            while (more := source.read(_COUNT_BLOCK)) and not (
+                "\n" in more or "\r" in more
+            ):
+                pieces.append(more)
+        except UnicodeDecodeError as exc:
+            raise _undecodable(source, exc, None if reread else lines) from None
         text = "".join([*pieces, more])
         cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1 if more else len(text)
         block, rest, done = text[:cut], text[cut:], not more
@@ -544,6 +602,8 @@ def _blocks(source: IO[str]) -> Iterator[str]:
         # 20 MB file.
         del pieces, more, text
         if block:
+            if not reread:
+                lines += block.count("\n") + block.count("\r") - block.count("\r\n")
             yield block
         if done:
             return
@@ -619,7 +679,9 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     holds them twice.  ``BudgetError`` refuses a file's line count, or a
     stream's rows so far, whose d * 8 bytes per row exceed
     ``errors.BUDGET_BYTES``, before allocating them.  A byte that the
-    file's encoding cannot decode is refused by the text layer's read.
+    file's encoding cannot decode is refused with its offset and line in a
+    file that can seek, and otherwise with the last line read whole before
+    it (``_undecodable``).
 
     Once a block has fixed the field count and the precision, each later
     block is first checked against the writer: if its bytes are exactly

@@ -9,8 +9,11 @@ array code, the scalar Walsh characters and the closed-form
 dense rho arrays as a vector form of ``rho_coefficient``, the
 pairwise-cosine Fourier sum as the oracle of the Gram form in
 ``fourier_truncated``, the per-t scan and per-block sequence check as
-the oracles of the one-search ``minimal_t``, and the dict-based search as
-the oracle of the list-indexed one that ``minimal_t`` runs.
+the oracles of the one-search ``minimal_t``, the dict-based search as
+the oracle of the list-indexed one that ``minimal_t`` runs, and the
+moment, running-sum and four-field Fenwick helpers of the exact d = 2
+kernel, composed as ``reference_pair_totals``, as the oracle of its one
+sweep.
 """
 
 from __future__ import annotations
@@ -492,6 +495,113 @@ def fourier_pairwise_squared(pset: PointSet, scheme: WeightScheme, trunc: int) -
     upper = math.fsum(prod[i, i + 1 :].sum() for i in range(n))
     total = n * k_zero**d + 2.0 * upper
     return scheme.prefactor(d) * (total / (n * n) - 1.0)
+
+
+def _square_square_pair_sum(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Sum of (x_i - x_k)^2 (y_i - y_k)^2 from centred moments.
+
+    With X = N*x - sum(x) and Y likewise, the odd cross terms vanish and the
+    sum is (2N m22 + 2 m20 m02 + 4 m11^2) / N^4, an exact division.
+    """
+    n = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    cx = [n * x - sx for x in xs]
+    cy = [n * y - sy for y in ys]
+    m11 = sum(a * b for a, b in zip(cx, cy))
+    m22 = sum((a * b) ** 2 for a, b in zip(cx, cy))
+    m20 = sum(a * a for a in cx)
+    m02 = sum(b * b for b in cy)
+    return (2 * n * m22 + 2 * m20 * m02 + 4 * m11 * m11) // n**4
+
+
+def _square_abs_pair_sum(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Sum of (x_i - x_k)^2 |y_i - y_k| over pairs listed in ascending y
+    order: one pass with six running sums."""
+    c0 = sy = sx = sxy = sx2 = sx2y = 0
+    total = 0
+    for x, y in zip(xs, ys):
+        x2 = x * x
+        total += x2 * (y * c0 - sy) - 2 * x * (y * sx - sxy) + y * sx2 - sx2y
+        c0 += 1
+        sy += y
+        sx += x
+        sxy += x * y
+        sx2 += x2
+        sx2y += x2 * y
+    return 2 * total
+
+
+def _abs_abs_pair_sum(
+    xs: Sequence[int], ys: Sequence[int], ranks: Sequence[int], precision: int
+) -> int:
+    """Sum of |x_i - x_k| |y_i - y_k| as the signed sum minus twice the
+    discordant pairs' share.
+
+    The pairs are listed in ascending x order, and ``ranks`` holds each
+    one's place in descending y order.  The discordant sum is a 2-D
+    dominance sum: points enter in x order and a Fenwick tree over the y
+    ranks holds four non-negative accumulators (count, sum x, sum y,
+    sum xy), packed into one integer: the lower three fields hold at most
+    N * (2^w - 1) < 2^width, so they never carry into each other, and
+    sum xy sits on top.
+    """
+    n = len(xs)
+    signed = 2 * (n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys))
+    width = precision + n.bit_length()
+    field = (1 << width) - 1
+    tree = [0] * (n + 1)
+    discordant = 0
+    for x, y, r in zip(xs, ys, ranks):
+        # Earlier points (x_k <= x) with y_k >= y hold the ranks below r.
+        acc = 0
+        j = r
+        while j:
+            acc += tree[j]
+            j &= j - 1
+        if acc:
+            cnt = acc & field
+            sx = (acc >> width) & field
+            sy = (acc >> 2 * width) & field
+            sxy = acc >> 3 * width
+            discordant += x * y * cnt - x * sy - y * sx + sxy
+        packed = 1 | x << width | y << 2 * width | x * y << 3 * width
+        j = r + 1
+        while j <= n:
+            tree[j] += packed
+            j += j & -j
+    return signed - 4 * discordant
+
+
+def reference_pair_totals(pset: PointSet) -> list[int]:
+    """[sum g(U1), sum g(U2), sum g(U1) g(U2)] over all ordered pairs of a
+    d = 2 set, g(U) = U^2 - 2^w |U| on the numerators, by the helpers that
+    the one-sweep ``measures._sweep_totals`` replaced.
+
+    Each coordinate's total comes from its first two moments and its
+    rank-weighted sorted values; the product total from centred moments,
+    two running-sum passes in y and in x order, and a Fenwick tree of four
+    packed sums.  Ties give zero products, so any order of tied values is
+    exact.
+    """
+    period = 1 << pset.precision
+    by_x, by_y = (np.argsort(col, kind="stable") for col in pset.numerators.T)
+    xs, ys = pset.numerators[by_x].T.tolist()
+    xs_by_y, ys_by_y = pset.numerators[by_y].T.tolist()
+    n = len(xs)
+    totals = [
+        2 * n * sum(v * v for v in own)
+        - 2 * sum(own) ** 2
+        - period * 2 * sum(v * (2 * r - n + 1) for r, v in enumerate(own))
+        for own in (xs, ys_by_y)
+    ]
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_y] = np.arange(n - 1, -1, -1)
+    totals.append(
+        _square_square_pair_sum(xs, ys)
+        - period * (_square_abs_pair_sum(xs_by_y, ys_by_y) + _square_abs_pair_sum(ys, xs))
+        + period**2 * _abs_abs_pair_sum(xs, ys, rank[by_x].tolist(), pset.precision)
+    )
+    return totals
 
 
 def reference_search(

@@ -166,6 +166,42 @@ def test_measure_points_file_rejects_precision(tmp_path, capsys):
     assert "-W/--precision" in capsys.readouterr().err
 
 
+_FROM_POINTS = "apply to generated points, not a points file"
+_FROM_MATRICES = "to an inline construction, not --matrix-file"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["measure", "--points", "pts.csv", "-m", "9", "-d", "3", "-a", "5"],
+     f"-d/--dimension, -a/--alpha and -m/--size {_FROM_POINTS}"),
+    (["measure", "--points", "pts.csv", "--matrix-file", "mats.json"],
+     "--matrix-file applies to generated points, not a points file"),
+    (["measure", "--points", "pts.csv", "-d", "2", "-N", "4"],
+     "-d/--dimension applies to generated points, not a points file"),
+    (["points", "--matrix-file", "mats.json", "-d", "2"],
+     f"-d/--dimension applies {_FROM_MATRICES}"),
+    (["points", "--matrix-file", "mats.json", "-a", "2", "-N", "4"],
+     f"-a/--alpha applies {_FROM_MATRICES}"),
+    (["measure", "--matrix-file", "mats.json", "-m", "3"],
+     f"-m/--size applies {_FROM_MATRICES}"),
+    (["measure", "--matrix-file", "mats.json", "-d", "2", "-a", "2", "-m", "4"],
+     f"-d/--dimension, -a/--alpha and -m/--size apply {_FROM_MATRICES}"),
+    (["tvalue", "--matrix-file", "mats.json", "-d", "3", "-m", "2"],
+     f"-d/--dimension and -m/--size apply {_FROM_MATRICES}"),
+])
+def test_file_sources_refuse_the_flags_they_set(argv, message, tmp_path, capsys,
+                                                 monkeypatch):
+    # These ran on the file's own d = 2 net and exited 0, dropping the flags.
+    monkeypatch.chdir(tmp_path)
+    write_points_csv(generate_points(construct_matrices(2, 2, 4), 16), "pts.csv")
+    save_matrix_set(construct_matrices(2, 2, 4), "mats.json")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: dignet {argv[0]} ")
+    assert err.endswith(f"dignet {argv[0]}: error: {message}\n"), err
+
+
 _BAD_POINTS_HEAD = "# generator: demo; written: t\nn,x1_hex,x1,x2_hex,x2\n"
 _GOOD_POINTS_ROW = "0,0x1/4,0.0625,0x2/4,0.125\n"
 
@@ -258,10 +294,13 @@ def test_measure_points_file_refuses_bad_row_past_a_chunk(
 def test_measure_points_file_refuses_an_undecodable_byte(
     row, tmp_path, capsys, monkeypatch
 ):
-    # A byte that the file's encoding cannot decode is refused by the text
-    # layer's read, as one error line.  Row 1 lies in the first read of
-    # 32,768 characters and row 3,000 (some 180 kB in) after it, so the
-    # second refusal comes once earlier blocks have been read.
+    # A byte that the file's encoding cannot decode is refused as one error
+    # line.  Row 1 lies in the first read of 32,768 characters and row 3,000
+    # (some 180 kB in) after it, so the second refusal comes once earlier
+    # blocks have been read.  From a path the line names the byte's offset
+    # in the file and its line, not its place in the text layer's decode
+    # chunk; from a pipe, which cannot be read again, the last line read
+    # whole before it.
     path = tmp_path / "pts.csv"
     assert main(["points", "-d", "2", "-m", "12", "--out", str(path)]) == 0
     with open(path, newline="") as fh:
@@ -273,12 +312,29 @@ def test_measure_points_file_refuses_an_undecodable_byte(
     lines = path.read_bytes().splitlines(keepends=True)
     lines[row + 2] = lines[row + 2].replace(b"0x", b"0x" + bad, 1)
     path.write_bytes(b"".join(lines))
+    offset = len(b"".join(lines[: row + 2])) + lines[row + 2].index(bad)
     blocks = recorded_blocks(monkeypatch, 1 << 15)
     assert main(["measure", "--points", str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "decode" in err and "Traceback" not in err
+    assert f"error: byte 0x{bad.hex()} at offset {offset} (line {row + 3}) " in err
+    assert "cannot be decoded" in err and "Traceback" not in err
     assert (len(blocks) > 0) == (row == 3000)
+
+    piped = subprocess.run(
+        [sys.executable, "-m", "dignet.cli", "measure", "--points", "/dev/stdin"],
+        input=path.read_bytes(), capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    err = piped.stderr.decode()
+    assert piped.returncode == EXIT_USAGE and err.count("\n") == 1, err
+    assert err.startswith(f"error: byte 0x{bad.hex()} ") and "cannot be decoded" in err
+    if row == 1:
+        assert err.endswith("; no line was read whole before it\n"), err
+    else:
+        last = int(err.split("; line ")[1].split()[0])
+        assert 0 < last < row + 3, err
+        assert err.endswith(f"; line {last} was the last read whole before it\n"), err
 
 
 def _decodes(data: bytes, encoding: str) -> bool:

@@ -32,7 +32,13 @@ from dignet.measures import (
 )
 from dignet.niederreiter import build_matrices
 from dignet.sequence import PointSet, generate_points
-from support import fourier_pairwise_squared, pset_from_tuples, traced_peak, values
+from support import (
+    fourier_pairwise_squared,
+    pset_from_tuples,
+    reference_pair_totals,
+    traced_peak,
+    values,
+)
 
 # ---------------------------------------------------------------------------
 # Independent oracle: literal sum over the frequency box, one h vector at a
@@ -216,6 +222,46 @@ def test_extended_pair_totals_equal_recount(pset):
     assert list(_pair_totals(pset, [n - 1, n]))[1] == recount
     # Every count extends the one before it, from the empty set on.
     assert list(_pair_totals(pset, range(1, n + 1)))[-1] == recount
+
+
+@st.composite
+def _tied_plane_sets(draw):
+    """A d = 2 set of 1..300 points whose coordinates repeat, as in
+    ``_tied_prefix_sets``, and rising counts no two of them consecutive,
+    so that every count past 1 is a recount."""
+    w = draw(st.sampled_from([1, 2, 3, 5, 36, 52, 63, 64]))
+    n = draw(st.integers(1, 300))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = (1 << w) - 1
+    pools = [
+        [0, top] + [rng.getrandbits(w) for _ in range(rng.randint(0, 10))]
+        for _ in range(2)
+    ]
+    rows = [tuple(rng.choice(pool) for pool in pools) for _ in range(n)]
+    counts = []
+    for c in sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=5))):
+        if not counts or c > counts[-1] + 1:
+            counts.append(c)
+    return pset_from_tuples(rows, w), counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tied_plane_sets())
+def test_sweep_totals_equal_reference(case):
+    pset, counts = case
+    for n, totals in zip(counts, _pair_totals(pset, counts)):
+        prefix = PointSet(pset.numerators[:n], pset.precision)
+        assert totals == reference_pair_totals(prefix), n
+
+
+def test_sweep_totals_equal_reference_on_a_net():
+    # A 2^13-point net at w = 26 and its first 5,000 points: Fenwick paths
+    # of full length, and packed sums of 13 and 14-bit counts.
+    pset = generate_points(construct_matrices(2, 2, 13), 1 << 13)
+    counts = [5000, pset.size]
+    for n, totals in zip(counts, _pair_totals(pset, counts)):
+        prefix = PointSet(pset.numerators[:n], pset.precision)
+        assert totals == reference_pair_totals(prefix), n
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -686,11 +686,12 @@ def _csv_point_sets(draw):
 @example(pset_from_tuples([(1, 2)], 4, "niederreiter(d=2, alpha=2, t=8)"))
 def test_points_csv_round_trip_property(pset):
     # Chunks of 7 rows make sets of more than 7 rows cross chunk boundaries
-    # in the writer; reads of 32 characters cut every file into several
-    # blocks, the comment line alone being at least 26 characters.
+    # in the writer; reads of 8 characters cut every file into several
+    # blocks: the read that ends the comment line (26 characters or more)
+    # holds at most 7 more, less than the 12-character header.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequence, "_CSV_CHUNK", 7)
-        blocks = recorded_blocks(mp, 32)
+        blocks = recorded_blocks(mp, 8)
         buf = io.StringIO()
         write_points_csv(pset, buf, timestamp="t")
         back = read_points_csv(io.StringIO(buf.getvalue()))
@@ -1070,23 +1071,16 @@ def _edited_points_text(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    _edited_points_text(),
-    st.integers(2, 9),
-    st.sampled_from([64, 200, 1 << 15]),
-)
-def test_points_csv_writer_blocks_read_as_the_parser_reads_them(text, chunk, block):
+@given(_edited_points_text(), st.sampled_from([64, 200, 1 << 15]))
+def test_points_csv_writer_blocks_read_as_the_parser_reads_them(text, block):
     # Reads of 64 or 200 characters put many block boundaries in each
     # file; whatever one edit did to it, checking blocks against the writer
     # must not change what is read or refused.  A file is opened with
     # newline="", so it is cut into blocks as a stream of its text is.
-    # ``_CSV_CHUNK`` is the writer's alone, so ``chunk`` does not reach the
-    # reader.
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "pts.csv"
         path.write_bytes(text.encode())
-        mp.setattr(sequence, "_CSV_CHUNK", chunk)
         mp.setattr(sequence, "_COUNT_BLOCK", block)
         for source in (
             lambda: io.StringIO(text),
