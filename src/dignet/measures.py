@@ -13,13 +13,21 @@ evaluator (``fourier_truncated``), which is kept free of kernel shortcuts.
 
 The kernel pair sum is exact for d <= 2 and takes O(N log N): with
 u = x - y, B2({u}) = u^2 - |u| + 1/6, so the pair sums reduce to sums of
-moments over the numerators (Heinrich, Math. Comp. 65, 1996): closed
-forms for d = 1, and for d = 2 one sweep in x order, in which u >= 0, so
-that running moments give every part but those in |v|, and one Fenwick
-tree over the y ranks the sums that split |v| by sign.  The squared
-measure over its prefactor is then a polynomial in c, c*A for d = 1 and
-c*A + c^2*B for d = 2, whose coefficients are exact non-negative rationals
-rounded once, so the cancellation in T/N^2 - 1 never happens in floats.
+moments over the numerators (Heinrich, Math. Comp. 65, 1996).  With
+g(U) = U^2 - W|U| on numerators at W = 2^w, a coordinate's total sum g
+comes from its moments and its values weighted by rank, and the d = 2
+product total is Q - W(R + S) + W^2 V, where Q = sum U1^2 U2^2 comes from
+moments, R = sum U1^2 |U2| and S = sum |U1| U2^2 from prefix sums in y and
+in x order, and V = sum |U1| |U2| from prefix sums and one dominance pass,
+a wavelet-tree build over the bits of the x ranks that counts and sums
+the earlier points in y order with a smaller x rank.  The passes are
+numpy arrays: each sum is taken modulo 2^64 by int64 wrap-around and
+modulo primes small enough that no int64 sum overflows, as many as its
+bound needs, and the residues are joined by the Chinese remainder
+theorem.  The squared measure over its prefactor is then a polynomial in
+c, c*A for d = 1 and c*A + c^2*B for d = 2, whose coefficients are exact
+non-negative rationals rounded once, so the cancellation in T/N^2 - 1
+never happens in floats.
 The prefixes of one set share one pass (``prefix_kernel_measures``): each
 coordinate is sorted once for all of them, and a count one more than the
 previous one (2^m after 2^m - 1) extends the previous pair totals by its
@@ -212,140 +220,282 @@ def _float_kernel_squared(
 # ---------------------------------------------------------------------------
 # Exact pair sums for d <= 2.  With integer numerators x, y at precision w
 # and U = x - y, B2({U / 2^w}) = 1/6 + g(U) / 4^w where
-# g(U) = U^2 - 2^w * |U|.  Every sum below runs over all N^2 ordered pairs
-# and is an exact Python integer.  The sums that need an order take their
-# points already in it; ties give zero products in each of them, so any
-# order of tied values is exact.
+# g(U) = U^2 - 2^w * |U|.  Every total below runs over all N^2 ordered pairs
+# and is an exact integer, although its parts are numpy passes: each sum of
+# products is taken modulo 2^64, which int64 arithmetic gives by wrapping,
+# and modulo primes small enough that no int64 sum of the passes overflows
+# (``_moduli``); ``_crt`` joins the residues.  A sum gets only the moduli
+# that its bound needs.  The sums that need an order take their points
+# already in it; ties give zero products in each of them, so any order of
+# tied values is exact.
 # ---------------------------------------------------------------------------
 
-
-def _square_pair_sum(xs: Sequence[int]) -> int:
-    """Sum of (x_i - x_k)^2 from the first two moments."""
-    return 2 * len(xs) * sum(x * x for x in xs) - 2 * sum(xs) ** 2
+_WRAP = 1 << 64
 
 
-def _abs_pair_sum(xs: Sequence[int]) -> int:
-    """Sum of |x_i - x_k| over ascending xs: each value weighted by its rank."""
-    n = len(xs)
-    return 2 * sum(x * (2 * r - n + 1) for r, x in enumerate(xs))
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with the bases 2, 7 and 61: exact for odd 61 < m < 4.7e9."""
+    d, s = m - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, m)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == m - 1:
+                break
+            x = x * x % m
+        else:
+            return False
+    return True
 
 
-def _sweep_totals(
-    xs: Sequence[int], ys: Sequence[int], ranks: Sequence[int], precision: int
-) -> list[int]:
-    """[sum g(U1), sum g(U2), sum g(U1) g(U2)] of the points listed in
-    ascending x order, in one sweep; ``ranks`` holds each point's place in
-    descending y order.
+def _moduli(size: int, bits: int) -> list[int]:
+    """2^64, then the largest primes below 2^L until the product of the
+    moduli reaches 2^bits, b being the bit length of ``size``.
 
-    Against an earlier point k, u = x - x_k >= 0 and v = y - y_k, and
-    g(u) = a + c*x_k + x_k^2 with a = x(x - 2^w) and c = 2^w - 2x.  So
-    each sum over the earlier points is a combination of their moments
-    S_ij = sum x_k^i y_k^j: nine running sums (i, j <= 2) give the sums of
-    g(u), v, v^2, g(u) v and g(u) v^2, and |v| = v - 2v[y_k > y] leaves
-    the sums of v and g(u) v over the earlier points above y.  A Fenwick
-    tree over the y ranks holds their six moments T_ij (i <= 2, j <= 1)
-    packed into one non-negative int: the count in b bits, b the bit
-    length of N, x and y in w + b, xy and x^2 in 2w + b, and x^2 y on top.
-    A field's sum over N points stays below 2^(its bits), so no field
-    carries into the next.  Each pair is met once, at its later point, and
-    every summand is even in (u, v), so the totals are twice the sweep's.
+    L = min((63 - b) // 2, 61 - 2b) keeps each int64 sum of a pass over
+    up to ``size`` points exact modulo a prime: a sum of products of two
+    residues stays below 2^(b + 2L) <= 2^63, and a sum of products of a
+    residue and a count of magnitude at most 4 * size below
+    2^(2b + 2 + L) <= 2^63.
     """
+    b = size.bit_length()
+    cand = 1 + (1 << min((63 - b) // 2, 61 - 2 * b))
+    out = [_WRAP]
+    while _count(out, bits) is None:
+        cand -= 2
+        if cand < 64:
+            raise ValueError(f"the primes below 2^L cannot cover {bits} bits at N={size}")
+        if _is_prime(cand):
+            out.append(cand)
+    return out
+
+
+def _count(moduli: Sequence[int], bits: int) -> int | None:
+    """How many leading moduli it takes for their product to reach 2^bits,
+    None if all of them fall short.  A pass's moduli reach the largest
+    bound of its sums, so every sum of the pass finds its count."""
+    prod = 1
+    for k, m in enumerate(moduli, 1):
+        prod *= m
+        if prod >> bits:
+            return k
+    return None
+
+
+def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
+    """The integer of least magnitude with the given residues modulo the
+    leading moduli, built digit by digit in mixed radix (Garner)."""
+    total, prod = 0, 1
+    for r, m in zip(residues, moduli):
+        total += prod * ((r - total) * pow(prod, -1, m) % m)
+        prod *= m
+    return total - prod if 2 * total > prod else total
+
+
+def _mod(a: np.ndarray, m: int) -> np.ndarray:
+    """An integer array reduced modulo m; int64 arithmetic already wraps
+    modulo 2^64, so uint64 values keep their bits there and are viewed as
+    int64 residues by the caller."""
+    return a if m == _WRAP else a % m
+
+
+def _before(a: np.ndarray, m: int) -> np.ndarray:
+    """Each entry's sum of the entries before it, modulo m."""
+    out = np.cumsum(a)
+    out -= a
+    return _mod(out, m)
+
+
+def _line_residue(n: int, sum1: int, sum2: int, ramped: int, period: int) -> int:
+    """Residue of sum g(U) over all ordered pairs of n values, from their
+    sum, their sum of squares and ``ramped``, the sum over ascending values
+    of v_r * (2r - n + 1): sum U^2 = 2n*sum2 - 2*sum1^2, and
+    sum |U| = 2*ramped."""
+    return 2 * n * sum2 - 2 * sum1 * sum1 - 2 * period * ramped
+
+
+def _dominance(ranks: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+    """For each point j of a sequence, the count of the earlier points
+    k < j with ranks[k] < ranks[j], and the sum of their values as its low
+    and high 32-bit halves: exact int64 sums below 2^31 points.
+
+    ``ranks`` is a permutation of range(n).  A top-down stable partition
+    over the bits of the ranks (a wavelet-tree build) finds them: before
+    the level of bit t the sequence is ordered by ranks >> (t + 1) and
+    otherwise as given, so the places [h*2^(t+1), (h+1)*2^(t+1)) hold the
+    points of node h.  A point whose bit t is 1 gains the zeros that
+    precede it in its node; they are exactly its earlier points whose rank
+    agrees with its own above bit t and is below it at bit t, so each pair
+    counts at the one level where the two ranks part.  The node's zeros
+    then move ahead of its ones, each side keeping its order.  After the
+    last level each point sits at its rank.
+    """
+    n = len(ranks)
+    places = np.arange(n)
+    cols = [ranks, (values & np.uint64(0xFFFFFFFF)).view(np.int64),
+            (values >> np.uint64(32)).view(np.int64), *np.zeros((3, n), np.int64)]
+    for t in reversed(range((n - 1).bit_length())):
+        half = 1 << t
+        ones = (cols[0] & half).astype(bool)
+        zeros = ~ones
+        start = places & -2 * half
+        for k in range(3):
+            part = zeros * cols[k] if k else zeros
+            before = np.cumsum(part)
+            before -= part
+            before -= before[start]
+            if k:
+                before *= ones
+                cols[3 + k] += before
+            else:
+                zeros_before = before
+                cols[3] += before * ones
+        # Zeros keep their order from the node's start, ones follow its
+        # half zeros (a node with ones holds all of them).
+        del part, before
+        place = places - start
+        place += half
+        place -= 2 * zeros_before
+        place *= ones
+        place += start
+        place += zeros_before
+        del ones, zeros, start, zeros_before
+        order = np.empty(n, np.int64)
+        order[place] = places
+        del place
+        for k in range(6):
+            cols[k] = cols[k][order]
+    return [col[ranks] for col in cols[3:]]
+
+
+def _line_total(xs: np.ndarray, precision: int, moduli: Sequence[int]) -> int:
+    """sum g(U) over all ordered pairs of the ascending values xs."""
     n = len(xs)
-    period = 1 << precision
-    b = n.bit_length()
-    low, high = precision + b, 2 * precision + b
-    at01, at11 = b + low, b + 2 * low
-    at20, at21 = at11 + high, at11 + 2 * high
-    count_mask, low_mask, high_mask = (1 << b) - 1, (1 << low) - 1, (1 << high) - 1
-    tree = [0] * (n + 1)
-    s00 = s10 = s20 = s01 = s11 = s21 = s02 = s12 = s22 = 0
-    gu = v1 = v2 = v_above = guv1 = guv2 = guv_above = 0
-    for x, y, r in zip(xs, ys, ranks):
-        xx = x * x
-        a = xx - period * x
-        c = period - 2 * x
-        g0 = a * s00 + c * s10 + s20
-        g1 = a * s01 + c * s11 + s21
-        g2 = a * s02 + c * s12 + s22
-        gu += g0
-        p = y * s00 - s01
-        v1 += p
-        v2 += y * (p - s01) + s02
-        q = y * g0 - g1
-        guv1 += q
-        guv2 += y * (q - g1) + g2
-        # The earlier points with y_k >= y hold the ranks below r; a tie
-        # has v = 0 and adds nothing.
-        acc = 0
-        j = r
-        while j:
-            acc += tree[j]
-            j &= j - 1
-        if acc:
-            t00 = acc & count_mask
-            t01 = (acc >> at01) & low_mask
-            v_above += y * t00 - t01
-            h0 = a * t00 + c * ((acc >> b) & low_mask) + ((acc >> at20) & high_mask)
-            h1 = a * t01 + c * ((acc >> at11) & high_mask) + (acc >> at21)
-            guv_above += y * h0 - h1
-        xy, yy, xxy = x * y, y * y, xx * y
-        s00, s10, s20 = s00 + 1, s10 + x, s20 + xx
-        s01, s11, s21 = s01 + y, s11 + xy, s21 + xxy
-        s02, s12, s22 = s02 + yy, s12 + x * yy, s22 + xx * yy
-        packed = 1 | x << b | y << at01 | xy << at11 | xx << at20 | xxy << at21
-        j = r + 1
-        while j <= n:
-            tree[j] += packed
-            j += j & -j
-    return [
-        2 * gu,
-        2 * (v2 - period * (v1 - 2 * v_above)),
-        2 * (guv2 - period * (guv1 - 2 * guv_above)),
-    ]
+    ramp = 2 * np.arange(n) - n + 1
+    residues = []
+    for m in moduli[: _count(moduli, 2 * precision + 2 * n.bit_length() + 2)]:
+        x = _mod(xs, m).view(np.int64)
+        residues.append(_line_residue(
+            n, int(x.sum()), int(_mod(x * x, m).sum()), int((x * ramp).sum()), 1 << precision
+        ))
+    return _crt(residues, moduli)
+
+
+def _plane_totals(
+    columns: np.ndarray, orders: Sequence[np.ndarray], n: int, precision: int,
+    moduli: Sequence[int],
+) -> list[int]:
+    """[sum g(U1), sum g(U2), sum g(U1) g(U2)] of the first n points, in
+    the stable orders by x and by y filtered from the set's ``orders``.
+
+    With W = 2^w, sum g(U1) g(U2) = Q - W (R + S) + W^2 V for the sums
+    over ordered pairs Q = U1^2 U2^2, R = U1^2 |U2|, S = |U1| U2^2 and
+    V = |U1| |U2|.  Q comes from the moments M_ab = sum x^a y^b.  R is
+    twice the sum over pairs k < j in y order of (x_j - x_k)^2 (y_j - y_k),
+    which the sums of (x_j - x_k)^2 over k < j and over k > j give:
+    R/2 = sum_j y_j ((2j - n) x_j^2 - 4 x_j X_j + 2 Z_j) + 2 M10 M11 - M20 M01,
+    X_j and Z_j the sums of x and x^2 over k < j; S likewise in x order.
+    With L_j = sum over k < j of |x_j - x_k| and A_j the same over all k,
+    V/2 = sum_j y_j (2 L_j - A_j).  L_j = x_j (2 c_j - j) + X_j - 2 s_j comes
+    from the one 2-D step, ``_dominance``: c_j and s_j are the count and
+    the sum of x of the points k < j whose x rank r_k is below r_j.  With
+    X'_r the sum of x over the x ranks below r,
+    A_j = x_j (2 r_j - n) + M10 - 2 X'_(r_j), so that
+    2 L_j - A_j = x_j (4 c_j - 2 r_j - (2j - n)) + 2 X_j - 4 s_j - M10
+    + 2 X'_(r_j).  T, V, R + S and Q get the moduli of their bounds
+    n^2 W^2, n^2 W^3 and n^2 W^4, with 2 bits for the sign.
+    """
+    by_x, by_y = (order[order < n] for order in orders)
+    period, b = 1 << precision, n.bit_length()
+    two, three, four = (_count(moduli, k * precision + 2 * b + 2) for k in (2, 3, 4))
+    x, y = (col[by_y] for col in columns)
+    at = np.empty(n, np.int64)
+    at[by_y] = np.arange(n)
+    to_y = at[by_x]
+    at[by_x] = np.arange(n)
+    rank = at[by_y]
+    del by_x, by_y, at
+    ramp = 2 * np.arange(n) - n
+    coeff = -2 * rank
+    coeff -= ramp
+    count, low, high = _dominance(rank, x)
+    del rank
+    coeff += 4 * count
+    del count
+    sums: list[list[int]] = [[], [], [], [], []]  # T1, T2, V, R + S, Q
+    for i, m in enumerate(moduli[:four]):
+        X, Y = (_mod(col, m).view(np.int64) for col in (x, y))
+        X2, Y2, XY = _mod(X * X, m), _mod(Y * Y, m), _mod(X * Y, m)
+        m10, m01, m20, m02, m11 = (int(a.sum()) for a in (X, Y, X2, Y2, XY))
+        sums[4].append(2 * n * int((X2 * Y2).sum()) - 4 * int((X2 * Y).sum()) * m01
+                       - 4 * int((X * Y2).sum()) * m10 + 2 * m20 * m02 + 4 * m11 * m11)
+        if i >= three:
+            continue
+        xs = _before(X, m)
+        r = (int((ramp * _mod(X2 * Y, m)).sum()) - 4 * int((XY * xs).sum())
+             + 2 * int((Y * _before(X2, m)).sum()) + 2 * m10 * m11 - m20 * m01)
+        del X2
+        Xo, Yo = X[to_y], Y[to_y]
+        s = (int((ramp * _mod(Xo * Y2[to_y], m)).sum())
+             - 4 * int((XY[to_y] * _before(Yo, m)).sum())
+             + 2 * int((Xo * _before(Y2[to_y], m)).sum()) + 2 * m01 * m11 - m02 * m10)
+        del Y2
+        sums[3].append(2 * (r + s))
+        if i >= two:
+            continue
+        v = (int((coeff * XY).sum()) + 2 * int((Y * xs).sum())
+             - 4 * (int((Y * _mod(high, m)).sum()) << 32) - 4 * int((Y * _mod(low, m)).sum())
+             - m10 * m01 + 2 * int((Yo * _before(Xo, m)).sum()))
+        sums[2].append(2 * v)
+        sums[1].append(_line_residue(n, m01, m02, int((Y * (ramp + 1)).sum()), period))
+        sums[0].append(_line_residue(n, m10, m20, int((Xo * (ramp + 1)).sum()), period))
+    t1, t2, v, rs, q = (_crt(residues, moduli) for residues in sums)
+    return [t1, t2, q - period * rs + period * period * v]
 
 
 def _recount_totals(
-    columns: np.ndarray, orders: Sequence[np.ndarray], n: int, precision: int
+    columns: np.ndarray, orders: Sequence[np.ndarray], n: int, precision: int,
+    moduli: Sequence[int],
 ) -> list[int]:
     """Pair totals of the first n points in O(N log N).
 
     Each coordinate's order over the first n points is filtered from the
     whole set's ``orders`` (one argsort per coordinate) in place of a sort.
-    One coordinate takes its two closed forms, two take one sweep in x
-    order (``_sweep_totals``).
+    One coordinate takes ``_line_total``, two ``_plane_totals``.
     """
-    picks = [order[order < n] for order in orders]
-    if len(picks) == 1:
-        xs = columns[0][picks[0]].tolist()
-        return [_square_pair_sum(xs) - (1 << precision) * _abs_pair_sum(xs)]
-    by_x, by_y = picks
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_y] = np.arange(n - 1, -1, -1)
-    return _sweep_totals(
-        columns[0][by_x].tolist(),
-        columns[1][by_x].tolist(),
-        rank[by_x].tolist(),
-        precision,
-    )
+    if len(orders) == 1:
+        return [_line_total(columns[0][orders[0][orders[0] < n]], precision, moduli)]
+    return _plane_totals(columns, orders, n, precision, moduli)
 
 
 def _extend_totals(
-    totals: Sequence[int], columns: np.ndarray, q: int, precision: int
+    totals: Sequence[int], columns: np.ndarray, q: int, precision: int,
+    moduli: Sequence[int],
 ) -> list[int]:
     """Pair totals of the first q + 1 points from those of the first q.
 
     Point q pairs with itself at g(0) = 0 and, g being even, with each
     earlier point twice: 2 * g(U) against each, O(q), as |U| (|U| - 2^w).
+    Each sum of g gets the moduli of its bound q W^2, the sum of products
+    those of q W^4.
     """
-    period = 1 << precision
-    gs = []
-    for col in columns:
-        a = int(col[q])
-        gs.append([u * (u - period) for u in [abs(a - x) for x in col[:q].tolist()]])
-    out = [t + 2 * sum(g) for t, g in zip(totals, gs)]
-    if len(gs) == 2:
-        out.append(totals[2] + 2 * sum(u * v for u, v in zip(*gs)))
-    return out
+    period, b = 1 << precision, q.bit_length()
+    need = [_count(moduli, k * precision + b + 2) for k in (2, 4)[: len(columns)]]
+    gaps = [np.maximum(col[:q], col[q]) - np.minimum(col[:q], col[q]) for col in columns]
+    sums: list[list[int]] = [[] for _ in totals]
+    for i, m in enumerate(moduli[: need[-1]]):
+        # 2^w modulo m as an int64: its signed form modulo 2^64.
+        shift = period % m - (period % m >> 63 << 64)
+        gs = [_mod(u * (u - shift), m) for u in (_mod(gap, m).view(np.int64) for gap in gaps)]
+        if i < need[0]:
+            for out, g in zip(sums, gs):
+                out.append(int(g.sum()))
+        if len(gs) == 2:
+            sums[2].append(int((gs[0] * gs[1]).sum()))
+    return [t + 2 * _crt(s, moduli) for t, s in zip(totals, sums)]
 
 
 def _pair_totals(pset: PointSet, counts: Sequence[int]) -> Iterator[list[int]]:
@@ -355,47 +505,43 @@ def _pair_totals(pset: PointSet, counts: Sequence[int]) -> Iterator[list[int]]:
     sum g(U_1) g(U_2).  A count one more than the previous one extends that
     count's totals by one point (``_extend_totals``); any other count
     recomputes them (``_recount_totals``) from one argsort per coordinate
-    of the whole set, made once per pass.
+    of the whole set, made once per pass, as are the moduli.
     """
     w = pset.precision
     columns = pset.numerators.T
     orders = [np.argsort(col, kind="stable") for col in columns]
+    moduli = _moduli(pset.size, 2 * len(columns) * w + 2 * pset.size.bit_length() + 2)
     totals = [0] * (2 * len(columns) - 1)
     done = 0
     for n in counts:
         if n == done + 1:
-            totals = _extend_totals(totals, columns, done, w)
+            totals = _extend_totals(totals, columns, done, w, moduli)
         else:
-            totals = _recount_totals(columns, orders, n, w)
+            totals = _recount_totals(columns, orders, n, w, moduli)
         done = n
         yield totals
 
 
-def _exact_kernel_bytes(size: int, dimension: int, precision: int) -> int:
+def _exact_kernel_bytes(size: int, dimension: int) -> int:
     """Upper bound on the bytes the exact d <= 2 pass holds at once for N points.
 
-    A list entry holding an int below 2^k takes 8 + 24 + 4 * (k // 30 + 1)
-    bytes (CPython's 30-bit digits); b is the bit length of N.  Per point,
-    held through the pass, 32 * d: the argsort orders and their picks take
-    16 * d of it, and the rest is margin, since each prefix is a row view
-    of the set's numerators and not a copy.  Then the larger of two
-    steps.  A recount (``_recount_totals``) holds a list of w-bit ints per
-    coordinate and 8 bytes of index temporaries; at d = 2 also the rank
-    array, the ranks as b-bit ints and the sweep's Fenwick tree of
-    (9w + 6b)-bit packed sums.  An extension (``_extend_totals``) holds d
-    lists of (2w + 1)-bit g values and one coordinate's list of w-bit
-    differences.  64 KiB covers the objects whose count does not grow
-    with N.
+    Every array the pass makes has at most N entries of 8 bytes or fewer,
+    so the bound counts arrays.  Held through the pass: the d argsort
+    orders; each prefix is a row view of the set's numerators and not a
+    copy.  A d = 1 recount (``_line_total``) holds 5 more: the values, the
+    ramp of rank weights and, per modulus, the residues, their squares and
+    those reduced.  A d = 2 recount peaks in a level of ``_dominance``
+    at 19 and two one-byte masks: the values in y order, the x ranks, the
+    map to x order, the ramp and the coefficients of V; the places, six
+    columns and the last order; the node starts, the zeros before each
+    point, one weighted column, its sums and their gather at the node
+    starts.  An extension (``_extend_totals``) holds fewer: d gaps, and per
+    modulus d residues, d values of g and two products.  The bound allows
+    one array more at d = 1 and two at d = 2, and 64 KiB for the objects
+    whose count does not grow with N.
     """
-    def entry(bits: int) -> int:
-        return 8 + 24 + 4 * (bits // 30 + 1)
-
-    d, w, b = dimension, precision, size.bit_length()
-    recount = d * entry(w) + 8
-    if d == 2:
-        recount += 8 + entry(b) + entry(9 * w + 6 * b)
-    extend = d * entry(2 * w + 1) + entry(w)
-    return size * (32 * d + max(recount, extend)) + (64 << 10)
+    arrays = 21 if dimension == 2 else 6
+    return size * 8 * (dimension + arrays) + (64 << 10)
 
 
 def _kernel_coefficients(
@@ -463,7 +609,7 @@ def _kernel_reports(
         )
     d, w = pset.dimension, pset.precision
     if d <= 2:
-        need = _exact_kernel_bytes(pset.size, d, w)
+        need = _exact_kernel_bytes(pset.size, d)
         check_budget(need, f"the exact kernel at N={pset.size}, d={d}, w={w} "
                            f"needs about {need} bytes")
         exact = _kernel_coefficients(pset, counts)

@@ -10,10 +10,13 @@ dense rho arrays as a vector form of ``rho_coefficient``, the
 pairwise-cosine Fourier sum as the oracle of the Gram form in
 ``fourier_truncated``, the per-t scan and per-block sequence check as
 the oracles of the one-search ``minimal_t``, the dict-based search as
-the oracle of the list-indexed one that ``minimal_t`` runs, and the
-moment, running-sum and four-field Fenwick helpers of the exact d = 2
-kernel, composed as ``reference_pair_totals``, as the oracle of its one
-sweep.
+the oracle of the list-indexed one that ``minimal_t`` runs, and two
+Python-int forms of the exact d <= 2 kernel as the oracles of its array
+pass: the closed forms, the one sweep and the one-point extension that
+the pass ran before it became arrays, composed as
+``reference_prefix_totals``, and the moment, running-sum and four-field
+Fenwick helpers that the sweep replaced, composed as
+``reference_pair_totals``.
 """
 
 from __future__ import annotations
@@ -497,6 +500,145 @@ def fourier_pairwise_squared(pset: PointSet, scheme: WeightScheme, trunc: int) -
     return scheme.prefactor(d) * (total / (n * n) - 1.0)
 
 
+def _square_pair_sum(xs: Sequence[int]) -> int:
+    """Sum of (x_i - x_k)^2 from the first two moments."""
+    return 2 * len(xs) * sum(x * x for x in xs) - 2 * sum(xs) ** 2
+
+
+def _abs_pair_sum(xs: Sequence[int]) -> int:
+    """Sum of |x_i - x_k| over ascending xs: each value weighted by its rank."""
+    n = len(xs)
+    return 2 * sum(x * (2 * r - n + 1) for r, x in enumerate(xs))
+
+
+def _sweep_totals(
+    xs: Sequence[int], ys: Sequence[int], ranks: Sequence[int], precision: int
+) -> list[int]:
+    """[sum g(U1), sum g(U2), sum g(U1) g(U2)] of the points listed in
+    ascending x order, in one sweep; ``ranks`` holds each point's place in
+    descending y order.
+
+    Against an earlier point k, u = x - x_k >= 0 and v = y - y_k, and
+    g(u) = a + c*x_k + x_k^2 with a = x(x - 2^w) and c = 2^w - 2x.  So
+    each sum over the earlier points is a combination of their moments
+    S_ij = sum x_k^i y_k^j: nine running sums (i, j <= 2) give the sums of
+    g(u), v, v^2, g(u) v and g(u) v^2, and |v| = v - 2v[y_k > y] leaves
+    the sums of v and g(u) v over the earlier points above y.  A Fenwick
+    tree over the y ranks holds their six moments T_ij (i <= 2, j <= 1)
+    packed into one non-negative int: the count in b bits, b the bit
+    length of N, x and y in w + b, xy and x^2 in 2w + b, and x^2 y on top.
+    A field's sum over N points stays below 2^(its bits), so no field
+    carries into the next.  Each pair is met once, at its later point, and
+    every summand is even in (u, v), so the totals are twice the sweep's.
+    """
+    n = len(xs)
+    period = 1 << precision
+    b = n.bit_length()
+    low, high = precision + b, 2 * precision + b
+    at01, at11 = b + low, b + 2 * low
+    at20, at21 = at11 + high, at11 + 2 * high
+    count_mask, low_mask, high_mask = (1 << b) - 1, (1 << low) - 1, (1 << high) - 1
+    tree = [0] * (n + 1)
+    s00 = s10 = s20 = s01 = s11 = s21 = s02 = s12 = s22 = 0
+    gu = v1 = v2 = v_above = guv1 = guv2 = guv_above = 0
+    for x, y, r in zip(xs, ys, ranks):
+        xx = x * x
+        a = xx - period * x
+        c = period - 2 * x
+        g0 = a * s00 + c * s10 + s20
+        g1 = a * s01 + c * s11 + s21
+        g2 = a * s02 + c * s12 + s22
+        gu += g0
+        p = y * s00 - s01
+        v1 += p
+        v2 += y * (p - s01) + s02
+        q = y * g0 - g1
+        guv1 += q
+        guv2 += y * (q - g1) + g2
+        # The earlier points with y_k >= y hold the ranks below r; a tie
+        # has v = 0 and adds nothing.
+        acc = 0
+        j = r
+        while j:
+            acc += tree[j]
+            j &= j - 1
+        if acc:
+            t00 = acc & count_mask
+            t01 = (acc >> at01) & low_mask
+            v_above += y * t00 - t01
+            h0 = a * t00 + c * ((acc >> b) & low_mask) + ((acc >> at20) & high_mask)
+            h1 = a * t01 + c * ((acc >> at11) & high_mask) + (acc >> at21)
+            guv_above += y * h0 - h1
+        xy, yy, xxy = x * y, y * y, xx * y
+        s00, s10, s20 = s00 + 1, s10 + x, s20 + xx
+        s01, s11, s21 = s01 + y, s11 + xy, s21 + xxy
+        s02, s12, s22 = s02 + yy, s12 + x * yy, s22 + xx * yy
+        packed = 1 | x << b | y << at01 | xy << at11 | xx << at20 | xxy << at21
+        j = r + 1
+        while j <= n:
+            tree[j] += packed
+            j += j & -j
+    return [
+        2 * gu,
+        2 * (v2 - period * (v1 - 2 * v_above)),
+        2 * (guv2 - period * (guv1 - 2 * guv_above)),
+    ]
+
+
+def _extend_totals(
+    totals: Sequence[int], columns: np.ndarray, q: int, precision: int
+) -> list[int]:
+    """Pair totals of the first q + 1 points from those of the first q.
+
+    Point q pairs with itself at g(0) = 0 and, g being even, with each
+    earlier point twice: 2 * g(U) against each, O(q), as |U| (|U| - 2^w).
+    """
+    period = 1 << precision
+    gs = []
+    for col in columns:
+        a = int(col[q])
+        gs.append([u * (u - period) for u in [abs(a - x) for x in col[:q].tolist()]])
+    out = [t + 2 * sum(g) for t, g in zip(totals, gs)]
+    if len(gs) == 2:
+        out.append(totals[2] + 2 * sum(u * v for u, v in zip(*gs)))
+    return out
+
+
+def reference_prefix_totals(pset: PointSet, counts: Sequence[int]) -> list[list[int]]:
+    """The exact pair totals of each prefix pset[:n], counts rising
+    (d <= 2), by the Python-int pass that ``measures._pair_totals`` ran
+    before its array form: a count one more than the previous one extends
+    its totals by one point (``_extend_totals``), any other recounts them
+    from the prefix's stable orders, by the two closed forms for d = 1
+    (``_square_pair_sum``, ``_abs_pair_sum``) and by ``_sweep_totals`` for
+    d = 2.
+    """
+    w = pset.precision
+    columns = pset.numerators.T
+    orders = [np.argsort(col, kind="stable") for col in columns]
+    totals = [0] * (2 * len(columns) - 1)
+    out, done = [], 0
+    for n in counts:
+        if n == done + 1:
+            totals = _extend_totals(totals, columns, done, w)
+        else:
+            picks = [order[order < n] for order in orders]
+            if len(picks) == 1:
+                xs = columns[0][picks[0]].tolist()
+                totals = [_square_pair_sum(xs) - (1 << w) * _abs_pair_sum(xs)]
+            else:
+                by_x, by_y = picks
+                rank = np.empty(n, dtype=np.intp)
+                rank[by_y] = np.arange(n - 1, -1, -1)
+                totals = _sweep_totals(
+                    columns[0][by_x].tolist(), columns[1][by_x].tolist(),
+                    rank[by_x].tolist(), w,
+                )
+        done = n
+        out.append(totals)
+    return out
+
+
 def _square_square_pair_sum(xs: Sequence[int], ys: Sequence[int]) -> int:
     """Sum of (x_i - x_k)^2 (y_i - y_k)^2 from centred moments.
 
@@ -575,7 +717,7 @@ def _abs_abs_pair_sum(
 def reference_pair_totals(pset: PointSet) -> list[int]:
     """[sum g(U1), sum g(U2), sum g(U1) g(U2)] over all ordered pairs of a
     d = 2 set, g(U) = U^2 - 2^w |U| on the numerators, by the helpers that
-    the one-sweep ``measures._sweep_totals`` replaced.
+    the one sweep ``_sweep_totals`` replaced.
 
     Each coordinate's total comes from its first two moments and its
     rank-weighted sorted values; the product total from centred moments,

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +20,13 @@ from dignet.measures import (
     _STRIP,
     MeasureReport,
     WeightScheme,
+    _crt,
+    _dominance,
     _exact_kernel_bytes,
     _float_kernel_squared,
     _fourier_bytes,
     _kernel_coefficients,
+    _moduli,
     _pair_totals,
     both_kernel_measures,
     diaphony,
@@ -36,6 +40,7 @@ from support import (
     fourier_pairwise_squared,
     pset_from_tuples,
     reference_pair_totals,
+    reference_prefix_totals,
     traced_peak,
     values,
 )
@@ -202,7 +207,7 @@ def _tied_prefix_sets(draw):
     """A d <= 2 set of 2..300 points whose coordinates repeat: every value
     comes from a pool of at most 12 per coordinate, the ends included."""
     d = draw(st.integers(1, 2))
-    w = draw(st.sampled_from([1, 8, 36, 52, 63, 64]))
+    w = draw(st.sampled_from([1, 2, 3, 5, 8, 36, 52, 63, 64]))
     n = draw(st.integers(2, 300))
     rng = random.Random(draw(st.integers(0, 2**32)))
     top = (1 << w) - 1
@@ -255,13 +260,77 @@ def test_sweep_totals_equal_reference(case):
 
 
 def test_sweep_totals_equal_reference_on_a_net():
-    # A 2^13-point net at w = 26 and its first 5,000 points: Fenwick paths
-    # of full length, and packed sums of 13 and 14-bit counts.
+    # A 2^13-point net at w = 26: recounts of its first 5,000 and of all
+    # 8,192 points, 13 levels of the dominance pass, one node of them
+    # partial in the first, and the moduli of 13 and 14-bit counts; then
+    # the pass over 8,191 and 8,192, which extends the recount of 8,191.
     pset = generate_points(construct_matrices(2, 2, 13), 1 << 13)
-    counts = [5000, pset.size]
-    for n, totals in zip(counts, _pair_totals(pset, counts)):
-        prefix = PointSet(pset.numerators[:n], pset.precision)
-        assert totals == reference_pair_totals(prefix), n
+    for counts in ([5000, pset.size], [pset.size - 1, pset.size]):
+        got = list(_pair_totals(pset, counts))
+        assert got == reference_prefix_totals(pset, counts)
+        for n, totals in zip(counts, got):
+            prefix = PointSet(pset.numerators[:n], pset.precision)
+            assert totals == reference_pair_totals(prefix), n
+
+
+@st.composite
+def _tied_count_sets(draw):
+    """A set of ``_tied_prefix_sets`` and up to 8 rising counts, so that
+    some extend the count before and some recount."""
+    pset = draw(_tied_prefix_sets())
+    counts = sorted(draw(st.sets(st.integers(1, pset.size), min_size=1, max_size=8)))
+    return pset, counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tied_count_sets())
+def test_pair_totals_equal_the_python_int_pass(case):
+    pset, counts = case
+    assert list(_pair_totals(pset, counts)) == reference_prefix_totals(pset, counts)
+
+
+def test_pair_totals_exact_at_the_moduli_bounds():
+    # Half of 4,096 points at (0, 0), half at (2^63, 2^63), alternating, at
+    # w = 64: each cross pair has |U| = W/2 in both coordinates, where |g|
+    # is largest, so each sum lies within a few bits of the bound that
+    # sets its moduli (R + S = 2^213 against 220 bits); with one modulus
+    # fewer, any of them comes out wrong.
+    # The recount of all 4,096 points meets the bounds; the pass over
+    # [4095, 4096] also extends to them.
+    n, half = 4096, 1 << 63
+    pset = pset_from_tuples([(half * (i % 2),) * 2 for i in range(n)], 64)
+    want = [-(n * n // 2) << 126] * 2 + [(n * n // 2) << 252]
+    assert list(_pair_totals(pset, [n])) == reference_prefix_totals(pset, [n]) == [want]
+    assert reference_pair_totals(pset) == want
+    assert list(_pair_totals(pset, [n - 1, n])) == reference_prefix_totals(pset, [n - 1, n])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 2**32), st.sampled_from([1, 20, 33, 64]))
+def test_dominance_equals_the_pair_loop(n, seed, w):
+    rng = random.Random(seed)
+    ranks = list(range(n))
+    rng.shuffle(ranks)
+    values = [rng.getrandbits(w) for _ in range(n)]
+    count, low, high = _dominance(np.array(ranks), np.array(values, dtype=np.uint64))
+    for j in range(n):
+        below = [k for k in range(j) if ranks[k] < ranks[j]]
+        assert count[j] == len(below)
+        assert int(low[j]) + (int(high[j]) << 32) == sum(values[k] for k in below)
+
+
+@pytest.mark.parametrize("size", [1, 2, 44, 8192, 65536, 1 << 22])
+def test_moduli_keep_the_int64_sums_exact(size):
+    bits = 4 * 64 + 2 * size.bit_length() + 2
+    moduli = _moduli(size, bits)
+    assert moduli[0] == 1 << 64 and math.prod(moduli) >> bits
+    for p in moduli[1:]:
+        assert all(p % f for f in range(2, math.isqrt(p) + 1)), p
+        assert size * p * p < 1 << 63 and 4 * size * size * p < 1 << 63
+    assert len(set(moduli)) == len(moduli)
+    # The least-magnitude integer with the residues, on either side of 0.
+    for value in (0, 1, -1, (1 << bits - 1) - 1, -(1 << bits - 1) + 1):
+        assert _crt([value % m for m in moduli], moduli) == value
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -526,20 +595,25 @@ def test_fourier_memory_within_its_bound():
 )
 def test_exact_kernel_bytes_bound_the_traced_peak(d, w, n):
     # The one-count pass recounts; a study's counts also extend 2^m - 1 to
-    # 2^m.  At w = 64 the packed Fenwick sums are the largest ints.
+    # 2^m.  The pass's arrays do not depend on w; w = 64 gives every value
+    # a high half.
     pset = _random_pset(random.Random(101), n, d, w)
     counts = [n // 2 - 1, n // 2, n - 1, n]
     for run in (
         lambda: both_kernel_measures(pset),
         lambda: list(prefix_kernel_measures(pset, counts)),
     ):
-        assert traced_peak(run) <= _exact_kernel_bytes(n, d, w)
+        assert traced_peak(run) <= _exact_kernel_bytes(n, d)
 
 
 def test_prefix_pass_holds_no_more_than_the_one_count_pass():
-    # Each prefix is a row view of the set: copying the numerators of the
-    # prefixes below N cost 24 bytes a point, about 200 KB over the
-    # one-count pass here.
+    # The prefix pass over a study's counts recounts N - 1 points while it
+    # holds the reports and totals of the count before, 0.3 to 2.9 KB over
+    # the one-count pass at N here; 4 KiB bounds that.  Each prefix is a
+    # row view of the set: copying the numerators of the prefixes costs 16
+    # bytes a point, over 130 KB here, and a byte a point held per prefix
+    # 8 KB.  One pass first, so that neither peak holds what the
+    # interpreter and numpy allocate once, on first use.
     n = 1 << 13
     pset = _random_pset(random.Random(107), n, 2, 64)
 
@@ -547,16 +621,17 @@ def test_prefix_pass_holds_no_more_than_the_one_count_pass():
         for _ in prefix_kernel_measures(pset, [n // 2 - 1, n // 2, n - 1, n]):
             pass
 
-    assert traced_peak(prefix_pass) <= traced_peak(lambda: both_kernel_measures(pset))
+    prefix_pass()
+    assert traced_peak(prefix_pass) <= traced_peak(lambda: both_kernel_measures(pset)) + 4096
 
 
 def test_exact_kernel_refuses_over_its_budget(monkeypatch):
     # The point-set budget admits 2^26 points at d = 2 (1 GiB of numerators);
-    # the exact pass over them would need over 16 times that.
-    assert _exact_kernel_bytes(1 << 26, 2, 52) > 16 * BUDGET_BYTES
-    assert _exact_kernel_bytes(8192, 2, 52) < BUDGET_BYTES // 100
+    # the exact pass over them would need over 11 times that.
+    assert _exact_kernel_bytes(1 << 26, 2) > 11 * BUDGET_BYTES
+    assert _exact_kernel_bytes(8192, 2) < BUDGET_BYTES // 100
     pset = _random_pset(random.Random(103), 64, 2, 30)
-    need = _exact_kernel_bytes(64, 2, 30)
+    need = _exact_kernel_bytes(64, 2)
     monkeypatch.setattr("dignet.errors.BUDGET_BYTES", need - 1)
     with pytest.raises(BudgetError, match=f"N=64, d=2, w=30 needs about {need} bytes"):
         both_kernel_measures(pset)
