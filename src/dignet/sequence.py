@@ -26,19 +26,19 @@ data row (the index, then per coordinate 0x<hex>/<decimal> and a float),
 ``int(h, 16)`` per numerator, and a check of each float field against
 float64(num) * 2^-w.  A float field is a decimal number with an optional
 sign, point and exponent, or inf, infinity or nan in any case, with white
-space on either side and no "_" or hex form.  A path is opened as text
-with ``newline=""`` and read as the stream it then is: every source is cut
-into blocks where its lines end, at \\n, \\r\\n or a lone \\r.
+space on either side and no "_" or hex form.  Every source is read as
+bytes, a text stream through one encoding adapter, and cut into blocks
+where its lines end, at \\n, \\r\\n or a lone \\r; a block is decoded only
+to be parsed, so an undecodable byte is named at its own offset and line.
 """
 
 from __future__ import annotations
 
-import codecs
 import datetime as _dt
 import functools
 import io
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -227,12 +227,11 @@ def generate_points(
 # well.
 _CSV_CHUNK = 1 << 11
 
-# Bytes per read of the binary pass that bounds a points file's rows, and
-# characters per read of the reader, which cuts its reads into blocks at
-# line ends (``_blocks``).  It bounds what the reader holds besides the
-# numerators: a block's lines and their parsed fields, or the hex fields
-# and the writer's planes, integer temporaries and text that check it
-# (about 0.25 MB at d = 2, some 430 rows).
+# Bytes per read of the pass that bounds a points file's rows, and of the
+# reader, which cuts its reads into blocks at line ends (``_blocks``).  It
+# bounds what the reader holds besides the numerators: a block's lines and
+# their parsed fields, or the hex fields and the writer's planes, integer
+# temporaries and bytes that check it (about 0.25 MB at d = 2, 430 rows).
 _COUNT_BLOCK = 1 << 15
 
 # A hex field of this many bytes or more is refused as too long.  The
@@ -508,59 +507,19 @@ def _line_ends(last: bytes, block: bytes) -> int:
     return ends
 
 
-def _line_bound(fh: IO[str]) -> int:
-    """Bound on the data rows of a seekable text file, read from its bytes.
+def _line_bound(fh: IO[bytes]) -> int:
+    """Bound on the data rows of a seekable binary file.
 
-    Text read with ``newline=""`` ends a line at each \\n, \\r or \\r\\n,
-    and the last line may have no end, so the ends plus one bound the rows.
-    One binary pass counts them ``_COUNT_BLOCK`` bytes at a time and
-    rewinds the file.
+    A line ends at each \\n, \\r or \\r\\n, and the last line may have
+    no end, so the ends plus one bound the rows.  One pass counts them
+    ``_COUNT_BLOCK`` bytes at a time and rewinds the file.
     """
     lines, last = 1, b""
-    while block := fh.buffer.read(_COUNT_BLOCK):
+    while block := fh.read(_COUNT_BLOCK):
         lines += _line_ends(last, block)
         last = block[-1:]
     fh.seek(0)
     return lines
-
-
-def _undecodable(
-    source: IO[str], exc: UnicodeDecodeError, lines: int | None
-) -> ValueError:
-    """The refusal of a byte that the text layer of ``source`` cannot decode.
-
-    The layer's own message counts the byte from the start of its decode
-    chunk.  A stream that cannot be read again names line ``lines``, the
-    last one it read whole before the byte.  A file that can (``lines`` is
-    None) is decoded again from its start, ``_COUNT_BLOCK`` bytes at a
-    time, to name the byte's offset in the file and its line.
-    """
-    if lines is not None:
-        last = f"line {lines} was the last" if lines else "no line was"
-        return ValueError(f"byte 0x{exc.object[exc.start]:02x} cannot be decoded as "
-                          f"{exc.encoding} ({exc.reason}); {last} read whole "
-                          "before it")
-    raw = source.buffer
-    raw.seek(0)
-    decoder = codecs.getincrementaldecoder(source.encoding)()
-    offset, line, last = 0, 1, b""
-    while block := raw.read(_COUNT_BLOCK):
-        # The decoder holds back the bytes of a character cut at the
-        # block's end, and counts a fault from the first of them.
-        held = len(decoder.getstate()[0])
-        try:
-            decoder.decode(block)
-        except UnicodeDecodeError as found:
-            at = found.start - held
-            line += _line_ends(last, block[: max(at, 0)])
-            return ValueError(
-                f"byte 0x{found.object[found.start]:02x} at offset {offset + at} "
-                f"(line {line}) cannot be decoded as {found.encoding} ({found.reason})"
-            )
-        offset += len(block)
-        line += _line_ends(last, block)
-        last = block[-1:]
-    return exc
 
 
 # Value of each byte as one of the writer's hex digits, 0-9 and A-F; 255
@@ -571,39 +530,28 @@ _NIBBLE = np.array([b"0123456789ABCDEF".find(c) % 256 for c in range(256)], np.u
 _RIGHT_ALIGNED = np.array([[0] * (16 - w) + [1] * w for w in range(17)], np.uint8)
 
 
-def _blocks(source: IO[str]) -> Iterator[str]:
-    """Blocks of a text stream, each ending where one of its lines ends.
+def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
+    """Blocks of a byte source, each ending where one of its lines ends.
 
-    The stream is read ``_COUNT_BLOCK`` characters at a time, and the text
-    not yet cut is cut after its last complete line: a \\r as the last
-    character may start a \\r\\n pair, so it ends no line yet.  A line
-    longer than a read is gathered whole and joined once.  A byte that
-    the stream's text layer cannot decode is refused by ``_undecodable``;
-    a stream that cannot be read again counts the lines of its blocks for
-    it as they go.
+    ``read(n)`` returns the next n bytes, or a text stream's next n
+    characters encoded, and b"" at the end; n is ``_COUNT_BLOCK``.  The
+    bytes not yet cut are cut after their last complete line: a \\r as the
+    last byte may start a \\r\\n pair, so it ends no line yet.  A line longer than a read is
+    gathered whole and joined once.
     """
-    reread = hasattr(source, "buffer") and source.seekable()
-    rest = ""
-    lines = 0
+    rest = b""
     while True:
         pieces = [rest]
-        try:
-            while (more := source.read(_COUNT_BLOCK)) and not (
-                "\n" in more or "\r" in more
-            ):
-                pieces.append(more)
-        except UnicodeDecodeError as exc:
-            raise _undecodable(source, exc, None if reread else lines) from None
-        text = "".join([*pieces, more])
-        cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1 if more else len(text)
-        block, rest, done = text[:cut], text[cut:], not more
+        while (more := read(_COUNT_BLOCK)) and not (b"\n" in more or b"\r" in more):
+            pieces.append(more)
+        data = b"".join([*pieces, more])
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1 if more else len(data)
+        block, rest, done = data[:cut], data[cut:], not more
         # Freed before the reader takes the block, which is then the one
-        # copy of its text held here: 0.1 MB less peak RSS in reading a
+        # copy of its bytes held here: 0.18 MB less peak RSS in reading a
         # 20 MB file.
-        del pieces, more, text
+        del pieces, more, data
         if block:
-            if not reread:
-                lines += block.count("\n") + block.count("\r") - block.count("\r\n")
             yield block
         if done:
             return
@@ -641,9 +589,7 @@ def _hex_fields(data: bytes, d: int, nibbles: int) -> np.ndarray | None:
     return packed.view(">u8").astype(np.uint64).reshape(-1, d)
 
 
-def _writer_rows(
-    data: bytes | None, start: int, d: int, precision: int
-) -> np.ndarray | None:
+def _writer_rows(data: bytes, start: int, d: int, precision: int) -> np.ndarray | None:
     """The (n, d) numerators of a block that is the writer's own bytes, else None.
 
     The block must be exactly ``_csv_block`` of some rows start, ...,
@@ -657,7 +603,7 @@ def _writer_rows(
     or more whatever its float field reads.  ``_hex_fields`` is its own
     function so that its temporaries are gone before the formatting.
     """
-    if not (data and data.endswith(b"\n")):
+    if not data.endswith(b"\n"):
         return None
     nums = _hex_fields(data, d, max(1, -(-precision // 4)))
     if nums is None or _csv_block(nums, precision, start) != data:
@@ -668,20 +614,25 @@ def _writer_rows(
 def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     """Rebuild a point set from the CSV form; the hex fields are authoritative.
 
-    A path is opened as text with ``newline=""``, and then it and a
-    caller's text stream are read alike: ``_COUNT_BLOCK`` characters at a
-    time, cut into blocks where a line ends, at \\n, \\r\\n or a lone \\r
-    (``_blocks``).  A path that can seek is first counted in one binary
-    pass (``_line_bound``), and one array of the counted rows is filled in
-    place block by block, trimmed and adopted by ``PointSet``, so the
-    numerators are held once plus one block.  Any other source cannot be
-    counted ahead, so its blocks' numerators are joined at the end and it
-    holds them twice.  ``BudgetError`` refuses a file's line count, or a
-    stream's rows so far, whose d * 8 bytes per row exceed
-    ``errors.BUDGET_BYTES``, before allocating them.  A byte that the
-    file's encoding cannot decode is refused with its offset and line in a
-    file that can seek, and otherwise with the last line read whole before
-    it (``_undecodable``).
+    A path is opened as bytes, and a caller's text stream is read through
+    one adapter that encodes what its ``read`` returns as UTF-8, surrogates
+    passed; both are read ``_COUNT_BLOCK`` bytes at a time and cut into
+    blocks where a line ends, at \\n, \\r\\n or a lone \\r (``_blocks``).
+    A path that can seek is first counted in one pass (``_line_bound``),
+    and one array of the counted rows is filled in place block by block,
+    trimmed and adopted by ``PointSet``, so the numerators are held once
+    plus one block.  Any other source cannot be counted ahead, so its
+    blocks' numerators are joined at the end and it holds them twice.
+    ``BudgetError`` refuses a file's line count, or a stream's rows so far,
+    whose d * 8 bytes per row exceed ``errors.BUDGET_BYTES``, before
+    allocating them.  A path is decoded strictly in the encoding ``open``
+    gives text by default, ``locale.getpreferredencoding(False)``, and a
+    stream as it was encoded.  A block is decoded whole before it is
+    parsed, so a byte that a path's encoding cannot decode is refused by
+    the read that holds it, named by its offset and line in the file, from
+    a pipe as from a file that can seek.  A text stream decodes its own
+    bytes: a ``UnicodeDecodeError`` (a ``ValueError``) of its ``read``
+    propagates as it is.
 
     Once a block has fixed the field count and the precision, each later
     block is first checked against the writer: if its bytes are exactly
@@ -711,16 +662,24 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     error anywhere in the file comes first.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
+        with open(source, "rb") as fh:
             bound = _line_bound(fh) if fh.seekable() else None
-            return _read_points(_blocks(fh), bound)
-    return _read_points(_blocks(source), None)
+            # ``open``'s text encoding, without importing ``locale`` (0.12 MB).
+            codec = (io.TextIOWrapper(io.BytesIO()).encoding, "strict")
+            return _read_points(_blocks(fh.read), bound, codec)
+    codec = ("utf-8", "surrogatepass")
+    return _read_points(_blocks(lambda n: source.read(n).encode(*codec)), None, codec)
 
 
-def _read_points(blocks: Iterator[str], bound: int | None) -> PointSet:
+def _read_points(
+    blocks: Iterator[bytes], bound: int | None, codec: tuple[str, str]
+) -> PointSet:
     """``read_points_csv`` of a source's blocks with at most ``bound`` data rows.
 
-    Without a bound the blocks' numerators are kept in a list and joined.
+    The parser's blocks are decoded with ``codec``, (encoding, errors):
+    bytes cut at \\n and \\r are text cut at its line ends, since no
+    multi-byte character of an ASCII-compatible encoding such as UTF-8
+    holds either byte.  Without a bound the numerators are joined at the end.
     """
     provenance = ""
     d = precision = numerators = None
@@ -728,6 +687,7 @@ def _read_points(blocks: Iterator[str], bound: int | None) -> PointSet:
     chunks: list[np.ndarray] = []
     bad_float = None
     row = 0
+    offset = lines = 0  # bytes read so far, and lines before the block
 
     def rows_until(end: int) -> np.ndarray:
         """Room for rows [row, end): a view of the array, or a new chunk."""
@@ -741,17 +701,26 @@ def _read_points(blocks: Iterator[str], bound: int | None) -> PointSet:
             raise ValueError("points file grew while it was read")
         return numerators[row:end]
 
-    for text in blocks:
+    for data in blocks:
+        offset += len(data)
         if precision is not None:
             # The writer's own bytes meet every check of the path below.
-            nums = _writer_rows(text.encode() if text.isascii() else None,
-                                row, d, precision)
+            nums = _writer_rows(data, row, d, precision)
             if nums is not None:
                 chunk = rows_until(row + len(nums))
                 chunk[:] = nums
                 row += len(nums)
+                lines += len(nums)
                 continue
+        try:
+            text = data.decode(*codec)
+        except UnicodeDecodeError as exc:
+            at, line = exc.start, lines + _line_ends(b"", data[: exc.start]) + 1
+            raise ValueError(f"byte 0x{data[at]:02x} at offset {offset - len(data) + at} "
+                             f"(line {line}) cannot be decoded as {exc.encoding} "
+                             f"({exc.reason})") from None
         block = io.StringIO(text, newline="").readlines()
+        lines += len(block)
         # Most lines are data rows, which the first test keeps.
         batch = [ln for ln in block if ln[:1] not in "#n\r\n" or _is_data(ln)]
         if len(batch) < len(block):

@@ -76,20 +76,29 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def recorded_blocks(monkeypatch, size: int) -> list[str]:
-    """Make the points reader read ``size`` characters at a time, and
-    return the list of the blocks it cuts, in reading order."""
+def recorded_blocks(monkeypatch, size: int) -> list[bytes]:
+    """Make the points reader read ``size`` bytes at a time, and return the
+    list of the blocks it cuts, in reading order."""
     blocks = []
     cut = sequence._blocks
 
-    def recorded(source):
-        for block in cut(source):
+    def recorded(read):
+        for block in cut(read):
             blocks.append(block)
             yield block
 
     monkeypatch.setattr(sequence, "_COUNT_BLOCK", size)
     monkeypatch.setattr(sequence, "_blocks", recorded)
     return blocks
+
+
+def decodes(data: bytes, encoding: str) -> bool:
+    """Whether ``encoding`` decodes ``data``."""
+    try:
+        data.decode(encoding)
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

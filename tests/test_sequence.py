@@ -3,8 +3,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import locale
 import os
 import random
+import re
 import string
 import tempfile
 import threading
@@ -30,6 +32,7 @@ from dignet.sequence import (
 )
 from support import (
     block_decomposition,
+    decodes,
     digit_vector,
     digital_shift,
     matvec,
@@ -310,8 +313,9 @@ def test_points_file_line_bound_counts_text_mode_lines(
         text = text.replace("\n", ends)
     path = tmp_path / "pts.csv"
     path.write_bytes(text.encode())
-    with open(path, newline="") as fh:
+    with open(path, "rb") as fh:
         bound = sequence._line_bound(fh)
+    with open(path, newline="") as fh:
         lines = fh.readlines()
     assert bound == len(lines) + (ends != "no-last")
     assert read_points_csv(path).numerators.tolist() == pts.numerators.tolist()
@@ -351,41 +355,94 @@ def test_points_csv_reads_lines_longer_than_a_read(end, tmp_path, monkeypatch):
     assert same_points(back, pts) and back.provenance == pts.provenance
 
 
+def _stream_read(text: str):
+    """The one read of the points reader on a text stream of ``text``."""
+    stream = io.StringIO(text)
+    return lambda n: stream.read(n).encode("utf-8", "surrogatepass")
+
+
 @pytest.mark.parametrize("size", range(1, 8))
 def test_blocks_cut_a_path_and_a_stream_at_line_ends(size, tmp_path, monkeypatch):
-    # Reads of 1 to 7 characters split \r\n pairs, runs of line ends and a
-    # line of 2,000 characters across reads in every way; the text ends
-    # without a line end, and then with a lone \r.
+    # Reads of 1 to 7 bytes or characters split \r\n pairs, runs of line
+    # ends, the two bytes of "\u00e9" and a line of 2,000 characters across
+    # reads in every way; the text ends without a line end, and then with
+    # a lone \r.
     monkeypatch.setattr(sequence, "_COUNT_BLOCK", size)
     body = "a,1\n\r\nb\rc\r\r\n\n\r" + "x" * 2000 + "\r\nd\r\ne \u00e9\rf\r\n" + "g" * 9
     path = tmp_path / "text.csv"
-    for text in (body, body + "\r"):
+    for text in (body, body + "\r", body.replace("\u00e9", "e")):
         path.write_bytes(text.encode())
-        with open(path, newline="", encoding="utf-8") as fh:
-            from_path = list(sequence._blocks(fh))
-        for blocks in (from_path, list(sequence._blocks(io.StringIO(text)))):
-            assert "".join(blocks) == text and all(blocks)
-            assert all(block.endswith(("\n", "\r")) for block in blocks[:-1])
+        with open(path, "rb") as fh:
+            from_path = list(sequence._blocks(fh.read))
+        from_stream = list(sequence._blocks(_stream_read(text)))
+        for blocks in (from_path, from_stream):
+            assert b"".join(blocks).decode() == text and all(blocks)
+            assert all(block.endswith((b"\n", b"\r")) for block in blocks[:-1])
             assert not any(
-                block.endswith("\r") and after.startswith("\n")
+                block.endswith(b"\r") and after.startswith(b"\n")
                 for block, after in zip(blocks, blocks[1:])
             )
+        # A read of n characters is one of n bytes when they are ASCII, so
+        # a path and a stream of the same text are cut into the same
+        # blocks; "\u00e9" makes the stream's read one byte longer.
+        assert from_stream == from_path or not text.isascii()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_points_csv_reads_a_pipe_as_a_stream(tmp_path):
+def test_points_csv_reads_a_pipe_as_a_stream(tmp_path, monkeypatch):
     # A pipe cannot be counted ahead and rewound, so it is read as a stream.
+    # Reads of 64 bytes put data row 9 (file line 12) in a block after the
+    # first; a byte there that the encoding cannot decode is named by its
+    # offset and line, as it is in a file that can seek.
     pts = generate_points(build_matrices(2, 4, 4), 16)
     path = tmp_path / "pipe"
     os.mkfifo(path)
-    writer = threading.Thread(target=path.write_text, args=(_written(pts),))
-    writer.start()
-    try:
-        back = read_points_csv(path)
-    finally:
-        writer.join(timeout=30)
-    assert not writer.is_alive()
-    assert back.numerators.tolist() == pts.numerators.tolist()
+
+    def piped(data: bytes):
+        writer = threading.Thread(target=path.write_bytes, args=(data,))
+        writer.start()
+        try:
+            return _outcome(lambda: read_points_csv(path))
+        finally:
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+
+    data = _written(pts).encode()
+    assert piped(data) == (pts.numerators.tolist(), pts.precision, pts.provenance)
+    offset = data.index(b"\n9,0x") + 6
+    bad = data[:offset] + b"\x80" + data[offset:]
+    blocks = recorded_blocks(monkeypatch, 64)
+    (tmp_path / "bad.csv").write_bytes(bad)
+    refused = _outcome(lambda: read_points_csv(tmp_path / "bad.csv"))
+    assert len(blocks) >= 2 and b"\n9," not in blocks[0]
+    assert piped(bad) == refused
+    encoding = locale.getpreferredencoding(False)
+    if not decodes(b"\x80", encoding):
+        assert refused[0] is ValueError
+        assert refused[1].startswith(f"byte 0x80 at offset {offset} (line 12) cannot "
+                                     "be decoded as "), refused
+
+
+def test_points_csv_text_stream_decodes_its_own_bytes():
+    # A text stream's own decode error propagates as the ValueError it is;
+    # the text that a stream returns, lone surrogates, NUL and non-ASCII
+    # characters included, is read as it was read before the reader read
+    # bytes: it fails on the same row with the same message.
+    with pytest.raises(UnicodeDecodeError) as raised:
+        read_points_csv(io.TextIOWrapper(io.BytesIO(b"0,0x\x80/4,0\n"), "utf-8"))
+    assert isinstance(raised.value, ValueError) and raised.value.start == 4
+    cases = [
+        ("0,0x\ud800/4,0\n", 0, "0,0x\ud800/4,0"),
+        ("0,0x1/4,0.0625\n1,0x\udcff/4,0\n", 1, "1,0x\udcff/4,0"),
+        ("0,0x1/4,0.0625\n\0\u00e9,0x1/4,0.0625\n", 1, "\0\u00e9,0x1/4,0.0625"),
+        ("0,0x1/4,0.0625\r\n1,0x2/4,\u00e9\n", 1, "1,0x2/4,\u00e9"),
+    ]
+    for text, row, line in cases:
+        message = f"row {row} is not an index and 1 hex,float pairs: {line!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_points_csv(io.StringIO(text))
+    back = read_points_csv(io.StringIO("# generator: \ud800\0\u00e9\n0,0x1/4,0.0625\n"))
+    assert back.provenance == "\ud800\0\u00e9" and back.numerators.tolist() == [[1]]
 
 
 def test_digital_shift_examples():
@@ -733,8 +790,8 @@ def test_points_csv_crlf_reads_back(tmp_path):
 def test_points_csv_ends_lines_alike_from_a_path_and_a_stream(tmp_path, monkeypatch):
     # \n, \r\n and a lone \r end a line whether the text comes from a path,
     # a default text stream, which ends lines only at \n, or a stream
-    # opened with newline="".  Reads of 1 to 7 characters put line ends of
-    # all three kinds on read and block boundaries.
+    # opened with newline="".  Reads of 1 to 7 bytes or characters put line
+    # ends of all three kinds on read and block boundaries.
     pset = generate_points(build_matrices(2, 4, 4), 16)
     mixed = "".join(
         line[:-1] + ("\n", "\r\n", "\r")[k % 3]
@@ -1004,7 +1061,7 @@ def test_points_csv_range_error_outranks_an_earlier_float_mismatch(monkeypatch):
     with pytest.raises(ValueError, match="numerator out of range for precision 4"):
         read_points_csv(edited({1: float_off, 9: over_range}))
     first, second = (
-        next(i for i, block in enumerate(blocks) if f"\n{row}," in "\n" + block)
+        next(i for i, block in enumerate(blocks) if b"\n%d," % row in b"\n" + block)
         for row in (1, 9)
     )
     assert 0 < first < second
@@ -1029,7 +1086,7 @@ def test_points_csv_names_the_file_row_past_a_chunk(edit, message, monkeypatch):
     lines[11] = edit(lines[11])
     with pytest.raises(ValueError, match=message):
         read_points_csv(io.StringIO("".join(lines)))
-    assert len(blocks) >= 2 and "\n9," not in blocks[0]
+    assert len(blocks) >= 2 and b"\n9," not in blocks[0]
 
 
 def _no_writer_rows(monkeypatch):
@@ -1073,10 +1130,11 @@ def _edited_points_text(draw):
 @settings(max_examples=150, deadline=None)
 @given(_edited_points_text(), st.sampled_from([64, 200, 1 << 15]))
 def test_points_csv_writer_blocks_read_as_the_parser_reads_them(text, block):
-    # Reads of 64 or 200 characters put many block boundaries in each
-    # file; whatever one edit did to it, checking blocks against the writer
-    # must not change what is read or refused.  A file is opened with
-    # newline="", so it is cut into blocks as a stream of its text is.
+    # Reads of 64 or 200 bytes or characters put many block boundaries in
+    # each file; whatever one edit did to it, checking blocks against the
+    # writer must not change what is read or refused.  A file is read as
+    # bytes and a stream as characters, so an edit of "\u00e9" may move the
+    # file's block ends, but not what it reads as.
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "pts.csv"
