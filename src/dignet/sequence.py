@@ -26,14 +26,15 @@ data row (the index, then per coordinate 0x<hex>/<decimal> and a float),
 ``int(h, 16)`` per numerator, and a check of each float field against
 float64(num) * 2^-w.  A float field is a decimal number with an optional
 sign, point and exponent, or inf, infinity or nan in any case, with white
-space on either side and no "_" or hex form.  Every source is read as
-bytes, a text stream through one encoding adapter, and cut into blocks
-where its lines end, at \\n, \\r\\n or a lone \\r; a block is decoded only
-to be parsed, so an undecodable byte is named at its own offset and line.
+space on either side and no "_" or hex form.  A path or a binary file is
+read as bytes and cut into blocks where its lines end, at \\n, \\r\\n or
+a lone \\r; a block is decoded only to be parsed, so an undecodable byte is
+named at its own offset and line.  A text stream is refused.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import functools
 import io
@@ -508,17 +509,17 @@ def _line_ends(last: bytes, block: bytes) -> int:
 
 
 def _line_bound(fh: IO[bytes]) -> int:
-    """Bound on the data rows of a seekable binary file.
+    """Bound on the data rows of a seekable binary file, from where it stands.
 
     A line ends at each \\n, \\r or \\r\\n, and the last line may have
     no end, so the ends plus one bound the rows.  One pass counts them
-    ``_COUNT_BLOCK`` bytes at a time and rewinds the file.
+    ``_COUNT_BLOCK`` bytes at a time and seeks back to where the file stood.
     """
-    lines, last = 1, b""
+    start, lines, last = fh.tell(), 1, b""
     while block := fh.read(_COUNT_BLOCK):
         lines += _line_ends(last, block)
         last = block[-1:]
-    fh.seek(0)
+    fh.seek(start)
     return lines
 
 
@@ -533,11 +534,10 @@ _RIGHT_ALIGNED = np.array([[0] * (16 - w) + [1] * w for w in range(17)], np.uint
 def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
     """Blocks of a byte source, each ending where one of its lines ends.
 
-    ``read(n)`` returns the next n bytes, or a text stream's next n
-    characters encoded, and b"" at the end; n is ``_COUNT_BLOCK``.  The
-    bytes not yet cut are cut after their last complete line: a \\r as the
-    last byte may start a \\r\\n pair, so it ends no line yet.  A line longer than a read is
-    gathered whole and joined once.
+    ``read(n)`` returns the next n bytes, b"" at the end; n is ``_COUNT_BLOCK``.
+    The bytes not yet cut are cut after their last complete line: a \\r as
+    the last byte may start a \\r\\n pair, so it ends no line yet.  A line
+    longer than a read is gathered whole and joined once.
     """
     rest = b""
     while True:
@@ -611,28 +611,25 @@ def _writer_rows(data: bytes, start: int, d: int, precision: int) -> np.ndarray 
     return nums
 
 
-def read_points_csv(source: IO[str] | str | Path) -> PointSet:
+def read_points_csv(source: str | Path | IO[bytes]) -> PointSet:
     """Rebuild a point set from the CSV form; the hex fields are authoritative.
 
-    A path is opened as bytes, and a caller's text stream is read through
-    one adapter that encodes what its ``read`` returns as UTF-8, surrogates
-    passed; both are read ``_COUNT_BLOCK`` bytes at a time and cut into
-    blocks where a line ends, at \\n, \\r\\n or a lone \\r (``_blocks``).
-    A path that can seek is first counted in one pass (``_line_bound``),
-    and one array of the counted rows is filled in place block by block,
-    trimmed and adopted by ``PointSet``, so the numerators are held once
-    plus one block.  Any other source cannot be counted ahead, so its
-    blocks' numerators are joined at the end and it holds them twice.
-    ``BudgetError`` refuses a file's line count, or a stream's rows so far,
-    whose d * 8 bytes per row exceed ``errors.BUDGET_BYTES``, before
-    allocating them.  A path is decoded strictly in the encoding ``open``
-    gives text by default, ``locale.getpreferredencoding(False)``, and a
-    stream as it was encoded.  A block is decoded whole before it is
-    parsed, so a byte that a path's encoding cannot decode is refused by
-    the read that holds it, named by its offset and line in the file, from
-    a pipe as from a file that can seek.  A text stream decodes its own
-    bytes: a ``UnicodeDecodeError`` (a ``ValueError``) of its ``read``
-    propagates as it is.
+    ``source`` is a path, opened as bytes, or a binary file read from where
+    it stands; a text stream is refused with ``TypeError``.  Reads of
+    ``_COUNT_BLOCK`` bytes are cut into blocks where a line ends, at \\n,
+    \\r\\n or a lone \\r (``_blocks``).  A source that can seek is counted
+    first (``_line_bound``), and one array of that many rows is filled in
+    place, trimmed and adopted by ``PointSet``: it holds the numerators once
+    plus one block.  A pipe, or any source that cannot seek, holds them
+    twice, its blocks' numerators joined at the end.  ``BudgetError``
+    refuses the counted lines, or the rows read so far, whose d * 8 bytes
+    per row exceed ``errors.BUDGET_BYTES``, before allocating them.  A block
+    is decoded whole, strictly, in ``open``'s default text encoding
+    (``locale.getpreferredencoding(False)``) before it is parsed, so an
+    undecodable byte is refused by the read that holds it and named by its
+    offset from where the reading began and its line.  No multi-byte
+    character of an ASCII-compatible encoding holds \\n or \\r, so bytes
+    cut there are text cut at line ends.
 
     Once a block has fixed the field count and the precision, each later
     block is first checked against the writer: if its bytes are exactly
@@ -661,26 +658,10 @@ def read_points_csv(source: IO[str] | str | Path) -> PointSet:
     raised only once ``PointSet`` has accepted the numerators, so a range
     error anywhere in the file comes first.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            bound = _line_bound(fh) if fh.seekable() else None
-            # ``open``'s text encoding, without importing ``locale`` (0.12 MB).
-            codec = (io.TextIOWrapper(io.BytesIO()).encoding, "strict")
-            return _read_points(_blocks(fh.read), bound, codec)
-    codec = ("utf-8", "surrogatepass")
-    return _read_points(_blocks(lambda n: source.read(n).encode(*codec)), None, codec)
-
-
-def _read_points(
-    blocks: Iterator[bytes], bound: int | None, codec: tuple[str, str]
-) -> PointSet:
-    """``read_points_csv`` of a source's blocks with at most ``bound`` data rows.
-
-    The parser's blocks are decoded with ``codec``, (encoding, errors):
-    bytes cut at \\n and \\r are text cut at its line ends, since no
-    multi-byte character of an ASCII-compatible encoding such as UTF-8
-    holds either byte.  Without a bound the numerators are joined at the end.
-    """
+    if isinstance(source, io.TextIOBase):
+        raise TypeError("pass a path or a binary file, not a text stream")
+    # ``open``'s text encoding, without importing ``locale`` (0.12 MB).
+    encoding = io.TextIOWrapper(io.BytesIO()).encoding
     provenance = ""
     d = precision = numerators = None
     precisions: set[int] = set()
@@ -701,74 +682,78 @@ def _read_points(
             raise ValueError("points file grew while it was read")
         return numerators[row:end]
 
-    for data in blocks:
-        offset += len(data)
-        if precision is not None:
-            # The writer's own bytes meet every check of the path below.
-            nums = _writer_rows(data, row, d, precision)
-            if nums is not None:
-                chunk = rows_until(row + len(nums))
-                chunk[:] = nums
-                row += len(nums)
-                lines += len(nums)
+    # Not passed to this function again: a wrapper of its name would see two reads.
+    is_path = isinstance(source, (str, Path))
+    with open(source, "rb") if is_path else contextlib.nullcontext(source) as fh:
+        bound = _line_bound(fh) if fh.seekable() else None
+        for data in _blocks(fh.read):
+            offset += len(data)
+            if precision is not None:
+                # The writer's own bytes meet every check of the path below.
+                nums = _writer_rows(data, row, d, precision)
+                if nums is not None:
+                    chunk = rows_until(row + len(nums))
+                    chunk[:] = nums
+                    row += len(nums)
+                    lines += len(nums)
+                    continue
+            try:
+                text = data.decode(encoding)
+            except UnicodeDecodeError as exc:
+                at, line = exc.start, lines + _line_ends(b"", data[: exc.start]) + 1
+                raise ValueError(f"byte 0x{data[at]:02x} at offset "
+                                 f"{offset - len(data) + at} (line {line}) cannot be "
+                                 f"decoded as {exc.encoding} ({exc.reason})") from None
+            block = io.StringIO(text, newline="").readlines()
+            lines += len(block)
+            # Most lines are data rows, which the first test keeps.
+            batch = [ln for ln in block if ln[:1] not in "#n\r\n" or _is_data(ln)]
+            if len(batch) < len(block):
+                for line in block:
+                    if line.startswith("#"):
+                        note = line.rstrip("\r\n").lstrip("# ")
+                        if note.startswith("generator:"):
+                            note = note.removeprefix("generator:")
+                            provenance = note.split("; written:")[0].strip()
+            if not batch:
                 continue
-        try:
-            text = data.decode(*codec)
-        except UnicodeDecodeError as exc:
-            at, line = exc.start, lines + _line_ends(b"", data[: exc.start]) + 1
-            raise ValueError(f"byte 0x{data[at]:02x} at offset {offset - len(data) + at} "
-                             f"(line {line}) cannot be decoded as {exc.encoding} "
-                             f"({exc.reason})") from None
-        block = io.StringIO(text, newline="").readlines()
-        lines += len(block)
-        # Most lines are data rows, which the first test keeps.
-        batch = [ln for ln in block if ln[:1] not in "#n\r\n" or _is_data(ln)]
-        if len(batch) < len(block):
-            for line in block:
-                if line.startswith("#"):
-                    note = line.rstrip("\r\n").lstrip("# ")
-                    if note.startswith("generator:"):
-                        note = note.removeprefix("generator:")
-                        provenance = note.split("; written:")[0].strip()
-        if not batch:
-            continue
-        if d is None:
-            width = batch[0].count(",") + 1
-            if width < 3 or width % 2 == 0:
-                raise ValueError(
-                    f"points rows need an odd field count of at least 3, got {width}"
-                )
-            d = (width - 1) // 2
-            if bound is not None:
-                need = bound * d * 8
-                check_budget(need, f"room for {bound} rows of points at d={d} "
-                                   f"needs {need} bytes of numerators")
-                numerators = np.empty((bound, d), dtype=np.uint64)
-        fields = _data_rows(batch, row, d)
-        # Column by column: a first column that alone holds w > 64 is
-        # refused for that, not as an inconsistency.
-        for j in range(d):
-            precisions |= set(map(int, set(fields[3 * j + 1 :: 3 * d])))
-            if len(precisions) != 1:
-                raise ValueError(
-                    f"inconsistent precisions {sorted(precisions)} in points CSV"
-                )
-            (precision,) = precisions
-            _check_precision(precision)
-        chunk = rows_until(row + len(batch))
-        try:
-            nums = np.array(list(map(int, fields[::3], repeat(16))), np.uint64)
-        except OverflowError:
-            raise ValueError(f"numerator out of range for precision {precision}") from None
-        chunk[:] = nums.reshape(-1, d)
-        if bad_float is None:
-            given = np.array(list(map(float, map(str.strip, fields[2::3]))))
-            given = given.reshape(-1, d)
-            expected = chunk.astype(np.float64) * 2.0**-precision
-            wrong = np.flatnonzero((given != expected).any(axis=1))
-            if wrong.size:
-                bad_float = row + int(wrong[0])
-        row += len(batch)
+            if d is None:
+                width = batch[0].count(",") + 1
+                if width < 3 or width % 2 == 0:
+                    raise ValueError(
+                        f"points rows need an odd field count of at least 3, got {width}"
+                    )
+                d = (width - 1) // 2
+                if bound is not None:
+                    need = bound * d * 8
+                    check_budget(need, f"room for {bound} rows of points at d={d} "
+                                       f"needs {need} bytes of numerators")
+                    numerators = np.empty((bound, d), dtype=np.uint64)
+            fields = _data_rows(batch, row, d)
+            # Column by column: a first column that alone holds w > 64 is
+            # refused for that, not as an inconsistency.
+            for j in range(d):
+                precisions |= set(map(int, set(fields[3 * j + 1 :: 3 * d])))
+                if len(precisions) != 1:
+                    raise ValueError(
+                        f"inconsistent precisions {sorted(precisions)} in points CSV"
+                    )
+                (precision,) = precisions
+                _check_precision(precision)
+            chunk = rows_until(row + len(batch))
+            try:
+                nums = np.array(list(map(int, fields[::3], repeat(16))), np.uint64)
+            except OverflowError:
+                raise ValueError(f"numerator out of range for precision {precision}") from None
+            chunk[:] = nums.reshape(-1, d)
+            if bad_float is None:
+                given = np.array(list(map(float, map(str.strip, fields[2::3]))))
+                given = given.reshape(-1, d)
+                expected = chunk.astype(np.float64) * 2.0**-precision
+                wrong = np.flatnonzero((given != expected).any(axis=1))
+                if wrong.size:
+                    bad_float = row + int(wrong[0])
+            row += len(batch)
     if not row:
         raise ValueError("no data rows in points CSV")
     # No view of the array may outlive this point: resize moves its memory.

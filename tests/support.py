@@ -21,7 +21,9 @@ Fenwick helpers that the sweep replaced, composed as
 
 from __future__ import annotations
 
+import io
 import json
+import locale
 import math
 import tracemalloc
 from collections import defaultdict
@@ -90,6 +92,19 @@ def recorded_blocks(monkeypatch, size: int) -> list[bytes]:
     monkeypatch.setattr(sequence, "_COUNT_BLOCK", size)
     monkeypatch.setattr(sequence, "_blocks", recorded)
     return blocks
+
+
+def unseekable(data: bytes) -> io.BytesIO:
+    """A binary stream of ``data`` whose ``seekable()`` is False, as a pipe's
+    is, so that the points reader joins its rows instead of counting them."""
+    stream = io.BytesIO(data)
+    stream.seekable = lambda: False
+    return stream
+
+
+def encoded(text: str) -> bytes:
+    """``text`` in the encoding that the points reader decodes its bytes in."""
+    return text.encode(locale.getpreferredencoding(False))
 
 
 def decodes(data: bytes, encoding: str) -> bool:

@@ -6,7 +6,6 @@ import io
 import locale
 import os
 import random
-import re
 import string
 import tempfile
 import threading
@@ -35,11 +34,13 @@ from support import (
     decodes,
     digit_vector,
     digital_shift,
+    encoded,
     matvec,
     pset_from_tuples,
     recorded_blocks,
     same_points,
     tail_shift_vector,
+    unseekable,
     values,
 )
 
@@ -226,6 +227,25 @@ def test_reading_a_crlf_file_holds_numerators_plus_a_chunk(tmp_path, monkeypatch
     assert peak <= 2 * back.numerators.nbytes + 1024 * chunk
 
 
+def test_reading_a_binary_file_holds_numerators_plus_a_chunk(monkeypatch):
+    # A binary file that can seek is counted and filled in place as a path
+    # is, so the same bound holds; its bytes are the caller's, made before
+    # the trace starts.
+    chunk = 1 << 10
+    monkeypatch.setattr(sequence, "_CSV_CHUNK", chunk)
+    count = 1 << 16
+    stream = io.BytesIO(_written(generate_points(build_matrices(2, 16, 16), count)).encode())
+    tracemalloc.start()
+    try:
+        back = read_points_csv(stream)
+        seen = sum(1 for _ in back.points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen == count
+    assert peak <= 2 * back.numerators.nbytes + 1024 * chunk
+
+
 def test_generating_points_holds_the_numerators_once():
     # One array is filled and adopted: no copy in PointSet, no N-sized
     # temporary for its range check (about 1.06x here).
@@ -286,12 +306,12 @@ def test_points_csv_reader_refuses_a_file_over_the_budget(tmp_path, monkeypatch)
         read_points_csv(path)
     monkeypatch.setattr(errors, "BUDGET_BYTES", 304)
     assert read_points_csv(path).numerators.tolist() == pts.numerators.tolist()
-    # A stream is refused once its rows read so far exceed the budget; reads
-    # of 64 characters cut it into several blocks.
+    # A stream that cannot seek is refused once its rows read so far exceed
+    # the budget; reads of 64 bytes cut it into several blocks.
     blocks = recorded_blocks(monkeypatch, 64)
     monkeypatch.setattr(errors, "BUDGET_BYTES", 16 * 2 * 8 - 1)
     with pytest.raises(BudgetError, match="room for 16 rows of points at d=2"):
-        read_points_csv(io.StringIO(path.read_text()))
+        read_points_csv(unseekable(path.read_bytes()))
     assert len(blocks) >= 2
 
 
@@ -355,18 +375,11 @@ def test_points_csv_reads_lines_longer_than_a_read(end, tmp_path, monkeypatch):
     assert same_points(back, pts) and back.provenance == pts.provenance
 
 
-def _stream_read(text: str):
-    """The one read of the points reader on a text stream of ``text``."""
-    stream = io.StringIO(text)
-    return lambda n: stream.read(n).encode("utf-8", "surrogatepass")
-
-
 @pytest.mark.parametrize("size", range(1, 8))
 def test_blocks_cut_a_path_and_a_stream_at_line_ends(size, tmp_path, monkeypatch):
-    # Reads of 1 to 7 bytes or characters split \r\n pairs, runs of line
-    # ends, the two bytes of "\u00e9" and a line of 2,000 characters across
-    # reads in every way; the text ends without a line end, and then with
-    # a lone \r.
+    # Reads of 1 to 7 bytes split \r\n pairs, runs of line ends, the two
+    # bytes of "\u00e9" and a line of 2,000 bytes across reads in every way;
+    # the text ends without a line end, and then with a lone \r.
     monkeypatch.setattr(sequence, "_COUNT_BLOCK", size)
     body = "a,1\n\r\nb\rc\r\r\n\n\r" + "x" * 2000 + "\r\nd\r\ne \u00e9\rf\r\n" + "g" * 9
     path = tmp_path / "text.csv"
@@ -374,7 +387,7 @@ def test_blocks_cut_a_path_and_a_stream_at_line_ends(size, tmp_path, monkeypatch
         path.write_bytes(text.encode())
         with open(path, "rb") as fh:
             from_path = list(sequence._blocks(fh.read))
-        from_stream = list(sequence._blocks(_stream_read(text)))
+        from_stream = list(sequence._blocks(unseekable(text.encode()).read))
         for blocks in (from_path, from_stream):
             assert b"".join(blocks).decode() == text and all(blocks)
             assert all(block.endswith((b"\n", b"\r")) for block in blocks[:-1])
@@ -382,10 +395,8 @@ def test_blocks_cut_a_path_and_a_stream_at_line_ends(size, tmp_path, monkeypatch
                 block.endswith(b"\r") and after.startswith(b"\n")
                 for block, after in zip(blocks, blocks[1:])
             )
-        # A read of n characters is one of n bytes when they are ASCII, so
-        # a path and a stream of the same text are cut into the same
-        # blocks; "\u00e9" makes the stream's read one byte longer.
-        assert from_stream == from_path or not text.isascii()
+        # A path and a stream of the same bytes are cut into the same blocks.
+        assert from_stream == from_path
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -423,26 +434,64 @@ def test_points_csv_reads_a_pipe_as_a_stream(tmp_path, monkeypatch):
                                      "be decoded as "), refused
 
 
-def test_points_csv_text_stream_decodes_its_own_bytes():
-    # A text stream's own decode error propagates as the ValueError it is;
-    # the text that a stream returns, lone surrogates, NUL and non-ASCII
-    # characters included, is read as it was read before the reader read
-    # bytes: it fails on the same row with the same message.
-    with pytest.raises(UnicodeDecodeError) as raised:
-        read_points_csv(io.TextIOWrapper(io.BytesIO(b"0,0x\x80/4,0\n"), "utf-8"))
-    assert isinstance(raised.value, ValueError) and raised.value.start == 4
-    cases = [
-        ("0,0x\ud800/4,0\n", 0, "0,0x\ud800/4,0"),
-        ("0,0x1/4,0.0625\n1,0x\udcff/4,0\n", 1, "1,0x\udcff/4,0"),
-        ("0,0x1/4,0.0625\n\0\u00e9,0x1/4,0.0625\n", 1, "\0\u00e9,0x1/4,0.0625"),
-        ("0,0x1/4,0.0625\r\n1,0x2/4,\u00e9\n", 1, "1,0x2/4,\u00e9"),
+def test_points_csv_refuses_a_text_stream():
+    # The reader reads bytes: a text stream is refused before anything is
+    # read from it, not by a str/bytes error at its first block.  The same
+    # text as bytes, a NUL and a non-ASCII provenance included, reads.
+    text = "# generator: \0\u00e9\n0,0x1/4,0.0625\n"
+    for stream in (io.StringIO(text), io.TextIOWrapper(io.BytesIO(encoded(text)))):
+        with pytest.raises(TypeError) as refused:
+            read_points_csv(stream)
+        assert str(refused.value) == "pass a path or a binary file, not a text stream"
+        assert stream.tell() == 0
+    back = read_points_csv(io.BytesIO(encoded(text)))
+    assert back.provenance == "\0\u00e9" and back.numerators.tolist() == [[1]]
+
+
+def test_points_csv_names_an_undecodable_byte_alike_from_every_source(
+    tmp_path, monkeypatch
+):
+    # Rows of the form of `dignet points -d 1 -a 4 -m 16` (precision 64)
+    # with a 0x80 byte after the "0x" of data row 9, file line 12.  Reads
+    # of 64 bytes put that row in a block after the first, so its offset and
+    # line are counted across blocks; a path, a binary file and a binary
+    # stream that cannot seek name them alike.
+    pts = generate_points(interlace_matrices(build_matrices(4, 16, 16), 4), 16)
+    data = _written(pts).encode()
+    offset = data.index(b"\n9,0x") + 5
+    bad = data[:offset] + b"\x80" + data[offset:]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(bad)
+    blocks = recorded_blocks(monkeypatch, 64)
+    outcomes = [
+        _outcome(lambda: read_points_csv(source))
+        for source in (path, io.BytesIO(bad), unseekable(bad))
     ]
-    for text, row, line in cases:
-        message = f"row {row} is not an index and 1 hex,float pairs: {line!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            read_points_csv(io.StringIO(text))
-    back = read_points_csv(io.StringIO("# generator: \ud800\0\u00e9\n0,0x1/4,0.0625\n"))
-    assert back.provenance == "\ud800\0\u00e9" and back.numerators.tolist() == [[1]]
+    assert len(blocks) >= 2 * 3 and b"\n9," not in blocks[0]
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    if not decodes(b"\x80", locale.getpreferredencoding(False)):
+        assert outcomes[0][0] is ValueError
+        assert outcomes[0][1].startswith(
+            f"byte 0x80 at offset {offset} (line 12) cannot be decoded as "
+        ), outcomes[0]
+
+
+def test_points_csv_reads_a_binary_file_from_where_it_stands(tmp_path):
+    # Five bytes before the stream's position, a line that the reader would
+    # refuse, are never read: the line count seeks back to that position,
+    # not to 0.  An undecodable byte is named at its offset from there.
+    pts = generate_points(build_matrices(2, 4, 4), 16)
+    data = _written(pts).encode()
+    path = tmp_path / "pts.csv"
+    for body in (data, data.replace(b"\n9,0x", b"\n9,0x\x80", 1)):
+        path.write_bytes(body)
+        stream = io.BytesIO(b"x,y\x80\n" + body)
+        stream.seek(5)
+        outcome = _outcome(lambda: read_points_csv(stream))
+        assert outcome == _outcome(lambda: read_points_csv(path))
+    assert _outcome(lambda: read_points_csv(io.BytesIO(data))) == (
+        pts.numerators.tolist(), pts.precision, pts.provenance
+    )
 
 
 def test_digital_shift_examples():
@@ -593,7 +642,7 @@ def test_points_csv_round_trip():
     assert lines[1] == "n,x1_hex,x1,x2_hex,x2"
     assert sum(1 for ln in lines if ln.startswith("#")) == 1
 
-    back = read_points_csv(io.StringIO(text))
+    back = read_points_csv(io.BytesIO(text.encode()))
     assert same_points(back, pts)
     assert back.provenance == pts.provenance
 
@@ -603,7 +652,7 @@ def test_points_csv_hex_fields_authoritative():
     buf = io.StringIO()
     write_points_csv(pts, buf, timestamp="t")
     assert "0xA/4" in buf.getvalue()
-    back = read_points_csv(io.StringIO(buf.getvalue()))
+    back = read_points_csv(io.BytesIO(buf.getvalue().encode()))
     assert back.numerators.tolist() == [[10]]
     assert back.precision == 4
 
@@ -743,15 +792,15 @@ def _csv_point_sets(draw):
 @example(pset_from_tuples([(1, 2)], 4, "niederreiter(d=2, alpha=2, t=8)"))
 def test_points_csv_round_trip_property(pset):
     # Chunks of 7 rows make sets of more than 7 rows cross chunk boundaries
-    # in the writer; reads of 8 characters cut every file into several
-    # blocks: the read that ends the comment line (26 characters or more)
-    # holds at most 7 more, less than the 12-character header.
+    # in the writer; reads of 8 bytes cut every file into several blocks:
+    # the read that ends the comment line (26 bytes or more) holds at most
+    # 7 more, less than the 12-byte header.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequence, "_CSV_CHUNK", 7)
         blocks = recorded_blocks(mp, 8)
         buf = io.StringIO()
         write_points_csv(pset, buf, timestamp="t")
-        back = read_points_csv(io.StringIO(buf.getvalue()))
+        back = read_points_csv(io.BytesIO(buf.getvalue().encode()))
     assert len(blocks) >= 2
     assert back.numerators.tolist() == pset.numerators.tolist()
     assert back.precision == pset.precision
@@ -780,7 +829,7 @@ def test_points_csv_crlf_reads_back(tmp_path):
     text = _written(pset).replace("\n", "\r\n")
     path = tmp_path / "crlf.csv"
     path.write_bytes(text.encode())
-    for source in (io.StringIO(text), path):
+    for source in (path, io.BytesIO(text.encode()), unseekable(text.encode())):
         back = read_points_csv(source)
         assert back.numerators.tolist() == pset.numerators.tolist()
         assert back.precision == pset.precision
@@ -788,10 +837,9 @@ def test_points_csv_crlf_reads_back(tmp_path):
 
 
 def test_points_csv_ends_lines_alike_from_a_path_and_a_stream(tmp_path, monkeypatch):
-    # \n, \r\n and a lone \r end a line whether the text comes from a path,
-    # a default text stream, which ends lines only at \n, or a stream
-    # opened with newline="".  Reads of 1 to 7 bytes or characters put line
-    # ends of all three kinds on read and block boundaries.
+    # \n, \r\n and a lone \r end a line whether the bytes come from a path,
+    # a binary file or a binary stream that cannot seek.  Reads of 1 to 7
+    # bytes put line ends of all three kinds on read and block boundaries.
     pset = generate_points(build_matrices(2, 4, 4), 16)
     mixed = "".join(
         line[:-1] + ("\n", "\r\n", "\r")[k % 3]
@@ -809,7 +857,7 @@ def test_points_csv_ends_lines_alike_from_a_path_and_a_stream(tmp_path, monkeypa
             path.write_bytes(text.encode())
             outcomes = [
                 _outcome(lambda: read_points_csv(source))
-                for source in (path, io.StringIO(text), io.StringIO(text, newline=""))
+                for source in (path, io.BytesIO(text.encode()), unseekable(text.encode()))
             ]
             assert outcomes[0][0] == nums
             assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
@@ -818,8 +866,8 @@ def test_points_csv_ends_lines_alike_from_a_path_and_a_stream(tmp_path, monkeypa
 
 @pytest.mark.parametrize("size", [7, 1 << 14])
 def test_points_csv_skips_comments_and_blanks_between_rows(size, monkeypatch):
-    # Reads of 7 characters cut the file into many blocks; reads of 16,384
-    # take all of its 4,000 or so in one.
+    # Reads of 7 bytes cut the file into many blocks; reads of 16,384 take
+    # all of its 4,000 or so in one.
     blocks = recorded_blocks(monkeypatch, size)
     pset = _csv_cases()["d3"]
     lines = _written(pset).splitlines(keepends=True)
@@ -828,7 +876,7 @@ def test_points_csv_skips_comments_and_blanks_between_rows(size, monkeypatch):
     lines[33:33] = ["# generator: edited\n", "\r\n"]
     lines[12:12] = ["n,x1_hex,x1,x2_hex,x2,x3_hex,x3\n", "\n"]
     lines[7:7] = ["# a note, with a comma\n"]
-    back = read_points_csv(io.StringIO("".join(lines)))
+    back = read_points_csv(io.BytesIO("".join(lines).encode()))
     assert back.numerators.tolist() == pset.numerators.tolist()
     assert back.provenance == "edited"
     assert len(blocks) >= 2 if size == 7 else len(blocks) == 1
@@ -841,7 +889,7 @@ def test_points_csv_skips_comments_and_blanks_between_rows(size, monkeypatch):
 ])
 def test_points_csv_refuses_hash_inside_a_row(row):
     with pytest.raises(ValueError, match="row 0"):
-        read_points_csv(io.StringIO("n,x1_hex,x1,x2_hex,x2\n" + row))
+        read_points_csv(io.BytesIO(("n,x1_hex,x1,x2_hex,x2\n" + row).encode()))
 
 
 @pytest.mark.parametrize("field", [
@@ -852,12 +900,12 @@ def test_points_csv_refuses_hash_inside_a_row(row):
 ])
 def test_points_csv_refuses_hex_field_that_fills_its_width(field):
     with pytest.raises(ValueError, match="row 1 has a hex field of 32 or more bytes"):
-        read_points_csv(io.StringIO(f"0,0x0/4,0\n1,{field},0\n"))
+        read_points_csv(io.BytesIO(f"0,0x0/4,0\n1,{field},0\n".encode()))
     with pytest.raises(ValueError, match="row 0 has a hex field of 32 or more bytes"):
-        read_points_csv(io.StringIO(f"0,{field},0\n"))
+        read_points_csv(io.BytesIO(f"0,{field},0\n".encode()))
     # One byte short of the width is read in full.
     short = "0x" + "0" * (sequence._HEX_BYTES - 6) + "1/4"
-    back = read_points_csv(io.StringIO(f"0,{short},0.0625\n"))
+    back = read_points_csv(io.BytesIO(f"0,{short},0.0625\n".encode()))
     assert back.numerators.tolist() == [[1]]
 
 
@@ -872,11 +920,11 @@ MALFORMED_DYADIC = [
 def test_points_csv_refuses_malformed_dyadic_field(field):
     text = f"0,0x0/4,0,0x0/4,0\n1,0x1/4,0.0625,{field},0.0625\n"
     with pytest.raises(ValueError, match=r"^row 1 has a malformed dyadic field"):
-        read_points_csv(io.StringIO(text))
+        read_points_csv(io.BytesIO(text.encode()))
 
 
 def test_points_csv_accepts_leading_zeros_and_either_hex_case():
-    back = read_points_csv(io.StringIO("0,0x00/04,0\n1,0x0a/4,0.625\n2,0xB/004,0.6875\n"))
+    back = read_points_csv(io.BytesIO(b"0,0x00/04,0\n1,0x0a/4,0.625\n2,0xB/004,0.6875\n"))
     assert back.precision == 4
     assert back.numerators.tolist() == [[0], [10], [11]]
 
@@ -1008,17 +1056,22 @@ ONE_FIELD_EDITS = [
 
 
 @pytest.mark.parametrize("field, value, outcome", ONE_FIELD_EDITS)
-def test_points_csv_one_field_edits_read_as_recorded(field, value, outcome):
+def test_points_csv_one_field_edits_read_as_recorded(field, value, outcome, tmp_path):
+    # Each edit reads alike from a path, a binary file and a binary stream
+    # that cannot seek, its text encoded as the reader decodes it.
     fields = ["1", "0x8/4", "0.5"]
     fields[["index", "hex", "float"].index(field)] = value
-    text = "0,0x0/4,0\n" + ",".join(fields) + "\n"
-    if isinstance(outcome, str):
-        with pytest.raises(ValueError) as refused:
-            read_points_csv(io.StringIO(text))
-        assert str(refused.value) == outcome
-    else:
-        back = read_points_csv(io.StringIO(text))
-        assert back.numerators.tolist() == outcome and back.precision == 4
+    data = encoded("0,0x0/4,0\n" + ",".join(fields) + "\n")
+    path = tmp_path / "pts.csv"
+    path.write_bytes(data)
+    for source in (path, io.BytesIO(data), unseekable(data)):
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError) as refused:
+                read_points_csv(source)
+            assert str(refused.value) == outcome
+        else:
+            back = read_points_csv(source)
+            assert back.numerators.tolist() == outcome and back.precision == 4
 
 
 def test_points_csv_reads_wide_rows_in_memory_proportional_to_them():
@@ -1027,9 +1080,10 @@ def test_points_csv_reads_wide_rows_in_memory_proportional_to_them():
     # rows at d = 2,000 while it compiled, and took seconds.
     d = 2000
     text = "".join(f"{n}" + f",0x{n}/4,{n / 16}" * d + "\n" for n in range(2))
+    data = text.encode()
     tracemalloc.start()
     try:
-        back = read_points_csv(io.StringIO(text))
+        back = read_points_csv(io.BytesIO(data))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1038,17 +1092,18 @@ def test_points_csv_reads_wide_rows_in_memory_proportional_to_them():
 
 
 def test_points_csv_range_error_outranks_an_earlier_float_mismatch(monkeypatch):
-    # Reads of 64 characters: the comment, the header and data row 0 in
-    # the first block, and rows 1 and 9 in later, different ones.
+    # Reads of 64 bytes: the comment, the header and data row 0 in the
+    # first block, and rows 1 and 9 in later, different ones.  A binary file
+    # and a binary stream that cannot seek report alike.
     blocks = recorded_blocks(monkeypatch, 64)
     pts = generate_points(build_matrices(2, 4, 4), 12)
     lines = _written(pts).splitlines(True)
 
-    def edited(edits: dict) -> io.StringIO:
+    def edited(edits: dict) -> bytes:
         out = list(lines)
         for row, edit in edits.items():
             out[row + 2] = edit(out[row + 2])
-        return io.StringIO("".join(out))
+        return "".join(out).encode()
 
     def float_off(line: str) -> str:
         return line[: line.rindex(",") + 1] + "0.3\n"
@@ -1058,17 +1113,19 @@ def test_points_csv_range_error_outranks_an_earlier_float_mismatch(monkeypatch):
         fields[1] = "0x10/4"
         return ",".join(fields)
 
-    with pytest.raises(ValueError, match="numerator out of range for precision 4"):
-        read_points_csv(edited({1: float_off, 9: over_range}))
-    first, second = (
-        next(i for i, block in enumerate(blocks) if b"\n%d," % row in b"\n" + block)
-        for row in (1, 9)
-    )
-    assert 0 < first < second
-    with pytest.raises(ValueError, match="^row 1 has a float field"):
-        read_points_csv(edited({1: float_off, 9: float_off}))
-    with pytest.raises(ValueError, match="^row 9 has a float field"):
-        read_points_csv(edited({9: float_off}))
+    for source in (io.BytesIO, unseekable):
+        blocks.clear()
+        with pytest.raises(ValueError, match="numerator out of range for precision 4"):
+            read_points_csv(source(edited({1: float_off, 9: over_range})))
+        first, second = (
+            next(i for i, block in enumerate(blocks) if b"\n%d," % row in b"\n" + block)
+            for row in (1, 9)
+        )
+        assert 0 < first < second
+        with pytest.raises(ValueError, match="^row 1 has a float field"):
+            read_points_csv(source(edited({1: float_off, 9: float_off})))
+        with pytest.raises(ValueError, match="^row 9 has a float field"):
+            read_points_csv(source(edited({9: float_off})))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -1079,13 +1136,12 @@ def test_points_csv_range_error_outranks_an_earlier_float_mismatch(monkeypatch):
     (lambda f: f.replace("/6", "/6/6", 1), "row 9 has a malformed dyadic field"),
 ])
 def test_points_csv_names_the_file_row_past_a_chunk(edit, message, monkeypatch):
-    # Reads of 64 characters put row 9 (file line 11) in a block after the
-    # first.
+    # Reads of 64 bytes put row 9 (file line 11) in a block after the first.
     blocks = recorded_blocks(monkeypatch, 64)
     lines = _written(generate_points(build_matrices(2, 6, 6), 12, 6)).splitlines(True)
     lines[11] = edit(lines[11])
     with pytest.raises(ValueError, match=message):
-        read_points_csv(io.StringIO("".join(lines)))
+        read_points_csv(io.BytesIO("".join(lines).encode()))
     assert len(blocks) >= 2 and b"\n9," not in blocks[0]
 
 
@@ -1130,26 +1186,22 @@ def _edited_points_text(draw):
 @settings(max_examples=150, deadline=None)
 @given(_edited_points_text(), st.sampled_from([64, 200, 1 << 15]))
 def test_points_csv_writer_blocks_read_as_the_parser_reads_them(text, block):
-    # Reads of 64 or 200 bytes or characters put many block boundaries in
-    # each file; whatever one edit did to it, checking blocks against the
-    # writer must not change what is read or refused.  A file is read as
-    # bytes and a stream as characters, so an edit of "\u00e9" may move the
-    # file's block ends, but not what it reads as.
+    # Reads of 64 or 200 bytes put many block boundaries in each file;
+    # whatever one edit did to it, checking blocks against the writer must
+    # not change what is read or refused, from a path, a binary file or a
+    # binary stream that cannot seek.
     outcomes = []
+    data = encoded(text)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         path = Path(tmp) / "pts.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(data)
         mp.setattr(sequence, "_COUNT_BLOCK", block)
-        for source in (
-            lambda: io.StringIO(text),
-            lambda: io.StringIO(text, newline=""),
-            lambda: path,
-        ):
+        for source in (lambda: path, lambda: io.BytesIO(data), lambda: unseekable(data)):
             outcomes.append(_outcome(lambda: read_points_csv(source())))
             with pytest.MonkeyPatch.context() as parser_only:
                 _no_writer_rows(parser_only)
                 assert _outcome(lambda: read_points_csv(source())) == outcomes[-1]
-    assert outcomes[2] == outcomes[1]
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 def _writer_block_checks(monkeypatch) -> list[int | None]:
@@ -1175,7 +1227,8 @@ def test_points_csv_takes_every_block_after_the_first_as_the_writers(
     write_points_csv(pts, path)
     checks = _writer_block_checks(monkeypatch)
     seen = []
-    for source in (path, io.StringIO(path.read_text())):
+    data = path.read_bytes()
+    for source in (path, io.BytesIO(data), unseekable(data)):
         checks.clear()
         back = read_points_csv(source)
         assert same_points(back, pts) and back.provenance == pts.provenance
@@ -1183,8 +1236,8 @@ def test_points_csv_takes_every_block_after_the_first_as_the_writers(
         # and is parsed; each block after it is checked, and taken.
         assert len(checks) > 10 and None not in checks and sum(checks) < 1 << 14
         seen.append(list(checks))
-    # A path and a stream of the same text are cut into the same blocks.
-    assert seen[1] == seen[0]
+    # A path and the streams of its bytes are cut into the same blocks.
+    assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
 def test_points_csv_edits_at_the_default_block_size(tmp_path, monkeypatch):
